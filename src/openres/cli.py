@@ -1,6 +1,11 @@
 """Command-line front end: one subcommand per model, each with map /
 resonances / bics / field verbs.
 
+Every model is one entry of ``MODELS``: its parameters with their defaults,
+its map columns and one callable per verb.  The parser, the parameter
+loader and ``main`` read nothing else, so adding a model is adding one
+entry.
+
 Configuration comes from an INI-style file (one section per model, flat
 key = value entries) overridden by repeated --set key=value flags; flags
 win.  Exit codes: 0 success, 2 usage error, 3 numerical failure (partial
@@ -13,56 +18,480 @@ import argparse
 import configparser
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__, cyl3d, hcore, planar2d, sph3d, sweep, toymodels, wires1d
 from .sweep import Axis, SweepSpec, UsageError
 
-MODELS = ("twolevel", "fpchain", "well", "abring", "zeeman",
-          "planar", "sinai", "cyl", "sphere")
-VERBS = ("map", "resonances", "bics", "field")
 
-DEFAULTS = {
-    "twolevel": {"eps": 0.0, "gamma1": 0.1, "gamma2": 0.1, "u": 0.0, "energy": 0.5},
-    "fpchain": {"eps1": -0.5, "eps2": 0.5, "eps_w": 0.0, "u": 0.25, "v0": 0.5,
-                "energy": 0.5},
-    "well": {"k": 1.0, "q": 2.0, "length": 1.0},
-    "abring": {"k": math.pi, "gamma": 0.0},
-    "zeeman": {"energy": 20.0, "theta": math.pi / 4, "length": 2.0,
-               "b_field": 10.0, "phi": math.pi / 3, "u0": -20.0},
-    "planar": {"lx": 4.0, "ly": 4.0, "energy": 14.0, "m_max": 20, "n_max": 20,
-               "p_max": 8},
-    "sinai": {"lx": 4.0, "ly": 2.0, "vg": 0.0, "energy": 20.0, "radius": 1.5,
-              "x0": 0.0, "y0": 0.0, "m_max": 14, "n_max": 14, "p_max": 6},
-    "cyl": {"radius": 3.0, "length": 4.0, "dphi": math.pi / 4, "r0": 1.5,
-            "energy": 1.0, "m_max": 4, "n_max": 3, "l_max": 6},
-    "sphere": {"radius": 10.0, "dtheta": 0.7 * math.pi, "energy": 0.3,
-               "l_max": 6, "n_max": 3},
-}
+@dataclass(frozen=True)
+class Model:
+    """One CLI model.
+
+    ``point(p)`` gives the map values (one per column) at the parameter
+    point ``p``; ``bics(p, tol_width, tol_null)`` the catalog records and a
+    label getter (None: the records' own modal expansion);
+    ``resonances(p)`` the pole records; ``field(p, n1, n2, tol_width,
+    tol_null)`` the (axes description, grid1, grid2, field) of the trapped
+    state."""
+
+    defaults: dict
+    columns: tuple
+    point: Callable
+    bics: Callable
+    resonances: Callable
+    field: Callable
+
+
+VERBS = ("map", "resonances", "bics", "field")
 
 _INT_KEYS = {"m_max", "n_max", "l_max", "p_max"}
 
 
+def _newton_poles(step, seeds, iters: int, tol: float, keep) -> list:
+    """Complex-Newton poles from real seeds; ``step(z)`` is the Newton
+    correction at z.  Converged poles that ``keep`` accepts are recorded
+    once (within 1e-6), sorted by real part."""
+    recs = []
+    for z0 in seeds:
+        z = complex(z0)
+        for _ in range(iters):
+            dz = step(z)
+            z -= dz
+            if abs(dz) < tol:
+                break
+        if abs(dz) < tol and keep(z) and not any(abs(z - r.z) < 1e-6 for r in recs):
+            recs.append(hcore.ResonanceRecord(z=z, vector=np.zeros(1), converged=True))
+    recs.sort(key=lambda r: r.z.real)
+    return recs
+
+
+def _null_vector_field(bics):
+    """Field verb of a discrete model: the first trapped state's amplitudes
+    over the sites."""
+    def field(p, n1, n2, tol_width, tol_null):
+        recs, _ = bics(p, tol_width, tol_null)
+        if not recs:
+            raise sweep.NumericalFailure("no trapped state found")
+        vec = recs[0].null_vector
+        fld = np.asarray(vec, dtype=complex)[:, None]
+        return "site -", np.arange(float(len(vec))), np.arange(1.0), fld
+    return field
+
+
+def _cavity_resonances(model, band, energy: float):
+    """Fixed-point poles seeded from the first 12 basis energies in band."""
+    seeds = [e for e in model(energy).basis.energies if band[0] < e < band[1]][:12]
+    return hcore.resonances(model, seeds)
+
+
+def _twolevel_params(p, eps):
+    return toymodels.TwoLevelParams(eps, p["gamma1"], p["gamma2"], p["u"])
+
+
+def _twolevel_point(p):
+    t = toymodels.twolevel_transmission(p["energy"], _twolevel_params(p, p["eps"]))
+    return [abs(t) ** 2, abs(t)]
+
+
+def _twolevel_bics(p, tol_width, tol_null):
+    eps_star = toymodels.twolevel_bic_point(p["gamma1"], p["gamma2"], p["u"])
+
+    def family(eps):
+        return toymodels.twolevel_model(_twolevel_params(p, eps))
+
+    # seed the dark branch: minimal-|Im| eigenvector at the trapping point
+    vals, vecs = np.linalg.eig(toymodels.twolevel_matrix(_twolevel_params(p, eps_star)))
+    j = int(np.argmin(np.abs(vals.imag)))
+    half = np.linspace(eps_star, eps_star + 0.4, 9)
+    traj = hcore.track(family, np.flip(2 * eps_star - half),
+                       seed_energy=float(vals[j].real),
+                       branch_vector=vecs[:, j])[::-1]
+    traj += hcore.track(family, half, seed_energy=float(vals[j].real),
+                        branch_vector=vecs[:, j])[1:]
+    recs = [r for r in hcore.find_bics(traj, family, width_tol=tol_width,
+                                       null_tol=tol_null, labels=("+", "-"))
+            if r.is_bic]
+    for r in recs:
+        r.classification = "friedrich-wintgen"
+    return recs, None
+
+
+def _fpchain_params(p):
+    return toymodels.FPChainParams(p["eps1"], p["eps2"], p["eps_w"], p["u"], p["v0"])
+
+
+def _fpchain_point(p):
+    pp = _fpchain_params(p)
+    t = toymodels.fp_chain_transmission(p["energy"], pp)
+    return [abs(t) ** 2, toymodels.fp_chain_middle_branch(pp, p["energy"]).width]
+
+
+def _fpchain_bics(p, tol_width, tol_null):
+    return [toymodels.fp_chain_bic(_fpchain_params(p), p["energy"])], None
+
+
+def _fpchain_resonances(p):
+    pp = _fpchain_params(p)
+    vals, _ = toymodels.fp_chain_spectrum(pp)
+    return hcore.resonances(toymodels.fp_chain_model(pp), [v for v in vals if v > 0.05])
+
+
+def _well_point(p):
+    sol = wires1d.well_solve(wires1d.WellParams(p["k"], p["q"], p["length"]))
+    return [abs(sol.t) ** 2, abs(sol.r) ** 2, abs(sol.det)]
+
+
+def _well_resonances(p):
+    # complex-k poles at fixed inside-outside offset V = q^2 - k^2
+    v_off = p["q"] ** 2 - p["k"] ** 2
+    length = p["length"]
+
+    def step(k):
+        q = np.sqrt(k * k + v_off)
+        det = 2j * (k * k + q * q) * np.sin(q * length) + 4 * k * q * np.cos(q * length)
+        h = 1e-7
+        qh = np.sqrt((k + h) ** 2 + v_off)
+        deth = 2j * ((k + h) ** 2 + qh * qh) * np.sin(qh * length) \
+            + 4 * (k + h) * qh * np.cos(qh * length)
+        return det * h / (deth - det)
+
+    return _newton_poles(step, np.arange(0.5, 12.0, 0.7), 100, 1e-12,
+                         lambda k: 0.1 < k.real < 13 and k.imag < 1e-9)
+
+
+def _well_field(p, n1, n2, tol_width, tol_null):
+    sol = wires1d.well_solve(wires1d.WellParams(p["k"], p["q"], p["length"]))
+    x = np.linspace(0.0, p["length"], n1)
+    inside = sol.a * np.exp(1j * p["q"] * x) + sol.b * np.exp(-1j * p["q"] * x)
+    return "x -", x, np.arange(1.0), inside[:, None] * np.ones((1, 1))
+
+
+def _abring_point(p):
+    sol = wires1d.ring_solve(wires1d.RingParams(p["k"], p["gamma"]))
+    return [abs(sol["t"]) ** 2, abs(sol["r"]) ** 2]
+
+
+def _abring_bics(p, tol_width, tol_null):
+    recs = []
+    for m in (1, 2):
+        for n in (1, 2):
+            res = wires1d.ring_bic_analysis(m, n)
+            recs.append(hcore.BICRecord(
+                param=2 * math.pi * n, omega_sq=(2 * math.pi * m) ** 2,
+                null_vector=np.asarray(res["right_null"], dtype=complex),
+                gamma_res=res["sigma_min"], residual=res["right_residual"],
+                is_bic=True, labels=("r", "t", "a1", "a2", "b1", "b2"),
+                classification="friedrich-wintgen"))
+    return recs, None
+
+
+def _abring_resonances(p):
+    # poles: complex-k zeros of the interference denominator
+    gamma = p["gamma"]
+
+    def step(k):
+        z = 8 * np.cos(gamma) - 9 * np.exp(-1j * k) - np.exp(1j * k) + 2
+        dz = 9j * np.exp(-1j * k) - 1j * np.exp(1j * k)
+        return z / dz
+
+    return _newton_poles(step, np.arange(1.0, 4 * math.pi, 0.8), 80, 1e-13,
+                         lambda k: 0 < k.real < 4 * math.pi)
+
+
+def _abring_field(p, n1, n2, tol_width, tol_null):
+    sol = wires1d.ring_solve(wires1d.RingParams(p["k"], p["gamma"]))
+    x = np.linspace(0.0, 0.5, n1)
+    km, kp = p["k"] - p["gamma"], p["k"] + p["gamma"]
+    upper = sol["a1"] * np.exp(1j * km * x) + sol["a2"] * np.exp(-1j * kp * x)
+    lower = sol["b1"] * np.exp(1j * kp * x) + sol["b2"] * np.exp(-1j * km * x)
+    return "x arm", x, np.arange(2.0), np.stack([upper, lower], axis=1)
+
+
+def _zeeman_params(p, energy):
+    return wires1d.ZeemanParams(energy, p["theta"], p["length"], p["b_field"],
+                                p["phi"], p["u0"])
+
+
+def _zeeman_points(p, parity):
+    return wires1d.zeeman_bic_points(p["theta"], p["b_field"], p["phi"], p["u0"],
+                                     parity)
+
+
+def _zeeman_point(p):
+    s = wires1d.zeeman_scatter(_zeeman_params(p, p["energy"]))
+    return [abs(s["r_up"]) ** 2, abs(s["t_up"]) ** 2, s["sigma_min"] / s["sigma_max"]]
+
+
+def _zeeman_bics(p, tol_width, tol_null):
+    recs = []
+    for parity in ("sym", "asym"):
+        for b in _zeeman_points(p, parity):
+            recs.append(hcore.BICRecord(
+                param=b.L, omega_sq=b.energy,
+                null_vector=np.asarray(b.coefficients, dtype=complex),
+                gamma_res=b.sigma_min, residual=abs(b.printed_residual),
+                is_bic=True, labels=("a", "b", "c"),
+                classification=f"friedrich-wintgen-{parity}"))
+    return recs, None
+
+
+def _zeeman_resonances(p):
+    # complex-E zeros of the interface determinant
+    def det_at(ec):
+        m, _ = wires1d.zeeman_system(_zeeman_params(p, ec.real))
+        # analytic continuation in E through the wavenumbers
+        return np.linalg.det(m)
+
+    recs = []
+    for e0 in np.arange(2.0, 29.0, 1.5):
+        e = complex(e0)
+        try:
+            for _ in range(60):
+                d0 = det_at(e)
+                h = 1e-6
+                d1 = det_at(e + h)
+                step = d0 * h / (d1 - d0)
+                e -= step.real  # stay on the physical sheet
+                if abs(step) < 1e-10:
+                    break
+        except ValueError:
+            continue
+        if abs(step) < 1e-10 and not any(abs(e - r.z) < 1e-6 for r in recs):
+            recs.append(hcore.ResonanceRecord(z=complex(e), vector=np.zeros(1),
+                                              converged=True))
+    return recs
+
+
+def _zeeman_field(p, n1, n2, tol_width, tol_null):
+    pts = _zeeman_points(p, "sym")
+    if not pts:
+        raise sweep.NumericalFailure("no trapped state found")
+    b = min(pts, key=lambda x: x.L)
+    z = np.linspace(-2 * b.L, 2 * b.L, n1)
+    up, dn = wires1d.zeeman_bic_profile(b, p["theta"], p["b_field"], p["phi"],
+                                        p["u0"], z)
+    return "z spin", z, np.arange(2.0), (up + 1j * dn)[:, None] * np.ones((1, 2))
+
+
+def _rect(p, bc):
+    return planar2d.RectCavity(p["lx"], p["ly"], bc, int(p["m_max"]), int(p["n_max"]))
+
+
+def _planar_point(p):
+    _, _, trans = planar2d.planar_transmittance(_rect(p, "dirichlet"), p["energy"],
+                                                int(p["p_max"]))
+    return [trans.get((1, 1), 0.0), sum(trans.values())]
+
+
+def _planar_bics(p, tol_width, tol_null):
+    rec, _ = planar2d.planar_fw_bic(p["lx"], p_max=int(p["p_max"]),
+                                    m_max=int(p["m_max"]), n_max=int(p["n_max"]),
+                                    width_tol=tol_width, null_tol=tol_null)
+    return [rec], None
+
+
+def _planar_field(p, n1, n2, tol_width, tol_null):
+    (rec,), _ = _planar_bics(p, tol_width, tol_null)
+    x = np.linspace(-p["lx"] / 2 - 1.0, p["lx"] / 2 + 1.0, n1)
+    y = np.linspace(-rec.param / 2, rec.param / 2, n2)
+    fld = planar2d.planar_bic_field(rec, _rect({**p, "ly": rec.param}, "dirichlet"),
+                                    x, y, p_max=int(p["p_max"]))
+    return "x y", x, y, fld
+
+
+def _sinai_model(p):
+    return planar2d.sinai_model(
+        _rect(p, "neumann"), planar2d.SinaiBump(p["vg"], p["radius"], p["x0"], p["y0"]),
+        int(p["p_max"]))
+
+
+def _sinai_point(p):
+    s, chans = hcore.smatrix(_sinai_model(p)(p["energy"]), p["energy"])
+    il = [i for i, c in enumerate(chans) if c.port == "L"]
+    ir = [i for i, c in enumerate(chans) if c.port == "R"]
+    return [sum(abs(s[i, j]) ** 2 for i in ir for j in il[:1])]
+
+
+def _sinai_search(p, x_even, tol_width, tol_null):
+    return planar2d.sinai_accidental_bics(
+        _rect(p, "neumann"), vg_range=(-50.0, 50.0), x_even=x_even,
+        radius=p["radius"], x0=p["x0"], y0=p["y0"], p_max=int(p["p_max"]),
+        width_tol=tol_width, null_tol=tol_null)
+
+
+def _sinai_bics(p, tol_width, tol_null):
+    recs = [r for x_even in (True, False)
+            for r in _sinai_search(p, x_even, tol_width, tol_null)]
+    cav = _rect(p, "neumann")
+
+    def labels(rec):
+        return planar2d.sinai_modal_expansion(rec, cav, p["radius"], p["x0"], p["y0"])
+    return recs, labels
+
+
+def _sinai_field(p, n1, n2, tol_width, tol_null):
+    recs = _sinai_search(p, True, tol_width, tol_null)
+    if not recs:
+        raise sweep.NumericalFailure("no accidental zero-width point found")
+    rec = recs[0]
+    cav = _rect(p, "neumann")
+    x = np.linspace(-p["lx"] / 2, p["lx"] / 2, n1)
+    y = np.linspace(-p["ly"] / 2, p["ly"] / 2, n2)
+    xg, yg = np.meshgrid(x, y, indexing="ij")
+    fld = np.zeros_like(xg, dtype=complex)
+    for a, (m, n) in zip(rec.null_vector, rec.labels):
+        if abs(a) > 1e-12:
+            fld += a * cav.mode_on_grid(m, n, xg, yg)
+    return "x y", x, y, fld
+
+
+def _cyl_cavity(p):
+    return cyl3d.CylCavity(p["radius"], p["length"], int(p["m_max"]),
+                           int(p["n_max"]), int(p["l_max"]))
+
+
+def _cyl_model(p):
+    return cyl3d.cyl_model(_cyl_cavity(p), p["dphi"], p["r0"])
+
+
+def _cyl_point(p):
+    _, _, t01 = cyl3d.cyl_transmittance(_cyl_model(p), p["energy"])
+    return [abs(t01) ** 2 if t01 is not None else np.nan]
+
+
+def _cyl_search(p, grid, tol_width, tol_null):
+    return cyl3d.cyl_find_bics(_cyl_cavity(p), p["dphi"], "length", grid, r0=p["r0"],
+                               width_tol=tol_width, null_tol=tol_null)
+
+
+def _cyl_field(p, n1, n2, tol_width, tol_null):
+    grid = np.linspace(max(2.6, p["length"] - 1.5), p["length"] + 1.5, 20)
+    recs = _cyl_search(p, grid, tol_width, tol_null)
+    if not recs:
+        raise sweep.NumericalFailure("no zero-width point in the scan window")
+    rec = recs[0]
+    phi = np.linspace(0, 2 * math.pi, n1)
+    z = np.linspace(0, rec.param, n2)
+    fld = cyl3d.surface_field(rec, _cyl_cavity({**p, "length": rec.param}), phi, z)
+    return "phi z", phi, z, fld
+
+
+def _sphere_cavity(p):
+    return sph3d.SphereCavity(p["radius"], int(p["l_max"]), int(p["n_max"]))
+
+
+def _sphere_model(p):
+    return sph3d.sphere_model(_sphere_cavity(p), (
+        sph3d.WaveguideAttachment("in"),
+        sph3d.WaveguideAttachment("out", beta=p["dtheta"])))
+
+
+def _sphere_point(p):
+    s, chans = sph3d.sphere_transmittance(_sphere_model(p), p["energy"])
+    idx = {c.port: i for i, c in enumerate(chans)}
+    return [abs(s[idx["out"], idx["in"]]) ** 2]
+
+
+def _sphere_bics(p, tol_width, tol_null):
+    return [sph3d.sphere_fw_bic(_sphere_cavity(p), width_tol=tol_width,
+                                null_tol=tol_null)], None
+
+
+def _sphere_field(p, n1, n2, tol_width, tol_null):
+    (rec,), _ = _sphere_bics(p, tol_width, tol_null)
+    theta = np.linspace(0.01, math.pi - 0.01, n1)
+    phi = np.linspace(0, 2 * math.pi, n2)
+    return "theta phi", theta, phi, sph3d.surface_field(rec, _sphere_cavity(p), theta, phi)
+
+
+# ---------------------------------------------------------------- models --
+
+MODELS: dict[str, Model] = {
+    "twolevel": Model(
+        defaults={"eps": 0.0, "gamma1": 0.1, "gamma2": 0.1, "u": 0.0, "energy": 0.5},
+        columns=("T2", "absT"), point=_twolevel_point, bics=_twolevel_bics,
+        resonances=lambda p: hcore.resonances(
+            toymodels.twolevel_model(_twolevel_params(p, p["eps"])), [p["eps"], -p["eps"]]),
+        field=_null_vector_field(_twolevel_bics)),
+    "fpchain": Model(
+        defaults={"eps1": -0.5, "eps2": 0.5, "eps_w": 0.0, "u": 0.25, "v0": 0.5,
+                  "energy": 0.5},
+        columns=("T2", "width3"), point=_fpchain_point, bics=_fpchain_bics,
+        resonances=_fpchain_resonances, field=_null_vector_field(_fpchain_bics)),
+    "well": Model(
+        defaults={"k": 1.0, "q": 2.0, "length": 1.0},
+        columns=("T2", "R2", "absdet"), point=_well_point,
+        # control case: the determinant never vanishes
+        bics=lambda p, tol_width, tol_null: ([], None),
+        resonances=_well_resonances, field=_well_field),
+    "abring": Model(
+        defaults={"k": math.pi, "gamma": 0.0},
+        columns=("T2", "R2"), point=_abring_point, bics=_abring_bics,
+        resonances=_abring_resonances, field=_abring_field),
+    "zeeman": Model(
+        defaults={"energy": 20.0, "theta": math.pi / 4, "length": 2.0,
+                  "b_field": 10.0, "phi": math.pi / 3, "u0": -20.0},
+        columns=("Rup2", "Tup2", "sigma_min"), point=_zeeman_point, bics=_zeeman_bics,
+        resonances=_zeeman_resonances, field=_zeeman_field),
+    "planar": Model(
+        defaults={"lx": 4.0, "ly": 4.0, "energy": 14.0, "m_max": 20, "n_max": 20,
+                  "p_max": 8},
+        columns=("T11", "Ttotal"), point=_planar_point, bics=_planar_bics,
+        resonances=lambda p: _cavity_resonances(
+            planar2d.planar_model(_rect(p, "dirichlet"), int(p["p_max"])),
+            (math.pi**2, 4 * math.pi**2), p["energy"]),
+        field=_planar_field),
+    "sinai": Model(
+        defaults={"lx": 4.0, "ly": 2.0, "vg": 0.0, "energy": 20.0, "radius": 1.5,
+                  "x0": 0.0, "y0": 0.0, "m_max": 14, "n_max": 14, "p_max": 6},
+        columns=("T",), point=_sinai_point, bics=_sinai_bics,
+        resonances=lambda p: _cavity_resonances(
+            _sinai_model(p), (0.5, 4 * math.pi**2), p["energy"]),
+        field=_sinai_field),
+    "cyl": Model(
+        defaults={"radius": 3.0, "length": 4.0, "dphi": math.pi / 4, "r0": 1.5,
+                  "energy": 1.0, "m_max": 4, "n_max": 3, "l_max": 6},
+        columns=("T01",), point=_cyl_point,
+        bics=lambda p, tol_width, tol_null: (
+            _cyl_search(p, np.linspace(2.6, 5.5, 30), tol_width, tol_null), None),
+        resonances=lambda p: _cavity_resonances(
+            _cyl_model(p), (0.05, cyl3d.MU_11**2), p["energy"]),
+        field=_cyl_field),
+    "sphere": Model(
+        defaults={"radius": 10.0, "dtheta": 0.7 * math.pi, "energy": 0.3,
+                  "l_max": 6, "n_max": 3},
+        columns=("T",), point=_sphere_point, bics=_sphere_bics,
+        resonances=lambda p: _cavity_resonances(
+            _sphere_model(p), (1e-3, cyl3d.MU_11**2), p["energy"]),
+        field=_sphere_field),
+}
+
+# defaults by model name, read by perfbench/checks.py to recompute map points
+DEFAULTS = {name: model.defaults for name, model in MODELS.items()}
+
+
+# ------------------------------------------------------------------- main --
+
 def _load_params(model: str, config_path: str | None, overrides: list[str]) -> dict:
-    params = dict(DEFAULTS[model])
+    params = dict(MODELS[model].defaults)
+    entries = []
     if config_path:
         cp = configparser.ConfigParser()
-        read = cp.read(config_path)
-        if not read:
+        if not cp.read(config_path):
             raise UsageError(f"config file not found: {config_path}")
         if cp.has_section(model):
-            for key, val in cp.items(model):
-                if key not in params:
-                    raise UsageError(
-                        f"unknown parameter '{key}' for model {model}; "
-                        f"valid: {sorted(params)}")
-                params[key] = float(val)
+            entries += cp.items(model)
     for item in overrides or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got '{item}'")
-        key, _, val = item.partition("=")
+        entries.append(item.split("=", 1))
+    # config entries first, so a --set flag wins
+    for key, val in entries:
         if key not in params:
             raise UsageError(f"unknown parameter '{key}' for model {model}; "
                              f"valid: {sorted(params)}")
@@ -72,424 +501,18 @@ def _load_params(model: str, config_path: str | None, overrides: list[str]) -> d
     return params
 
 
-# ------------------------------------------------------------- map values --
-
-def _map_eval(model: str, tol_width: float, tol_null: float):
-    """Returns (columns, evaluate(params, a1, a2)); axes override params by
-    name before evaluation."""
-
-    if model == "twolevel":
-        def ev(p, a1, a2):
-            pp = toymodels.TwoLevelParams(p["eps"], p["gamma1"], p["gamma2"], p["u"])
-            t = toymodels.twolevel_transmission(p["energy"], pp)
-            return [abs(t) ** 2, abs(t)]
-        return ("T2", "absT"), ev
-
-    if model == "fpchain":
-        def ev(p, a1, a2):
-            pp = toymodels.FPChainParams(p["eps1"], p["eps2"], p["eps_w"],
-                                         p["u"], p["v0"])
-            t = toymodels.fp_chain_transmission(p["energy"], pp)
-            w3 = toymodels.fp_chain_middle_branch(pp, p["energy"]).width
-            return [abs(t) ** 2, w3]
-        return ("T2", "width3"), ev
-
-    if model == "well":
-        def ev(p, a1, a2):
-            sol = wires1d.well_solve(wires1d.WellParams(p["k"], p["q"], p["length"]))
-            return [abs(sol.t) ** 2, abs(sol.r) ** 2, abs(sol.det)]
-        return ("T2", "R2", "absdet"), ev
-
-    if model == "abring":
-        def ev(p, a1, a2):
-            sol = wires1d.ring_solve(wires1d.RingParams(p["k"], p["gamma"]))
-            return [abs(sol["t"]) ** 2, abs(sol["r"]) ** 2]
-        return ("T2", "R2"), ev
-
-    if model == "zeeman":
-        def ev(p, a1, a2):
-            pp = wires1d.ZeemanParams(p["energy"], p["theta"], p["length"],
-                                      p["b_field"], p["phi"], p["u0"])
-            s = wires1d.zeeman_scatter(pp)
-            return [abs(s["r_up"]) ** 2, abs(s["t_up"]) ** 2,
-                    s["sigma_min"] / s["sigma_max"]]
-        return ("Rup2", "Tup2", "sigma_min"), ev
-
-    if model == "planar":
-        def ev(p, a1, a2):
-            cav = planar2d.RectCavity(p["lx"], p["ly"], "dirichlet",
-                                      int(p["m_max"]), int(p["n_max"]))
-            _, _, trans = planar2d.planar_transmittance(cav, p["energy"],
-                                                        int(p["p_max"]))
-            t11 = trans.get((1, 1), 0.0)
-            return [t11, sum(trans.values())]
-        return ("T11", "Ttotal"), ev
-
-    if model == "sinai":
-        def ev(p, a1, a2):
-            cav = planar2d.RectCavity(p["lx"], p["ly"], "neumann",
-                                      int(p["m_max"]), int(p["n_max"]))
-            model_fn = planar2d.sinai_model(
-                cav, planar2d.SinaiBump(p["vg"], p["radius"], p["x0"], p["y0"]),
-                p_max=int(p["p_max"]))
-            s, chans = hcore.smatrix(model_fn(p["energy"]), p["energy"])
-            il = [i for i, c in enumerate(chans) if c.port == "L"]
-            ir = [i for i, c in enumerate(chans) if c.port == "R"]
-            t = sum(abs(s[i, j]) ** 2 for i in ir for j in il[:1])
-            return [t]
-        return ("T",), ev
-
-    if model == "cyl":
-        def ev(p, a1, a2):
-            cav = cyl3d.CylCavity(p["radius"], p["length"], int(p["m_max"]),
-                                  int(p["n_max"]), int(p["l_max"]))
-            m = cyl3d.cyl_model(cav, p["dphi"], p["r0"])
-            _, _, t01 = cyl3d.cyl_transmittance(m, p["energy"])
-            return [abs(t01) ** 2 if t01 is not None else np.nan]
-        return ("T01",), ev
-
-    if model == "sphere":
-        def ev(p, a1, a2):
-            cav = sph3d.SphereCavity(p["radius"], int(p["l_max"]), int(p["n_max"]))
-            m = sph3d.sphere_model(cav, (
-                sph3d.WaveguideAttachment("in"),
-                sph3d.WaveguideAttachment("out", beta=p["dtheta"])))
-            s, chans = sph3d.sphere_transmittance(m, p["energy"])
-            idx = {c.port: i for i, c in enumerate(chans)}
-            return [abs(s[idx["out"], idx["in"]]) ** 2]
-        return ("T",), ev
-
-    raise UsageError(f"unknown model '{model}'; valid: {MODELS}")
-
-
-# -------------------------------------------------------------- bic verbs --
-
-def _bic_records(model: str, p: dict, tol_width: float, tol_null: float):
-    """(records, label_getter or None) for the catalog builder."""
-    if model == "twolevel":
-        eps_star = toymodels.twolevel_bic_point(p["gamma1"], p["gamma2"], p["u"])
-
-        def family(eps):
-            return toymodels.twolevel_model(
-                toymodels.TwoLevelParams(eps, p["gamma1"], p["gamma2"], p["u"]))
-
-        # seed the dark branch: minimal-|Im| eigenvector at the trapping point
-        m_star = toymodels.twolevel_matrix(
-            toymodels.TwoLevelParams(eps_star, p["gamma1"], p["gamma2"], p["u"]))
-        vals, vecs = np.linalg.eig(m_star)
-        j = int(np.argmin(np.abs(vals.imag)))
-        half = np.linspace(eps_star, eps_star + 0.4, 9)
-        traj = hcore.track(family, np.flip(2 * eps_star - half),
-                           seed_energy=float(vals[j].real),
-                           branch_vector=vecs[:, j])[::-1]
-        traj += hcore.track(family, half, seed_energy=float(vals[j].real),
-                            branch_vector=vecs[:, j])[1:]
-        recs = [r for r in hcore.find_bics(traj, family, width_tol=tol_width,
-                                           null_tol=tol_null, labels=("+", "-"))
-                if r.is_bic]
-        for r in recs:
-            r.classification = "friedrich-wintgen"
-        return recs, None
-
-    if model == "fpchain":
-        pp = toymodels.FPChainParams(p["eps1"], p["eps2"], p["eps_w"], p["u"], p["v0"])
-        return [toymodels.fp_chain_bic(pp, p["energy"])], None
-
-    if model == "well":
-        return [], None  # control case: the determinant never vanishes
-
-    if model == "abring":
-        recs = []
-        for m in (1, 2):
-            for n in (1, 2):
-                res = wires1d.ring_bic_analysis(m, n)
-                rec = hcore.BICRecord(
-                    param=2 * math.pi * n, omega_sq=(2 * math.pi * m) ** 2,
-                    null_vector=np.asarray(res["right_null"], dtype=complex),
-                    gamma_res=res["sigma_min"], residual=res["right_residual"],
-                    is_bic=True, labels=("r", "t", "a1", "a2", "b1", "b2"),
-                    classification="friedrich-wintgen")
-                recs.append(rec)
-        return recs, None
-
-    if model == "zeeman":
-        recs = []
-        for parity in ("sym", "asym"):
-            for b in wires1d.zeeman_bic_points(p["theta"], p["b_field"], p["phi"],
-                                               p["u0"], parity):
-                rec = hcore.BICRecord(
-                    param=b.L, omega_sq=b.energy,
-                    null_vector=np.asarray(b.coefficients, dtype=complex),
-                    gamma_res=b.sigma_min, residual=abs(b.printed_residual),
-                    is_bic=True, labels=("a", "b", "c"),
-                    classification=f"friedrich-wintgen-{parity}")
-                recs.append(rec)
-        return recs, None
-
-    if model == "planar":
-        rec, _ = planar2d.planar_fw_bic(p["lx"], p_max=int(p["p_max"]),
-                                        m_max=int(p["m_max"]), n_max=int(p["n_max"]),
-                                        width_tol=tol_width)
-        return [rec], None
-
-    if model == "sinai":
-        cav = planar2d.RectCavity(p["lx"], p["ly"], "neumann",
-                                  int(p["m_max"]), int(p["n_max"]))
-        recs = []
-        for x_even in (True, False):
-            recs.extend(planar2d.sinai_accidental_bics(
-                cav, vg_range=(-50.0, 50.0), x_even=x_even,
-                radius=p["radius"], x0=p["x0"], y0=p["y0"],
-                p_max=int(p["p_max"]), width_tol=tol_width, null_tol=tol_null))
-
-        def labels(rec):
-            return planar2d.sinai_modal_expansion(rec, cav, p["radius"],
-                                                  p["x0"], p["y0"])
-        return recs, labels
-
-    if model == "cyl":
-        cav = cyl3d.CylCavity(p["radius"], p["length"], int(p["m_max"]),
-                              int(p["n_max"]), int(p["l_max"]))
-        grid = np.linspace(2.6, 5.5, 30)
-        recs = cyl3d.cyl_find_bics(cav, p["dphi"], "length", grid, r0=p["r0"],
-                                   width_tol=tol_width, null_tol=tol_null)
-        return recs, None
-
-    if model == "sphere":
-        cav = sph3d.SphereCavity(p["radius"], int(p["l_max"]), int(p["n_max"]))
-        rec = sph3d.sphere_fw_bic(cav, width_tol=tol_width, null_tol=tol_null)
-        return [rec], None
-
-    raise UsageError(f"unknown model '{model}'")
-
-
-# -------------------------------------------------------- resonance verbs --
-
-def _resonance_records(model: str, p: dict):
-    if model == "twolevel":
-        pp = toymodels.TwoLevelParams(p["eps"], p["gamma1"], p["gamma2"], p["u"])
-        fam = toymodels.twolevel_model(pp)
-        return hcore.resonances(fam, [p["eps"], -p["eps"]])
-    if model == "fpchain":
-        pp = toymodels.FPChainParams(p["eps1"], p["eps2"], p["eps_w"], p["u"], p["v0"])
-        vals, _ = toymodels.fp_chain_spectrum(pp)
-        fam = toymodels.fp_chain_model(pp)
-        return hcore.resonances(fam, [v for v in vals if v > 0.05])
-    if model == "abring":
-        # poles: complex-k zeros of the interference denominator
-        recs = []
-        gamma = p["gamma"]
-        for k0 in np.arange(1.0, 4 * math.pi, 0.8):
-            k = complex(k0)
-            for _ in range(80):
-                z = 8 * np.cos(gamma) - 9 * np.exp(-1j * k) - np.exp(1j * k) + 2
-                dz = 9j * np.exp(-1j * k) - 1j * np.exp(1j * k)
-                step = z / dz
-                k -= step
-                if abs(step) < 1e-13:
-                    break
-            if abs(step) < 1e-13 and 0 < k.real < 4 * math.pi and \
-               not any(abs(k - r.z) < 1e-6 for r in recs):
-                recs.append(hcore.ResonanceRecord(z=k, vector=np.zeros(1),
-                                                  converged=True))
-        recs.sort(key=lambda r: r.z.real)
-        return recs
-    if model == "well":
-        # complex-k poles at fixed inside-outside offset V = q^2 - k^2
-        v_off = p["q"] ** 2 - p["k"] ** 2
-        length = p["length"]
-        recs = []
-        for k0 in np.arange(0.5, 12.0, 0.7):
-            k = complex(k0)
-            for _ in range(100):
-                q = np.sqrt(k * k + v_off)
-                det = 2j * (k * k + q * q) * np.sin(q * length) \
-                    + 4 * k * q * np.cos(q * length)
-                h = 1e-7
-                qh = np.sqrt((k + h) ** 2 + v_off)
-                deth = 2j * ((k + h) ** 2 + qh * qh) * np.sin(qh * length) \
-                    + 4 * (k + h) * qh * np.cos(qh * length)
-                step = det * h / (deth - det)
-                k -= step
-                if abs(step) < 1e-12:
-                    break
-            if abs(step) < 1e-12 and 0.1 < k.real < 13 and k.imag < 1e-9 and \
-               not any(abs(k - r.z) < 1e-6 for r in recs):
-                recs.append(hcore.ResonanceRecord(z=k, vector=np.zeros(1),
-                                                  converged=True))
-        recs.sort(key=lambda r: r.z.real)
-        return recs
-    if model == "zeeman":
-        # complex-E zeros of the interface determinant
-        recs = []
-        for e0 in np.arange(2.0, 29.0, 1.5):
-            e = complex(e0)
-            try:
-                for _ in range(60):
-                    def det_at(ec):
-                        pp = wires1d.ZeemanParams(ec.real, p["theta"], p["length"],
-                                                  p["b_field"], p["phi"], p["u0"])
-                        m, _ = wires1d.zeeman_system(pp)
-                        # analytic continuation in E through the wavenumbers
-                        return np.linalg.det(m)
-                    d0 = det_at(e)
-                    h = 1e-6
-                    d1 = det_at(e + h)
-                    step = d0 * h / (d1 - d0)
-                    e -= step.real  # stay on the physical sheet
-                    if abs(step) < 1e-10:
-                        break
-            except ValueError:
-                continue
-            if abs(step) < 1e-10 and not any(abs(e - r.z) < 1e-6 for r in recs):
-                recs.append(hcore.ResonanceRecord(z=complex(e), vector=np.zeros(1),
-                                                  converged=True))
-        return recs
-    if model in ("planar", "sinai", "cyl", "sphere"):
-        fam, band = _heff_family(model, p)
-        basis_seed = [e for e in fam(p.get("energy", 1.0)).basis.energies
-                      if band[0] < e < band[1]][:12]
-        return hcore.resonances(lambda w2: fam(w2), basis_seed)
-    raise UsageError(f"unknown model '{model}'")
-
-
-def _heff_family(model: str, p: dict):
-    if model == "planar":
-        cav = planar2d.RectCavity(p["lx"], p["ly"], "dirichlet",
-                                  int(p["m_max"]), int(p["n_max"]))
-        return planar2d.planar_model(cav, int(p["p_max"])), (math.pi**2, 4 * math.pi**2)
-    if model == "sinai":
-        cav = planar2d.RectCavity(p["lx"], p["ly"], "neumann",
-                                  int(p["m_max"]), int(p["n_max"]))
-        return planar2d.sinai_model(
-            cav, planar2d.SinaiBump(p["vg"], p["radius"], p["x0"], p["y0"]),
-            int(p["p_max"])), (0.5, 4 * math.pi**2)
-    if model == "cyl":
-        cav = cyl3d.CylCavity(p["radius"], p["length"], int(p["m_max"]),
-                              int(p["n_max"]), int(p["l_max"]))
-        return cyl3d.cyl_model(cav, p["dphi"], p["r0"]), (0.05, cyl3d.MU_11**2)
-    if model == "sphere":
-        cav = sph3d.SphereCavity(p["radius"], int(p["l_max"]), int(p["n_max"]))
-        def fam(w2):
-            m = sph3d.sphere_model(cav, (
-                sph3d.WaveguideAttachment("in"),
-                sph3d.WaveguideAttachment("out", beta=p["dtheta"])))
-            return m(w2)
-        return fam, (1e-3, cyl3d.MU_11**2)
-    raise UsageError(f"unknown model '{model}'")
-
-
-# ------------------------------------------------------------ field verbs --
-
-def _render_field(model: str, p: dict, n1: int, n2: int, out_path,
-                  tol_width: float, tol_null: float):
-    if model == "zeeman":
-        pts = wires1d.zeeman_bic_points(p["theta"], p["b_field"], p["phi"],
-                                        p["u0"], "sym")
-        if not pts:
-            raise sweep.NumericalFailure("no trapped state found")
-        b = min(pts, key=lambda x: x.L)
-        z = np.linspace(-2 * b.L, 2 * b.L, n1)
-        up, dn = wires1d.zeeman_bic_profile(b, p["theta"], p["b_field"],
-                                            p["phi"], p["u0"], z)
-        fld = (up + 1j * dn)[:, None] * np.ones((1, 2))
-        sweep.write_field(out_path, model, p, "z spin", z, np.arange(2.0), fld)
-        return
-    if model == "planar":
-        rec, _ = planar2d.planar_fw_bic(p["lx"], p_max=int(p["p_max"]),
-                                        m_max=int(p["m_max"]), n_max=int(p["n_max"]),
-                                        width_tol=tol_width)
-        cav = planar2d.RectCavity(p["lx"], rec.param, "dirichlet",
-                                  int(p["m_max"]), int(p["n_max"]))
-        x = np.linspace(-p["lx"] / 2 - 1.0, p["lx"] / 2 + 1.0, n1)
-        y = np.linspace(-rec.param / 2, rec.param / 2, n2)
-        fld = planar2d.planar_bic_field(rec, cav, x, y, p_max=int(p["p_max"]))
-        sweep.write_field(out_path, model, p, "x y", x, y, fld)
-        return
-    if model == "cyl":
-        cav = cyl3d.CylCavity(p["radius"], p["length"], int(p["m_max"]),
-                              int(p["n_max"]), int(p["l_max"]))
-        grid = np.linspace(max(2.6, p["length"] - 1.5), p["length"] + 1.5, 20)
-        recs = cyl3d.cyl_find_bics(cav, p["dphi"], "length", grid, r0=p["r0"],
-                                   width_tol=tol_width, null_tol=tol_null)
-        if not recs:
-            raise sweep.NumericalFailure("no zero-width point in the scan window")
-        rec = recs[0]
-        cav_star = cyl3d.CylCavity(p["radius"], rec.param, int(p["m_max"]),
-                                   int(p["n_max"]), int(p["l_max"]))
-        phi = np.linspace(0, 2 * math.pi, n1)
-        z = np.linspace(0, rec.param, n2)
-        fld = cyl3d.surface_field(rec, cav_star, phi, z)
-        sweep.write_field(out_path, model, p, "phi z", phi, z, fld)
-        return
-    if model == "sphere":
-        cav = sph3d.SphereCavity(p["radius"], int(p["l_max"]), int(p["n_max"]))
-        rec = sph3d.sphere_fw_bic(cav, width_tol=tol_width, null_tol=tol_null)
-        theta = np.linspace(0.01, math.pi - 0.01, n1)
-        phi = np.linspace(0, 2 * math.pi, n2)
-        fld = sph3d.surface_field(rec, cav, theta, phi)
-        sweep.write_field(out_path, model, p, "theta phi", theta, phi, fld)
-        return
-    if model == "abring":
-        sol = wires1d.ring_solve(wires1d.RingParams(p["k"], p["gamma"]))
-        x = np.linspace(0.0, 0.5, n1)
-        km, kp = p["k"] - p["gamma"], p["k"] + p["gamma"]
-        upper = sol["a1"] * np.exp(1j * km * x) + sol["a2"] * np.exp(-1j * kp * x)
-        lower = sol["b1"] * np.exp(1j * kp * x) + sol["b2"] * np.exp(-1j * km * x)
-        fld = np.stack([upper, lower], axis=1)
-        sweep.write_field(out_path, model, p, "x arm", x, np.arange(2.0), fld)
-        return
-    if model == "well":
-        sol = wires1d.well_solve(wires1d.WellParams(p["k"], p["q"], p["length"]))
-        x = np.linspace(0.0, p["length"], n1)
-        inside = sol.a * np.exp(1j * p["q"] * x) + sol.b * np.exp(-1j * p["q"] * x)
-        fld = inside[:, None] * np.ones((1, 1))
-        sweep.write_field(out_path, model, p, "x -", x, np.arange(1.0), fld)
-        return
-    if model in ("twolevel", "fpchain"):
-        recs, _ = _bic_records(model, p, tol_width, tol_null)
-        if not recs:
-            raise sweep.NumericalFailure("no trapped state found")
-        vec = recs[0].null_vector
-        fld = np.asarray(vec, dtype=complex)[:, None]
-        sites = np.arange(float(len(vec)))
-        sweep.write_field(out_path, model, p, "site -", sites, np.arange(1.0), fld)
-        return
-    if model == "sinai":
-        cav = planar2d.RectCavity(p["lx"], p["ly"], "neumann",
-                                  int(p["m_max"]), int(p["n_max"]))
-        recs = planar2d.sinai_accidental_bics(
-            cav, vg_range=(-50.0, 50.0), x_even=True, radius=p["radius"],
-            x0=p["x0"], y0=p["y0"], p_max=int(p["p_max"]),
-            width_tol=tol_width, null_tol=tol_null)
-        if not recs:
-            raise sweep.NumericalFailure("no accidental zero-width point found")
-        rec = recs[0]
-        x = np.linspace(-p["lx"] / 2, p["lx"] / 2, n1)
-        y = np.linspace(-p["ly"] / 2, p["ly"] / 2, n2)
-        xg, yg = np.meshgrid(x, y, indexing="ij")
-        fld = np.zeros_like(xg, dtype=complex)
-        for a, (m, n) in zip(rec.null_vector, rec.labels):
-            if abs(a) > 1e-12:
-                fld += a * cav.mode_on_grid(m, n, xg, yg)
-        sweep.write_field(out_path, model, p, "x y", x, y, fld)
-        return
-    raise UsageError(f"unknown model '{model}'")
-
-
-# ------------------------------------------------------------------- main --
-
 def _parse_axis(text: str, model: str) -> Axis:
     try:
         name, lo, hi, count = text.split(":")
         axis = Axis(name=name, lo=float(lo), hi=float(hi), count=int(count))
     except UsageError:
         raise
-    except Exception:
+    except ValueError:
         raise UsageError(f"axis must be name:min:max:count, got '{text}'")
-    if axis.name not in DEFAULTS[model]:
+    valid = MODELS[model].defaults
+    if axis.name not in valid:
         raise UsageError(f"unknown axis '{axis.name}' for model {model}; "
-                         f"valid: {sorted(DEFAULTS[model])}")
+                         f"valid: {sorted(valid)}")
     return axis
 
 
@@ -528,6 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    model = MODELS[args.model]
     try:
         params = _load_params(args.model, args.config, args.set)
         if args.pmax is not None and "p_max" in params:
@@ -538,55 +562,38 @@ def main(argv=None) -> int:
                     params[key] = args.truncation
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        out = out_dir / f"{args.model}_{args.verb}.dat"
 
         if args.verb == "map":
             axis1 = _parse_axis(args.axis1, args.model)
             axis2 = _parse_axis(args.axis2, args.model)
-            columns, ev = _map_eval(args.model, args.tol_width, args.tol_null)
 
             def evaluate(p, a1, a2):
                 p[axis1.name], p[axis2.name] = a1, a2
-                return ev(p, a1, a2)
+                return model.point(p)
 
             spec = SweepSpec(model=args.model, fixed=params, axis1=axis1,
                              axis2=axis2)
-            result = sweep.run_sweep(spec, evaluate, columns,
+            result = sweep.run_sweep(spec, evaluate, model.columns,
                                      threads=args.threads)
-            out = out_dir / f"{args.model}_map.dat"
             sweep.write_map(out, result)
-            print(out)
-            if np.all(np.isnan(result.values[:, 2:])):
-                raise sweep.NumericalFailure("every grid point failed")
-            return 0
-
-        if args.verb == "bics":
-            recs, labels = _bic_records(args.model, params,
-                                        args.tol_width, args.tol_null)
-            out = out_dir / f"{args.model}_bics.dat"
-            sweep.write_catalog(out, args.model, params, recs,
-                                label_getter=labels)
-            print(out)
-            return 0
-
-        if args.verb == "resonances":
-            recs = _resonance_records(args.model, params)
-            out = out_dir / f"{args.model}_resonances.dat"
-            sweep.write_resonances(out, args.model, params, recs)
-            print(out)
-            return 0
-
-        if args.verb == "field":
+        elif args.verb == "bics":
+            recs, labels = model.bics(params, args.tol_width, args.tol_null)
+            sweep.write_catalog(out, args.model, params, recs, label_getter=labels)
+        elif args.verb == "resonances":
+            sweep.write_resonances(out, args.model, params, model.resonances(params))
+        else:
             try:
                 n1, n2 = (int(t) for t in args.grid.split(":"))
-            except Exception:
+            except ValueError:
                 raise UsageError(f"--grid expects N1:N2, got '{args.grid}'")
-            out = out_dir / f"{args.model}_field.dat"
-            _render_field(args.model, params, n1, n2, out,
-                          args.tol_width, args.tol_null)
-            print(out)
-            return 0
-
-        raise UsageError(f"unknown verb {args.verb}")
+            desc, grid1, grid2, fld = model.field(params, n1, n2, args.tol_width,
+                                                  args.tol_null)
+            sweep.write_field(out, args.model, params, desc, grid1, grid2, fld)
+        print(out)
+        if args.verb == "map" and np.all(np.isnan(result.values[:, 2:])):
+            raise sweep.NumericalFailure("every grid point failed")
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -259,19 +259,9 @@ def cyl_find_bics(cavity_template: CylCavity, dphi: float, scan: str,
                 continue
             if not (band[0] < energies[i, b] < band[1]):
                 continue
-            seed_vec = spectra[i][1][:, b]
-            seed_e = energies[i, b]
-
-            def branch_width(x, _v=seed_vec, _e=seed_e):
-                rec = hcore.solve_resonance(family(x), _e, branch_vector=_v)
-                return rec.width if rec.converged else np.inf
-
-            x_star, _ = hcore._golden_minimize(branch_width, grid[i - 1],
-                                               grid[i + 1], 1e-10)
-            rec = hcore.solve_resonance(family(x_star), seed_e,
-                                        branch_vector=seed_vec)
-            bic = hcore._bic_record_from(rec, family, x_star, width_tol,
-                                         null_tol, labels)
+            bic = hcore.refine_bic(family, energies[i, b], spectra[i][1][:, b],
+                                   grid[i - 1], grid[i + 1], width_tol, null_tol,
+                                   labels)
             if not bic.is_bic or not (band[0] < bic.omega_sq < band[1]):
                 continue
             if any(abs(bic.param - p) < 1e-4 and abs(bic.omega_sq - q) < 1e-4
@@ -340,8 +330,8 @@ def cmt_levels(tc: TruncatedCMT, length: float, dphi: float, omega_sq: float):
     return e1, base - split, base + split
 
 
-def cmt_hamiltonian(tc: TruncatedCMT, length: float, dphi: float,
-                    omega_sq: float) -> np.ndarray:
+def cmt_heff(tc: TruncatedCMT, length: float, dphi: float,
+             omega_sq: float) -> hcore.EffectiveHamiltonian:
     """Truncated H_eff over (012, 111, -111) via the engine assembly."""
     basis = hcore.ClosedBasis(labels=((0, 1, 2), (1, 1, 1), (-1, 1, 1)),
                               energies=np.array([(math.pi / length) ** 2,
@@ -366,7 +356,13 @@ def cmt_hamiltonian(tc: TruncatedCMT, length: float, dphi: float,
             w[:, j] = base
         else:
             w[:, j] = (-1.0) ** np.array([1, 0, 0]) * np.exp(1j * (p - ms) * dphi) * base
-    return hcore.assemble(basis, channels, hcore.CouplingMatrix(w), omega_sq).matrix
+    return hcore.assemble(basis, channels, hcore.CouplingMatrix(w), omega_sq)
+
+
+def cmt_hamiltonian(tc: TruncatedCMT, length: float, dphi: float,
+                    omega_sq: float) -> np.ndarray:
+    """Matrix of the truncated H_eff (see ``cmt_heff``)."""
+    return cmt_heff(tc, length, dphi, omega_sq).matrix
 
 
 def cmt_bic_length(tc: TruncatedCMT, dphi: float,
@@ -395,25 +391,6 @@ def cmt_bic_vector(tc: TruncatedCMT, length: float, dphi: float) -> np.ndarray:
 
 def cmt_widths(tc: TruncatedCMT, length: float, dphi: float) -> np.ndarray:
     """Self-consistent resonance widths of the three-mode theory."""
-    def model(w2):
-        return _CmtWrap(tc, length, dphi)(w2)
-
-    widths = []
-    for seed in cmt_levels(tc, length, dphi, (math.pi / length) ** 2):
-        rec = hcore.solve_resonance(model, seed)
-        widths.append(rec.width)
-    return np.array(widths)
-
-
-class _CmtWrap:
-    def __init__(self, tc, length, dphi):
-        self.tc, self.length, self.dphi = tc, length, dphi
-
-    def __call__(self, w2):
-        h = cmt_hamiltonian(self.tc, self.length, self.dphi, w2)
-        basis = hcore.ClosedBasis(labels=((0, 1, 2), (1, 1, 1), (-1, 1, 1)),
-                                  energies=np.real(np.diag(h)))
-        chans = hcore.ChannelSet([hcore.Channel("R", ("x",), 0.0, fixed_k=1.0)])
-        return hcore.EffectiveHamiltonian(matrix=h, basis=basis, channels=chans,
-                                          coupling=hcore.CouplingMatrix(np.zeros((3, 1))),
-                                          omega_sq=w2)
+    model = partial(cmt_heff, tc, length, dphi)
+    return np.array([hcore.solve_resonance(model, seed).width
+                     for seed in cmt_levels(tc, length, dphi, (math.pi / length) ** 2)])

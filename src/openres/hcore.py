@@ -19,7 +19,7 @@ immutable inputs, so parameter grid points can be evaluated concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -465,17 +465,26 @@ def find_bics(trajectory: Sequence[ResonanceRecord], family: ModelFamily,
     for i in range(1, len(recs) - 1):
         if not (widths[i] <= widths[i - 1] and widths[i] <= widths[i + 1]):
             continue
-        seed = recs[i]
-
-        def branch_width(p, _seed=seed):
-            r = solve_resonance(family(p), _seed.energy, _seed.vector)
-            return r.width if r.converged else np.inf
-
-        p_star, _ = _golden_minimize(branch_width, recs[i - 1].param, recs[i + 1].param,
-                                     param_tol)
-        rec = solve_resonance(family(p_star), seed.energy, seed.vector)
-        out.append(_bic_record_from(rec, family, p_star, width_tol, null_tol, labels))
+        out.append(refine_bic(family, recs[i].energy, recs[i].vector, recs[i - 1].param,
+                              recs[i + 1].param, width_tol, null_tol, labels, param_tol))
     return out
+
+
+def refine_bic(family: ModelFamily, energy: float, vector: np.ndarray, a: float,
+               b: float, width_tol: float, null_tol: float, labels: tuple,
+               param_tol: float = 1e-10) -> BICRecord:
+    """BIC record at the width minimum of one branch on [a, b].
+
+    The branch is the fixed-point resonance seeded at (energy, vector); its
+    width is golden-section minimised over the parameter to ``param_tol``,
+    and the record is built from the resonance solved at the minimum."""
+    def branch_width(p):
+        r = solve_resonance(family(p), energy, vector)
+        return r.width if r.converged else np.inf
+
+    p_star, _ = _golden_minimize(branch_width, a, b, param_tol)
+    rec = solve_resonance(family(p_star), energy, vector)
+    return _bic_record_from(rec, family, p_star, width_tol, null_tol, labels)
 
 
 def _bic_record_from(rec: ResonanceRecord, family: ModelFamily, p: float,

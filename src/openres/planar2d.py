@@ -21,11 +21,10 @@ are conserved and handled blockwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import hcore
 
@@ -225,7 +224,8 @@ def degenerate_pair_couplings(lx: float = 4.0, k_convention: str = "channel"):
 
 def planar_fw_bic(lx: float = 4.0, pair=((4, 3), (2, 5)), p_max: int = 8,
                   m_max: int = 20, n_max: int = 20, span: float = 0.012,
-                  n_grid: int = 13, width_tol: float = hcore.DEFAULT_WIDTH_TOL):
+                  n_grid: int = 13, width_tol: float = hcore.DEFAULT_WIDTH_TOL,
+                  null_tol: float = hcore.DEFAULT_NULL_TOL):
     """Zero-width point of the avoided pair near the mode crossing.
 
     Scans the width of the dark hybrid (narrowest pair-dominated
@@ -279,7 +279,7 @@ def planar_fw_bic(lx: float = 4.0, pair=((4, 3), (2, 5)), p_max: int = 8,
     best = hcore.BICRecord(param=ly_star, omega_sq=z.real, null_vector=vec,
                            gamma_res=-2.0 * z.imag, residual=residual,
                            is_bic=bool(-2.0 * z.imag <= width_tol
-                                       and residual <= hcore.DEFAULT_NULL_TOL),
+                                       and residual <= null_tol),
                            labels=basis.labels,
                            classification="friedrich-wintgen")
     return best, ly0
@@ -435,11 +435,9 @@ def _cached_plumbing(cavity: RectCavity, p_max: int):
 
 
 def sinai_model(cavity: RectCavity, bump: SinaiBump, p_max: int = 8,
-                nodes: int = 96, coupling_scale: float = 1.0):
-    """omega_sq -> H_eff for the bumped open cavity; ``coupling_scale``
-    models a diaphragm that weakens the mouths."""
-    chans, basis, raw0 = _cached_plumbing(cavity, p_max)
-    raw = raw0 * coupling_scale
+                nodes: int = 96):
+    """omega_sq -> H_eff for the bumped open cavity."""
+    chans, basis, raw = _cached_plumbing(cavity, p_max)
     static = sinai_potential_matrix(cavity, bump, nodes=nodes, audit=False)
 
     def model(omega_sq: float) -> hcore.EffectiveHamiltonian:

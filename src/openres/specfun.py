@@ -170,11 +170,6 @@ def bessel_j(p, x) -> tuple[np.ndarray, np.ndarray]:
     return val.reshape(shape), der.reshape(shape)
 
 
-def bessel_jp(p, x):
-    """Derivative J'_p(x) alone."""
-    return bessel_j(p, x)[1]
-
-
 @dataclass(frozen=True)
 class NeumannRootTable:
     """Ordered roots mu_pq of J'_p(mu) = 0 for one azimuthal order.

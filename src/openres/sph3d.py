@@ -205,53 +205,6 @@ def classify_sphere_bic(record: hcore.BICRecord, tol: float = 0.02) -> str:
     return "friedrich-wintgen" if len(major) > 1 else "symmetry-protected"
 
 
-_PROTECTED_FLOOR = 1e-14
-
-
-def _coupled_narrow_state(model: SphereModel, e_window, probe: float,
-                          prev_vec: np.ndarray | None = None):
-    """Narrowest in-window eigenpair excluding the exactly-real
-    symmetry-protected states; continuity preferred via prev_vec.
-
-    Returns (z, vector) after a light fixed-point refinement."""
-    h = model(probe)
-    vals, vecs = np.linalg.eig(h.matrix)
-    cand = np.where((vals.real > e_window[0]) & (vals.real < e_window[1])
-                    & (-vals.imag > _PROTECTED_FLOOR))[0]
-    if cand.size == 0:
-        cand = np.where((vals.real > e_window[0]) & (vals.real < e_window[1]))[0]
-        if cand.size == 0:
-            raise RuntimeError("no state inside the energy window")
-    if prev_vec is not None:
-        ov = np.abs(prev_vec.conj() @ vecs[:, cand]) / np.linalg.norm(vecs[:, cand], axis=0)
-        good = cand[ov > 0.5]
-        if good.size:
-            cand = good
-    j = cand[int(np.argmax(vals.imag[cand]))]
-    vec = vecs[:, j] / np.linalg.norm(vecs[:, j])
-    rec = hcore.solve_resonance(model, float(vals[j].real), branch_vector=vec,
-                                max_iter=30)
-    return rec.z, rec.vector
-
-
-def sphere_min_width_scan(cavity: SphereCavity, theta_grid: np.ndarray,
-                          e_window, cutoff_max_sq: float = 16.0):
-    """Width of the narrowest coupled in-window state along a two-port polar
-    sweep; exactly-real protected states are excluded."""
-    widths, states = [], []
-    prev = None
-    probe = 0.5 * (e_window[0] + e_window[1])
-    for dt in theta_grid:
-        model = sphere_model(
-            cavity, (WaveguideAttachment("in"),
-                     WaveguideAttachment("out", beta=float(dt))), cutoff_max_sq)
-        z, vec = _coupled_narrow_state(model, e_window, probe, prev)
-        widths.append(-2.0 * z.imag)
-        states.append((z, vec))
-        prev, probe = vec, z.real
-    return np.array(widths), states
-
-
 def _mirror_even_seed(cavity: SphereCavity, l: int, n: int) -> np.ndarray:
     """(|l,1,n> - |l,-1,n>)/sqrt(2): the m = +/-1 combination that couples
     to the rotated port's plane-wave channel (d^l_{-1,0} = -d^l_{1,0}, so

@@ -10,7 +10,6 @@ a line in a ``.diag`` sidecar.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,7 +50,6 @@ class SweepSpec:
     fixed: dict
     axis1: Axis
     axis2: Axis
-    outputs: tuple = ("map",)
 
 
 @dataclass
@@ -125,20 +123,29 @@ def write_map(path, result: MapResult) -> None:
             "\n".join(result.diagnostics) + "\n")
 
 
-def read_map(path):
-    """Parse a map file back into (header dict, ndarray)."""
-    header = {}
-    rows = []
+def _read_records(path):
+    """(header dict, data lines) of an output file: ``# key: value`` header
+    lines become dict entries, blank lines are skipped."""
+    header, lines = {}, []
     for line in Path(path).read_text().splitlines():
         if line.startswith("#"):
             text = line[1:].strip()
             if ":" in text:
                 key, _, rest = text.partition(":")
                 header[key.strip()] = rest.strip()
-            continue
-        if line.strip():
-            rows.append([float(tok) for tok in line.split()])
-    data = np.array(rows)
+        elif line.strip():
+            lines.append(line)
+    return header, lines
+
+
+def _read_table(path):
+    header, lines = _read_records(path)
+    return header, np.array([[float(tok) for tok in line.split()] for line in lines])
+
+
+def read_map(path):
+    """Parse a map file back into (header dict, ndarray)."""
+    header, data = _read_table(path)
     if "axis1" in header and "axis2" in header:
         n1 = int(dict(tok.split("=") for tok in header["axis1"].split())["count"])
         n2 = int(dict(tok.split("=") for tok in header["axis2"].split())["count"])
@@ -175,17 +182,9 @@ def write_catalog(path, model: str, params: dict, records,
 
 
 def read_catalog(path):
-    header = {}
+    header, lines = _read_records(path)
     rows = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            text = line[1:].strip()
-            if ":" in text:
-                key, _, rest = text.partition(":")
-                header[key.strip()] = rest.strip()
-            continue
-        if not line.strip():
-            continue
+    for line in lines:
         toks = line.split()
         rec = {"index": int(toks[0]), "classification": toks[1],
                "param": float(toks[2]), "omega_sq": float(toks[3]),
@@ -217,17 +216,7 @@ def write_field(path, model: str, params: dict, axes_desc: str,
 
 
 def read_field(path):
-    header = {}
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            text = line[1:].strip()
-            if ":" in text:
-                key, _, rest = text.partition(":")
-                header[key.strip()] = rest.strip()
-        elif line.strip():
-            rows.append([float(t) for t in line.split()])
-    return header, np.array(rows)
+    return _read_table(path)
 
 
 def write_resonances(path, model: str, params: dict, records) -> None:

@@ -284,11 +284,14 @@ SINAI_TABLE_EVEN = [  # (E, Vg) reference rows, even x-parity
 def test_criterion_6_sinai_catalog():
     t0 = time.time()
     cav = planar2d.RectCavity(lx=4.0, ly=2.0, bc="neumann", m_max=14, n_max=14)
-    recs = []
+    recs, even_recs = [], []
     for x_even in (True, False):
-        recs.extend(planar2d.sinai_accidental_bics(
-            cav, vg_range=(-50.0, 50.0), x_even=x_even, n_grid=101, p_max=6))
-    even_recs = [r for r in recs]
+        found = planar2d.sinai_accidental_bics(
+            cav, vg_range=(-50.0, 50.0), x_even=x_even, n_grid=101, p_max=6)
+        recs.extend(found)
+        if x_even:
+            # the reference table lists even-x-parity states only
+            even_recs = found
     matches = 0
     for e_ref, vg_ref in SINAI_TABLE_EVEN:
         if any(abs(r.param - vg_ref) <= 0.5 and

@@ -146,6 +146,11 @@ def test_planar_fw_bic_small_truncation():
     assert set(top) == {(4, 3), (2, 5)}
     # dark-state amplitude ratio follows the coupling ratio
     assert top[(2, 5)] / top[(4, 3)] == pytest.approx(2.406, rel=0.08)
+    # the null-residual tolerance reaches the is_bic test and nothing else
+    strict, _ = pl.planar_fw_bic(lx=4.0, p_max=4, m_max=10, n_max=10, n_grid=9,
+                                 null_tol=0.0)
+    assert not strict.is_bic
+    assert strict.param == rec.param
 
 
 def test_planar_bic_field_tail_decay():

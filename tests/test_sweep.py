@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from openres import sweep
-from openres.cli import main
+from openres.cli import MODELS, main
 from openres.sweep import Axis, SweepSpec
 
 
@@ -18,12 +18,11 @@ def _run_map(tmp_path, threads):
                             "eps": 0.0, "energy": 0.5},
                      axis1=Axis("eps", -1.0, 1.0, 11),
                      axis2=Axis("energy", -1.0, 1.0, 7))
-    from openres.cli import _map_eval
-    columns, ev = _map_eval("twolevel", 1e-8, 1e-7)
+    columns, point = MODELS["twolevel"].columns, MODELS["twolevel"].point
 
     def evaluate(p, a1, a2):
         p["eps"], p["energy"] = a1, a2
-        return ev(p, a1, a2)
+        return point(p)
 
     res = sweep.run_sweep(spec, evaluate, columns, threads=threads)
     path = tmp_path / f"map_{threads}.dat"
@@ -61,12 +60,11 @@ def test_degenerate_axis_two_identical_rows(tmp_path):
     spec = SweepSpec(model="well", fixed={"k": 1.0, "q": 2.0, "length": 1.0},
                      axis1=Axis("k", 1.5, 1.5, 2),
                      axis2=Axis("q", 2.0, 3.0, 3))
-    from openres.cli import _map_eval
-    columns, ev = _map_eval("well", 1e-8, 1e-7)
+    columns, point = MODELS["well"].columns, MODELS["well"].point
 
     def evaluate(p, a1, a2):
         p["k"], p["q"] = a1, a2
-        return ev(p, a1, a2)
+        return point(p)
 
     res = sweep.run_sweep(spec, evaluate, columns)
     assert np.array_equal(res.values[:3, 2:], res.values[3:, 2:])
@@ -77,12 +75,11 @@ def test_singular_points_become_nan_with_diagnostics(tmp_path):
     spec = SweepSpec(model="abring", fixed={"k": 1.0, "gamma": 0.0},
                      axis1=Axis("gamma", 0.0, 4 * math.pi, 5),
                      axis2=Axis("k", math.pi, 3 * math.pi, 5))
-    from openres.cli import _map_eval
-    columns, ev = _map_eval("abring", 1e-8, 1e-7)
+    columns, point = MODELS["abring"].columns, MODELS["abring"].point
 
     def evaluate(p, a1, a2):
         p["gamma"], p["k"] = a1, a2
-        return ev(p, a1, a2)
+        return point(p)
 
     res = sweep.run_sweep(spec, evaluate, columns)
     assert res.diagnostics
@@ -110,6 +107,14 @@ def test_cli_exit_codes(tmp_path):
                  "--truncation", "6"])
     assert code == 3
     assert (tmp_path / "planar_map.dat").exists()
+
+
+def test_cli_malformed_axis_and_grid_exit_2(tmp_path):
+    out = str(tmp_path)
+    assert main(["twolevel", "map", "--axis1", "eps:-1:1",
+                 "--axis2", "energy:-1:1:5", "--out", out]) == 2
+    assert main(["abring", "field", "--grid", "3x3", "--out", out]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_config_and_flag_precedence(tmp_path):
