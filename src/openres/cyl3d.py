@@ -151,16 +151,16 @@ class CylModel:
     z=L (rotated by dphi, 'L')."""
 
     def __init__(self, cavity: CylCavity, dphi: float, r0: float = 1.5,
-                 cutoff_max_sq: float = 16.0, overlaps: dict | None = None):
+                 cutoff_max_sq: float = 16.0):
         self.cavity = cavity
         self.dphi = dphi
         self.r0 = r0
         self.channels = duct_channels(cutoff_max_sq)
         pq = sorted({ch.label[1:] for ch in self.channels})
-        self.overlaps = overlaps if overlaps is not None else \
-            disk_overlaps(cavity, r0, pq)
+        self.overlaps = disk_overlaps(cavity, r0, pq)
         self.basis = cavity.basis()
-        self._w = self._coupling_matrix()
+        hcore.read_only(self.basis.energies)
+        self._w = hcore.read_only(self._coupling_matrix())
 
     def _coupling_matrix(self) -> np.ndarray:
         cav = self.cavity
@@ -182,9 +182,12 @@ class CylModel:
         return hcore.assemble(self.basis, self.channels, self.coupling(), omega_sq)
 
 
+@lru_cache(maxsize=32)
 def cyl_model(cavity: CylCavity, dphi: float, r0: float = 1.5,
-              cutoff_max_sq: float = 16.0, overlaps: dict | None = None):
-    return CylModel(cavity, dphi, r0, cutoff_max_sq, overlaps)
+              cutoff_max_sq: float = 16.0) -> CylModel:
+    """The model of one geometry, built once per process and shared (its
+    arrays are read-only)."""
+    return CylModel(cavity, dphi, r0, cutoff_max_sq)
 
 
 def cyl_transmittance(model: CylModel, omega_sq: float):
@@ -235,15 +238,12 @@ def cyl_find_bics(cavity_template: CylCavity, dphi: float, scan: str,
     hi = band[1] if band[1] is not None else MU_11**2 * 0.999
     band = (band[0], hi)
 
-    pq = sorted({ch.label[1:] for ch in duct_channels(cutoff_max_sq)})
-    overlaps = disk_overlaps(cavity_template, r0, pq)
-
     def family(x):
         if scan == "length":
             cav = CylCavity(cavity_template.radius, float(x), cavity_template.m_max,
                             cavity_template.n_max, cavity_template.l_max)
-            return cyl_model(cav, dphi, r0, cutoff_max_sq, overlaps)
-        return cyl_model(cavity_template, float(x), r0, cutoff_max_sq, overlaps)
+            return cyl_model(cav, dphi, r0, cutoff_max_sq)
+        return cyl_model(cavity_template, float(x), r0, cutoff_max_sq)
 
     models = [family(x) for x in grid]
     spectra = _stitched_spectra(models, band)

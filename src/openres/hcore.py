@@ -139,6 +139,14 @@ class CouplingMatrix:
             raise StructuralError("coupling entries must be finite")
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """Mark ``array`` read-only and return it.  Arrays that a process-wide
+    cache shares between models (couplings, bases) are frozen so that a
+    caller writing into one fails instead of corrupting later models."""
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
     matrix: np.ndarray

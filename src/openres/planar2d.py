@@ -157,16 +157,23 @@ def coupling_planar(cavity: RectCavity, channels: hcore.ChannelSet,
     return hcore.CouplingMatrix(raw / (math.sqrt(math.pi) * kmag[None, :]))
 
 
-def planar_model(cavity: RectCavity, p_max: int = 8, static: np.ndarray | None = None,
-                 channels: hcore.ChannelSet | None = None):
-    """omega_sq -> H_eff callback for the open rectangle."""
-    chans = channels if channels is not None else planar_channels(cavity.bc, p_max)
+@lru_cache(maxsize=16)
+def _cached_plumbing(cavity: RectCavity, p_max: int):
+    """Channels, basis and frequency-free couplings of one geometry, shared
+    by every model of it in the process (read-only arrays)."""
+    chans = planar_channels(cavity.bc, p_max)
     basis = cavity.basis()
-    raw = raw_coupling(cavity, chans)
+    hcore.read_only(basis.energies)
+    return chans, basis, hcore.read_only(raw_coupling(cavity, chans))
+
+
+def planar_model(cavity: RectCavity, p_max: int = 8):
+    """omega_sq -> H_eff callback for the open rectangle."""
+    chans, basis, raw = _cached_plumbing(cavity, p_max)
 
     def model(omega_sq: float) -> hcore.EffectiveHamiltonian:
         w = coupling_planar(cavity, chans, omega_sq, raw=raw)
-        return hcore.assemble(basis, chans, w, omega_sq, static=static)
+        return hcore.assemble(basis, chans, w, omega_sq)
 
     return model
 
@@ -378,7 +385,7 @@ def _axis_factor_matrices(cavity: RectCavity, radius: float, x0: float, y0: floa
     lo = 1 if cavity.bc == "dirichlet" else 0
     xm = one_axis(cavity.lx, x0, lo, cavity.m_max)
     yn = one_axis(cavity.ly, y0, lo, cavity.n_max)
-    return xm, yn
+    return hcore.read_only(xm), hcore.read_only(yn)
 
 
 def sinai_potential_matrix(cavity: RectCavity, bump: SinaiBump,
@@ -426,12 +433,6 @@ def sinai_spectrum(cavity: RectCavity, bump: SinaiBump, nodes: int = 96):
         vals, vecs = np.linalg.eigh(sub)
         out[key] = (vals, vecs, idx)
     return out
-
-
-@lru_cache(maxsize=16)
-def _cached_plumbing(cavity: RectCavity, p_max: int):
-    chans = planar_channels(cavity.bc, p_max)
-    return chans, cavity.basis(), raw_coupling(cavity, chans)
 
 
 def sinai_model(cavity: RectCavity, bump: SinaiBump, p_max: int = 8,
@@ -573,7 +574,7 @@ def _confirm_sinai_candidate(cavity, vg0, e0, parity_key, radius, x0, y0,
                            branch_vector=seed_vec)
         recs = hcore.find_bics(traj, family, width_tol=width_tol, null_tol=null_tol,
                                labels=cavity.basis().labels)
-    except Exception:
+    except np.linalg.LinAlgError:
         return None
     if not recs:
         return None

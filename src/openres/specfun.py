@@ -193,31 +193,40 @@ class NeumannRootTable:
 
 def _bracketed_roots(f, count: int, x0: float = _ROOT_GRID_STEP,
                      step: float = _ROOT_GRID_STEP, limit: float = 60.0):
-    """Sign-change bracketing on a uniform grid + bisection to 1e-13."""
+    """Sign-change bracketing on a uniform grid + bisection to 1e-13.
+
+    ``f`` takes an array for the scan and a float for the bisection.  The
+    grid is the running sum x0, x0 + step, ...; each scan window up to
+    ``limit`` is evaluated in one call, and the window grows by 30 until
+    ``count`` roots are bracketed (at most up to 1e4).  Only the signs of
+    the scan values are used, so the roots do not depend on how ``f``
+    rounds an array against a scalar."""
     roots = []
-    lo = x0
-    flo = f(lo)
-    while len(roots) < count:
-        hi = lo + step
-        if hi > limit:
-            limit += 30.0  # extend the scan window until enough roots found
-            if limit > 1e4:
-                break
-        fhi = f(hi)
-        if flo == 0.0:
-            roots.append(lo)
-        elif flo * fhi < 0:
-            a, b, fa = lo, hi, flo
-            while b - a > _ROOT_BISECT_TOL:
-                mid = 0.5 * (a + b)
-                fm = f(mid)
-                if fa * fm <= 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-        lo, flo = hi, fhi
-    return roots[:count]
+    grid = [x0]
+    vals = np.empty(0)
+    while limit <= 1e4:
+        while grid[-1] + step <= limit:
+            grid.append(grid[-1] + step)
+        first = vals.size
+        vals = np.concatenate([vals, f(np.array(grid[first:]))])
+        for i in range(max(first - 1, 0), len(grid) - 1):
+            lo, hi, flo = grid[i], grid[i + 1], vals[i]
+            if flo == 0.0:
+                roots.append(lo)
+            elif flo * vals[i + 1] < 0:
+                a, b, fa = lo, hi, flo
+                while b - a > _ROOT_BISECT_TOL:
+                    mid = 0.5 * (a + b)
+                    fm = f(mid)
+                    if fa * fm <= 0:
+                        b = mid
+                    else:
+                        a, fa = mid, fm
+                roots.append(0.5 * (a + b))
+            if len(roots) == count:
+                return roots
+        limit += 30.0
+    return roots
 
 
 @lru_cache(maxsize=None)
@@ -253,7 +262,8 @@ def spherical_neumann_roots(l: int, count: int) -> NeumannRootTable:
         ta = np.atleast_1d(t)
         tab = spherical_jl(l + 1, ta)
         jm1 = np.cos(ta) / ta if l == 0 else spherical_jl(l, ta)[l - 1]
-        return float((jm1 - (l + 1.0) / ta * tab[l])[0])
+        d = jm1 - (l + 1.0) / ta * tab[l]
+        return d if np.ndim(t) else float(d[0])
 
     roots = _bracketed_roots(djl, count, x0=0.2)
     return NeumannRootTable(order=l, roots=tuple(roots))

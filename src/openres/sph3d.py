@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,6 +149,25 @@ def rotate_coupling(w_pole: np.ndarray, cavity: SphereCavity,
     return out
 
 
+@lru_cache(maxsize=8)
+def _pole_block(cavity: SphereCavity, cutoff_max_sq: float):
+    """Pole coupling block, its channel labels and the basis, once per
+    geometry and process (read-only arrays)."""
+    pole_chans = duct_channels(cutoff_max_sq, ports=("X",))
+    basis = cavity.basis()
+    hcore.read_only(basis.energies)
+    return (hcore.read_only(sphere_pole_coupling(cavity, pole_chans)),
+            tuple(ch.label[1:] for ch in pole_chans), basis)
+
+
+@lru_cache(maxsize=32)
+def _port_columns(cavity: SphereCavity, attachment: WaveguideAttachment,
+                  cutoff_max_sq: float) -> np.ndarray:
+    """Pole block rotated to one attachment, once per process (read-only)."""
+    pole, _, _ = _pole_block(cavity, cutoff_max_sq)
+    return hcore.read_only(rotate_coupling(pole, cavity, attachment))
+
+
 class SphereModel:
     """Open spherical cavity with an arbitrary number of rotated ports."""
 
@@ -159,17 +179,14 @@ class SphereModel:
         if len(set(ports)) != len(ports):
             raise ValueError("port names must be distinct")
         self.channels = duct_channels(cutoff_max_sq, ports=ports)
-        pole_chans = duct_channels(cutoff_max_sq, ports=("X",))
-        self._pole = sphere_pole_coupling(cavity, pole_chans)
-        self._pole_labels = [ch.label[1:] for ch in pole_chans]
-        self.basis = cavity.basis()
+        _, pole_labels, self.basis = _pole_block(cavity, cutoff_max_sq)
         w = np.zeros((len(self.basis), len(self.channels)), dtype=complex)
         for att in self.attachments:
-            wr = rotate_coupling(self._pole, cavity, att)
+            wr = _port_columns(cavity, att, cutoff_max_sq)
             for j, ch in enumerate(self.channels):
                 if ch.port != att.port:
                     continue
-                col = self._pole_labels.index(ch.label[1:])
+                col = pole_labels.index(ch.label[1:])
                 w[:, j] = wr[:, col]
         self._w = w
 
@@ -243,7 +260,7 @@ def sphere_fw_bic(cavity: SphereCavity, theta_range=(0.55 * math.pi, 0.85 * math
                                branch_vector=seed)
             recs = hcore.find_bics(traj, family, width_tol=width_tol,
                                    null_tol=null_tol, labels=basis.labels)
-        except Exception:
+        except np.linalg.LinAlgError:
             continue
         for rec in recs:
             if best is None or rec.gamma_res < best.gamma_res:

@@ -66,9 +66,10 @@ class MapResult:
 def run_sweep(spec: SweepSpec, evaluate, columns, threads: int = 1) -> MapResult:
     """Evaluate ``evaluate(params, a1, a2) -> sequence`` over the grid.
 
-    Points run in a thread pool (models are reentrant; LAPACK releases the
-    GIL); results are buffered per index so output order never depends on
-    scheduling.  A point that raises becomes a NaN row + diagnostic.
+    The first point runs on the calling thread, the others in a thread pool
+    (models are reentrant; LAPACK releases the GIL); results are buffered
+    per index so output order never depends on scheduling.  A point that
+    raises becomes a NaN row + diagnostic.
     """
     a1 = spec.axis1.values()
     a2 = spec.axis2.values()
@@ -85,13 +86,16 @@ def run_sweep(spec: SweepSpec, evaluate, columns, threads: int = 1) -> MapResult
         except Exception as exc:  # pragma: no cover - error text varies
             diags[idx] = f"{a1[i]!r} {a2[j]!r} {type(exc).__name__}: {exc}"
 
-    indices = range(a1.size * a2.size)
+    # the first point runs alone: it fills the models' per-process caches,
+    # which threads missing them at once would each fill again
+    one(0)
+    rest = range(1, a1.size * a2.size)
     if threads <= 1:
-        for idx in indices:
+        for idx in rest:
             one(idx)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, indices))
+            list(pool.map(one, rest))
     return MapResult(model=spec.model, params=dict(spec.fixed), axis1=spec.axis1,
                      axis2=spec.axis2, columns=tuple(columns), values=out,
                      diagnostics=[d for d in diags if d])

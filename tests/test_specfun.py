@@ -104,6 +104,58 @@ def test_spherical_neumann_roots():
             assert abs(float((jm1 - (l + 1) / mu * jl[l])[0])) < 1e-10
 
 
+def _scalar_scan_roots(f, count, x0=0.05, step=0.05, limit=60.0):
+    """Scalar sign scan, one call of ``f`` per grid point, then bisection to
+    1e-13: the reference that the array scan of ``specfun._bracketed_roots``
+    must reproduce exactly."""
+    roots = []
+    lo = x0
+    flo = f(lo)
+    while len(roots) < count:
+        hi = lo + step
+        if hi > limit:
+            limit += 30.0
+            if limit > 1e4:
+                break
+        fhi = f(hi)
+        if flo == 0.0:
+            roots.append(lo)
+        elif flo * fhi < 0:
+            a, b, fa = lo, hi, flo
+            while b - a > 1e-13:
+                mid = 0.5 * (a + b)
+                fm = f(mid)
+                if fa * fm <= 0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            roots.append(0.5 * (a + b))
+        lo, flo = hi, fhi
+    return roots[:count]
+
+
+def _scalar_djl(l):
+    def djl(t):
+        ta = np.atleast_1d(t)
+        tab = specfun.spherical_jl(l + 1, ta)
+        jm1 = np.cos(ta) / ta if l == 0 else specfun.spherical_jl(l, ta)[l - 1]
+        return float((jm1 - (l + 1.0) / ta * tab[l])[0])
+    return djl
+
+
+def test_root_tables_equal_scalar_scan_oracle():
+    # exact equality: the array scan only brackets, the bisection is scalar
+    for p in range(9):
+        ref = _scalar_scan_roots(lambda t: specfun.bessel_j(p, t)[1], 3 if p == 0 else 4)
+        assert list(specfun.neumann_roots(p, 4).roots) == ([0.0] + ref if p == 0 else ref)
+    for l in range(9):
+        ref = _scalar_scan_roots(lambda t: specfun.bessel_j(l + 0.5, t)[1], 4, x0=0.2)
+        assert list(specfun.half_integer_neumann_roots(l, 4).roots) == ref
+    for l in range(7):
+        ref = _scalar_scan_roots(_scalar_djl(l), 3, x0=0.2)
+        assert list(specfun.spherical_neumann_roots(l, 3).roots) == ref
+
+
 # -------------------------------------------------------------- legendre --
 
 def test_assoc_legendre_trivial():

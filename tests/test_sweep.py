@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openres import sweep
+from openres import cyl3d, planar2d, sph3d, sweep
 from openres.cli import MODELS, main
 from openres.sweep import Axis, SweepSpec
 
@@ -38,6 +38,48 @@ def test_map_deterministic_across_thread_counts(tmp_path):
     p1b = _run_map(tmp_path / "again", 1) if (tmp_path / "again").mkdir() or True \
         else None
     assert p1.read_bytes() == p1b.read_bytes()
+
+
+@pytest.mark.parametrize("model,axis1,axis2,extra,caches", [
+    ("cyl", "length:3.3:3.7:2", "energy:0.5:2.5:3", ["--truncation", "3"],
+     (cyl3d.cyl_model,)),
+    ("sphere", "dtheta:1.1:2.1:2", "energy:0.3:1.5:3",
+     ["--truncation", "3", "--set", "radius=4.3"],
+     (sph3d._pole_block, sph3d._port_columns)),
+])
+def test_cavity_map_independent_of_threads_and_cache_state(tmp_path, model, axis1,
+                                                           axis2, extra, caches):
+    def misses():
+        return sum(c.cache_info().misses for c in caches)
+
+    def run(threads):
+        out = tmp_path / str(threads)
+        assert main([model, "map", "--axis1", axis1, "--axis2", axis2,
+                     "--threads", str(threads), "--out", str(out), *extra]) == 0
+        return (out / f"{model}_map.dat").read_bytes()
+
+    before = misses()
+    cold = run(2)
+    filled = misses()
+    warm = run(1)
+    # geometries no other test uses: the first run builds, the second reuses
+    assert filled > before
+    assert misses() == filled
+    assert cold == warm
+
+
+def test_cached_couplings_are_read_only():
+    rect = planar2d.RectCavity(4.0, 4.0, m_max=4, n_max=4)
+    _, rect_basis, raw = planar2d._cached_plumbing(rect, 2)
+    bump_x, bump_y = planar2d._axis_factor_matrices(rect, 1.5, 0.0, 0.0, 16)
+    cyl = cyl3d.cyl_model(cyl3d.CylCavity(3.0, 4.0, 2, 2, 2), 0.5)
+    sphere = sph3d.SphereCavity(4.2, 3, 2)
+    pole, _, sphere_basis = sph3d._pole_block(sphere, 16.0)
+    port = sph3d._port_columns(sphere, sph3d.WaveguideAttachment("in"), 16.0)
+    for shared in (raw, rect_basis.energies, bump_x, bump_y, cyl._w, cyl.basis.energies,
+                   pole, port, sphere_basis.energies):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
 
 
 def test_map_round_trip_exact(tmp_path):

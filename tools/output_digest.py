@@ -34,10 +34,16 @@ MAPS = (
     # a .diag sidecar
     ("abring", "gamma:0:12.566370614359172:5", "k:3.141592653589793:9.42477796076938:5"),
     ("zeeman", "energy:5:25:4", "length:1:3:3"),
-    ("planar", "ly:3.8:4.2:2", "energy:12:16:3", "--truncation", "8", "--pmax", "3"),
-    ("sinai", "vg:-10:10:2", "energy:12:20:3", "--truncation", "8", "--pmax", "3"),
+    # the cavity maps run on two sweep threads over two geometries each, so
+    # that the per-process model caches are filled and shared; the sphere
+    # map runs twice, the second time with its caches warm
+    ("planar", "ly:3.8:4.2:2", "energy:12:16:3", "--truncation", "8", "--pmax", "3",
+     "--threads", "2"),
+    ("sinai", "ly:2:2.4:2", "energy:12:20:3", "--truncation", "8", "--pmax", "3",
+     "--set", "vg=5", "--threads", "2"),
     ("cyl", "length:3:4:2", "energy:0.5:2.5:3", "--threads", "2"),
-    ("sphere", "dtheta:1:2:2", "energy:0.5:2:3", "--set", "radius=4.2"),
+    ("sphere", "dtheta:1:2:2", "energy:0.5:2:3", "--set", "radius=4.2", "--threads", "2"),
+    ("sphere", "dtheta:1:2:2", "energy:0.5:2:3", "--set", "radius=4.2", "--threads", "2"),
 )
 
 CAVITY_SEARCHES = (
