@@ -132,7 +132,8 @@ def _fpchain_point(p):
 
 
 def _fpchain_bics(p, tol_width, tol_null):
-    return [toymodels.fp_chain_bic(_fpchain_params(p), p["energy"])], None
+    return [toymodels.fp_chain_bic(_fpchain_params(p), p["energy"], tol_width,
+                                   tol_null)], None
 
 
 def _fpchain_resonances(p):

@@ -202,14 +202,13 @@ def cyl_transmittance(model: CylModel, omega_sq: float):
 
 def _stitched_spectra(models, band):
     """Eigen-spectra along a model sequence with branches matched by
-    eigenvector overlap; per-branch widths at the branch's own energy."""
+    eigenvector overlap; each model is solved once, at the band-midpoint
+    probe energy, so every branch's width carries k(omega) of that probe."""
     spectra = []
     prev = None
     for model in models:
         probe = 0.5 * (band[0] + band[1])
         vals, vecs = np.linalg.eig(model(probe).matrix)
-        # one refinement pass: re-evaluate at each branch's own energy so the
-        # width carries the right k(omega)
         order = np.argsort(vals.real)
         vals, vecs = vals[order], vecs[:, order]
         vecs = vecs / np.linalg.norm(vecs, axis=0)
@@ -245,23 +244,17 @@ def cyl_find_bics(cavity_template: CylCavity, dphi: float, scan: str,
             return cyl_model(cav, dphi, r0, cutoff_max_sq)
         return cyl_model(cavity_template, float(x), r0, cutoff_max_sq)
 
+    def keep(rec):
+        return rec.width < 1e-2 and band[0] < rec.energy < band[1]
+
     models = [family(x) for x in grid]
     spectra = _stitched_spectra(models, band)
-    widths = np.array([[-2.0 * z.imag for z in vals] for vals, _ in spectra])
-    energies = np.array([[z.real for z in vals] for vals, _ in spectra])
     out, seen = [], []
-    labels = models[0].basis.labels
-    nb = widths.shape[1]
-    for b in range(nb):
-        for i in range(1, len(grid) - 1):
-            w = widths[:, b]
-            if not (w[i] <= w[i - 1] and w[i] <= w[i + 1] and w[i] < 1e-2):
-                continue
-            if not (band[0] < energies[i, b] < band[1]):
-                continue
-            bic = hcore.refine_bic(family, energies[i, b], spectra[i][1][:, b],
-                                   grid[i - 1], grid[i + 1], width_tol, null_tol,
-                                   labels)
+    for b in range(len(models[0].basis)):
+        traj = [hcore.ResonanceRecord(z=vals[b], vector=vecs[:, b], param=x)
+                for x, (vals, vecs) in zip(grid, spectra)]
+        for bic in hcore.find_bics(traj, family, width_tol, null_tol,
+                                   labels=models[0].basis.labels, keep=keep):
             if not bic.is_bic or not (band[0] < bic.omega_sq < band[1]):
                 continue
             if any(abs(bic.param - p) < 1e-4 and abs(bic.omega_sq - q) < 1e-4

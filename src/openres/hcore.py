@@ -451,55 +451,71 @@ def _golden_minimize(fun, a: float, b: float, tol: float):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fun(d)
-    x = c if fc < fd else d
-    return x, min(fc, fd)
+    return c if fc < fd else d
 
 
 def find_bics(trajectory: Sequence[ResonanceRecord], family: ModelFamily,
               width_tol: float = DEFAULT_WIDTH_TOL, null_tol: float = DEFAULT_NULL_TOL,
-              param_tol: float = 1e-10, labels: tuple = ()) -> list[BICRecord]:
-    """Zero-width points of a tracked branch.
+              param_tol: float = 1e-10, labels: tuple = (),
+              branch: Callable[[float, ResonanceRecord], ResonanceRecord] | None = None,
+              keep: Callable[[ResonanceRecord], bool] | None = None) -> list[BICRecord]:
+    """Zero-width points of a sampled branch (records with ``.param``).
 
-    Local minima of Gamma(p) are refined by golden section to ``param_tol``;
-    minima above ``width_tol`` are kept as quasi-BIC records (is_bic False).
-    The null vector is the eigenvector of smallest |Im z| near the branch
-    energy; its residual ||(w2 - H_eff) a|| / ||a|| must pass ``null_tol``.
+    Each interior local minimum of Gamma(p) that passes ``keep`` is refined
+    by golden section between its neighbours to ``param_tol``; minima above
+    ``width_tol`` are kept as quasi-BIC records (is_bic False).  The branch
+    at p is ``branch(p, grid_record)``, recorded from its own eigenpair, or
+    by default the fixed-point resonance of ``family(p)`` seeded by the grid
+    record, whose null vector is the eigenvector of smallest |Im z| near it.
     """
+    own = branch is not None
+    if not own:
+        def branch(p, rec):
+            return solve_resonance(family(p), rec.energy, rec.vector)
+
     recs = [r for r in trajectory if r.converged]
     if len(recs) < 3:
         return []
     widths = np.array([r.width for r in recs])
     out = []
     for i in range(1, len(recs) - 1):
-        if not (widths[i] <= widths[i - 1] and widths[i] <= widths[i + 1]):
+        minimum = widths[i] <= widths[i - 1] and widths[i] <= widths[i + 1]
+        if not minimum or (keep is not None and not keep(recs[i])):
             continue
-        out.append(refine_bic(family, recs[i].energy, recs[i].vector, recs[i - 1].param,
-                              recs[i + 1].param, width_tol, null_tol, labels, param_tol))
+
+        def branch_width(p, seed=recs[i]):
+            r = branch(p, seed)
+            return r.width if r.converged else np.inf
+
+        p_star = _golden_minimize(branch_width, recs[i - 1].param, recs[i + 1].param,
+                                  param_tol)
+        rec = branch(p_star, recs[i])
+        if own:
+            out.append(bic_record(p_star, family(p_star)(rec.energy), rec.energy, rec.z,
+                                  rec.vector, width_tol, null_tol, labels))
+        else:
+            out.append(_bic_record_from(rec, family, p_star, width_tol, null_tol, labels))
     return out
 
 
-def refine_bic(family: ModelFamily, energy: float, vector: np.ndarray, a: float,
-               b: float, width_tol: float, null_tol: float, labels: tuple,
-               param_tol: float = 1e-10) -> BICRecord:
-    """BIC record at the width minimum of one branch on [a, b].
-
-    The branch is the fixed-point resonance seeded at (energy, vector); its
-    width is golden-section minimised over the parameter to ``param_tol``,
-    and the record is built from the resonance solved at the minimum."""
-    def branch_width(p):
-        r = solve_resonance(family(p), energy, vector)
-        return r.width if r.converged else np.inf
-
-    p_star, _ = _golden_minimize(branch_width, a, b, param_tol)
-    rec = solve_resonance(family(p_star), energy, vector)
-    return _bic_record_from(rec, family, p_star, width_tol, null_tol, labels)
+def bic_record(p: float, h: EffectiveHamiltonian, energy: float, z: complex,
+               vector: np.ndarray, width_tol: float, null_tol: float,
+               labels: tuple = ()) -> BICRecord:
+    """BIC record of the eigenpair (z, vector) of ``h`` at parameter p: its
+    width -2 Im z and null residual ||(energy - H_eff) a|| against the two
+    tolerances; labels default to the basis labels of ``h``."""
+    residual = float(np.linalg.norm((energy * np.eye(len(vector)) - h.matrix) @ vector))
+    gamma = -2.0 * z.imag
+    return BICRecord(param=p, omega_sq=energy, null_vector=vector, gamma_res=gamma,
+                     residual=residual,
+                     is_bic=bool(gamma <= width_tol and residual <= null_tol),
+                     labels=tuple(labels) or tuple(h.basis.labels))
 
 
 def _bic_record_from(rec: ResonanceRecord, family: ModelFamily, p: float,
                      width_tol: float, null_tol: float, labels: tuple) -> BICRecord:
-    model = family(p)
     w2 = rec.energy
-    h = model(w2)
+    h = family(p)(w2)
     vals, vecs = _eig(h.matrix)
     # minimal-|Im| pick restricted to the tracked branch neighborhood: the
     # spectrum may hold unrelated exactly-real (symmetry-protected)
@@ -512,13 +528,7 @@ def _bic_record_from(rec: ResonanceRecord, family: ModelFamily, p: float,
     same_branch = near[ov >= 0.5]
     pool = same_branch if same_branch.size else near
     j = pool[int(np.argmin(np.abs(vals.imag[pool])))]
-    a = _unit(vecs[:, j])
-    residual = float(np.linalg.norm((w2 * np.eye(len(a)) - h.matrix) @ a))
-    gamma = -2.0 * vals[j].imag
-    return BICRecord(param=p, omega_sq=w2, null_vector=a, gamma_res=gamma,
-                     residual=residual,
-                     is_bic=bool(gamma <= width_tol and residual <= null_tol),
-                     labels=tuple(labels) or tuple(h.basis.labels))
+    return bic_record(p, h, w2, vals[j], _unit(vecs[:, j]), width_tol, null_tol, labels)
 
 
 def bic_mode(record: BICRecord, labels: Sequence) -> list[tuple]:

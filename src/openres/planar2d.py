@@ -237,9 +237,10 @@ def planar_fw_bic(lx: float = 4.0, pair=((4, 3), (2, 5)), p_max: int = 8,
 
     Scans the width of the dark hybrid (narrowest pair-dominated
     eigenvector, identified point by point) over Ly around the bare
-    degeneracy and golden-refines its zero.  Returns (record,
-    ly_degenerate); the evanescent channels shift the zero away from the
-    bare crossing.
+    degeneracy and golden-refines its zero with ``hcore.find_bics``.
+    Returns (record, ly_degenerate); the evanescent channels shift the zero
+    away from the bare crossing.  Raises RuntimeError when the scan window
+    holds no interior width minimum.
     """
     ly0 = degeneracy_width(lx, pair)
 
@@ -247,18 +248,16 @@ def planar_fw_bic(lx: float = 4.0, pair=((4, 3), (2, 5)), p_max: int = 8,
         cav = RectCavity(lx=lx, ly=ly, bc="dirichlet", m_max=m_max, n_max=n_max)
         return planar_model(cav, p_max=p_max)
 
-    def dark_state(ly):
-        """Self-consistent narrow pair-dominated eigenpair at this width.
-
-        Identified per point (the hybrid content rotates rapidly through the
-        crossing, defeating long-range branch continuation)."""
+    def dark_state(ly, seed=None):
+        """Self-consistent narrow pair-dominated eigenpair at this width,
+        identified per point (``seed`` unused): the hybrid content rotates
+        rapidly through the crossing, defeating long-range continuation."""
         cav = RectCavity(lx=lx, ly=ly, bc="dirichlet", m_max=m_max, n_max=n_max)
-        basis = cav.basis()
-        ia, ib = basis.labels.index(pair[0]), basis.labels.index(pair[1])
+        labels = cav.basis().labels
+        ia, ib = labels.index(pair[0]), labels.index(pair[1])
         model = family(ly)
         e = 0.5 * (cav.energy(*pair[0]) + cav.energy(*pair[1]))
-        z = None
-        for _ in range(60):
+        for it in range(1, 61):
             vals, vecs = np.linalg.eig(model(e).matrix)
             weight = (np.abs(vecs[ia]) ** 2 + np.abs(vecs[ib]) ** 2) \
                 / np.linalg.norm(vecs, axis=0) ** 2
@@ -267,28 +266,20 @@ def planar_fw_bic(lx: float = 4.0, pair=((4, 3), (2, 5)), p_max: int = 8,
                 cand = np.array([int(np.argmin(np.abs(vals.real - e)))])
             j = cand[int(np.argmax(vals.imag[cand]))]
             z = vals[j]
-            if abs(z.real - e) <= 1e-11 * max(1.0, abs(e)):
-                return z, vecs[:, j] / np.linalg.norm(vecs[:, j]), basis
+            converged = abs(z.real - e) <= 1e-11 * max(1.0, abs(e))
+            if converged:
+                break
             e = z.real
-        return z, vecs[:, j] / np.linalg.norm(vecs[:, j]), basis
+        return hcore.ResonanceRecord(z=z, vector=vecs[:, j] / np.linalg.norm(vecs[:, j]),
+                                     param=ly, converged=converged, iterations=it)
 
-    lo, hi = ly0 * (1 - span), ly0 * (1 + span)
-    scan = np.linspace(lo, hi, n_grid)
-    widths = np.array([-2.0 * dark_state(ly)[0].imag for ly in scan])
-    i = int(np.argmin(widths))
-    a = scan[max(i - 1, 0)]
-    b = scan[min(i + 1, n_grid - 1)]
-    ly_star, _ = hcore._golden_minimize(lambda ly: -2.0 * dark_state(ly)[0].imag,
-                                        a, b, 1e-10)
-    z, vec, basis = dark_state(ly_star)
-    h = family(ly_star)(z.real)
-    residual = float(np.linalg.norm((z.real * np.eye(len(vec)) - h.matrix) @ vec))
-    best = hcore.BICRecord(param=ly_star, omega_sq=z.real, null_vector=vec,
-                           gamma_res=-2.0 * z.imag, residual=residual,
-                           is_bic=bool(-2.0 * z.imag <= width_tol
-                                       and residual <= null_tol),
-                           labels=basis.labels,
-                           classification="friedrich-wintgen")
+    scan = np.linspace(ly0 * (1 - span), ly0 * (1 + span), n_grid)
+    recs = hcore.find_bics([dark_state(ly) for ly in scan], family, width_tol, null_tol,
+                           branch=dark_state)
+    if not recs:
+        raise RuntimeError("no interior width minimum of the dark state in the scan window")
+    best = min(recs, key=lambda r: r.gamma_res)
+    best.classification = "friedrich-wintgen"
     return best, ly0
 
 

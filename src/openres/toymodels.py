@@ -14,9 +14,10 @@ exposed analytically and as hcore model callbacks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import hcore
 
@@ -215,40 +216,28 @@ def _middle_lead_amplitude(p: FPChainParams) -> float:
     return float(v[0] + v[1])
 
 
-def fp_chain_bic(p: FPChainParams, probe_energy: float = 0.5) -> hcore.BICRecord:
-    """Zero-width point of the wire branch at eps_w = (eps1 + eps2)/2."""
-    from scipy.optimize import brentq
-
+def fp_chain_bic(p: FPChainParams, probe_energy: float = 0.5, width_tol: float = 1e-10,
+                 null_tol: float = 1e-7) -> hcore.BICRecord:
+    """Zero-width point of the wire branch at eps_w = (eps1 + eps2)/2: the
+    Brent root of the signed lead amplitude of the middle branch."""
     if p.v0 <= 0:
         raise ValueError("needs open leads (v0 > 0)")
     eps_b = 0.5 * (p.eps1 + p.eps2)
 
     def amp(eps_w):
-        return _middle_lead_amplitude(FPChainParams(p.eps1, p.eps2, eps_w, p.u, p.v0))
+        return _middle_lead_amplitude(replace(p, eps_w=eps_w))
 
     span = max(0.5, abs(p.eps1 - p.eps2))
     a, b = eps_b - 0.3 * span, eps_b + 0.3 * span
     if amp(a) * amp(b) < 0:
         x = brentq(amp, a, b, xtol=1e-14)
-    else:
-
-        def width(eps_w):
-            return fp_chain_middle_branch(
-                FPChainParams(p.eps1, p.eps2, eps_w, p.u, p.v0), probe_energy).width
-
-        x, _ = hcore._golden_minimize(width, a, b, 1e-12)
-    rec = fp_chain_middle_branch(FPChainParams(p.eps1, p.eps2, x, p.u, p.v0),
-                                 probe_energy)
-    h = fp_chain_model(FPChainParams(p.eps1, p.eps2, x, p.u, p.v0))(probe_energy)
-    residual = float(np.linalg.norm(
-        (rec.z.real * np.eye(5) - h.matrix) @ rec.vector))
-    out = hcore.BICRecord(param=x, omega_sq=rec.z.real, null_vector=rec.vector,
-                          gamma_res=rec.width, residual=residual,
-                          is_bic=bool(rec.width <= 1e-10 and residual <= 1e-7),
-                          labels=tuple(range(1, 6)), classification="fabry-perot")
-    if not out.is_bic:
-        raise RuntimeError("no zero-width point found on the wire branch")
-    return out
+        rec = fp_chain_middle_branch(replace(p, eps_w=x), probe_energy)
+        h = fp_chain_model(replace(p, eps_w=x))(probe_energy)
+        out = hcore.bic_record(x, h, rec.energy, rec.z, rec.vector, width_tol, null_tol)
+        if out.is_bic:
+            out.classification = "fabry-perot"
+            return out
+    raise RuntimeError("no zero-width point found on the wire branch")
 
 
 def fp_chain_transmission(energy: float, p: FPChainParams) -> complex:

@@ -1,6 +1,9 @@
 """Engine-level checks on toy fixtures: assembly conventions, S-matrix
 unitarity, fixed-point resonances, branch tracking and BIC extraction."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -254,3 +257,35 @@ def test_eig_near_matches_dense():
     got = vals[np.argmin(np.abs(vals - sigma))]
     want = dense[np.argmin(np.abs(dense - sigma))]
     assert abs(got - want) < 1e-9 * max(1.0, abs(want))
+
+
+# ------------------------------------------------------------------ layout --
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_private_names_of_another():
+    """Modules of the package share only public names: no module under
+    openres/ imports or reads an underscore-prefixed attribute of another."""
+    found = []
+    for path in sorted(Path(hcore.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = (node.module or "").split(".")
+            if node.level == 0 and source[0] != "openres":
+                continue
+            inner = ".".join(source[1:] if node.level == 0 else source)
+            for alias in node.names:
+                if not inner:
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append(f"{path.name}:{node.lineno} {inner}.{alias.name}")
+        found += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _private(node.attr)]
+    assert found == []

@@ -153,6 +153,13 @@ def test_planar_fw_bic_small_truncation():
     assert strict.param == rec.param
 
 
+def test_planar_fw_bic_raises_without_interior_minimum():
+    # this window is too narrow to hold the width minimum: the scan falls
+    # monotonically towards one edge, so there is no zero to refine
+    with pytest.raises(RuntimeError):
+        pl.planar_fw_bic(lx=4.0, p_max=4, m_max=8, n_max=8, n_grid=9, span=1e-4)
+
+
 def test_planar_bic_field_tail_decay():
     rec, _ = pl.planar_fw_bic(lx=4.0, p_max=4, m_max=10, n_max=10, n_grid=9)
     cav = pl.RectCavity(lx=4.0, ly=rec.param, m_max=10, n_max=10)

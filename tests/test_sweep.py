@@ -151,6 +151,13 @@ def test_cli_exit_codes(tmp_path):
     assert (tmp_path / "planar_map.dat").exists()
 
 
+def test_cli_fpchain_bics_honours_tolerances(tmp_path):
+    # the record's null residual is about 1e-16, so a zero null tolerance
+    # leaves no zero-width point to write
+    assert main(["fpchain", "bics", "--out", str(tmp_path)]) == 0
+    assert main(["fpchain", "bics", "--tol-null", "0", "--out", str(tmp_path)]) == 3
+
+
 def test_cli_malformed_axis_and_grid_exit_2(tmp_path):
     out = str(tmp_path)
     assert main(["twolevel", "map", "--axis1", "eps:-1:1",
