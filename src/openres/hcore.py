@@ -28,6 +28,8 @@ import scipy.linalg as sla
 DEFAULT_WIDTH_TOL = 1e-8
 DEFAULT_NULL_TOL = 1e-7
 _OVERLAP_CONTINUE = 0.5
+# |S^dag S - 1| above which smatrix rebuilds S in the unitary K-matrix form
+_UNITARITY_TOL = 1e-12
 _TIE_BREAK = 1e-3
 _DENSE_EIG_LIMIT = 250
 
@@ -198,6 +200,8 @@ def smatrix(heff: EffectiveHamiltonian, energy: float | None = None):
 
     S_cc' = delta_cc' - 2i sqrt(k_c k_c') W_c^dag G W_c' with
     G = (E - H_eff)^(-1); unitary for lossless (real-parameter) models.
+    Where rounding in an ill-conditioned G breaks that unitarity by more
+    than ``_UNITARITY_TOL`` (near a BIC), S is rebuilt in the K-matrix form.
     Returns (S, open_channels).
     """
     if energy is None:
@@ -211,7 +215,33 @@ def smatrix(heff: EffectiveHamiltonian, energy: float | None = None):
     core = w.conj().T @ g @ w
     flux = np.sqrt(k)
     s = np.eye(idx.size, dtype=complex) - 2j * (flux[:, None] * core * flux[None, :])
+    if np.max(np.abs(s.conj().T @ s - np.eye(idx.size))) > _UNITARITY_TOL:
+        s = _kmatrix_smatrix(heff, energy, w * flux[None, :], s)
     return s, [heff.channels[i] for i in idx]
+
+
+def _kmatrix_smatrix(heff: EffectiveHamiltonian, energy: float, v: np.ndarray,
+                     s_green: np.ndarray) -> np.ndarray:
+    """S = (1 - iK)(1 + iK)^(-1) with the Hermitian K = V^dag (E - A)^(-1) V.
+
+    A = H_eff + i V V^dag is the Hermitian part of H_eff and V = W_o sqrt(k).
+    By Woodbury this is the S of ``smatrix``, but built from the phases
+    exp(-2i arctan kappa) of the eigenvalues kappa of K, so it is unitary
+    however ill-conditioned E - H_eff is (near a BIC the Green-function
+    form loses unitarity as ~1e-16/rcond).  A lossy H_eff, whose A is not
+    Hermitian, keeps ``s_green``.
+    """
+    a = heff.matrix + 1j * (v @ v.conj().T)
+    if np.max(np.abs(a - a.conj().T)) > _UNITARITY_TOL * max(np.max(np.abs(a)), 1.0):
+        return s_green
+    lam, q = np.linalg.eigh(0.5 * (a + a.conj().T))
+    detuning = energy - lam
+    if not np.all(detuning):
+        raise SingularScattering(energy, 0.0)
+    vq = q.conj().T @ v
+    kmat = (vq.conj().T / detuning) @ vq
+    kappa, u = np.linalg.eigh(0.5 * (kmat + kmat.conj().T))
+    return (u * np.exp(-2j * np.arctan(kappa))) @ u.conj().T
 
 
 @dataclass

@@ -126,6 +126,18 @@ def test_flux_conservation_two_ports(eps, g1, g2, u, e):
     assert np.max(np.abs(s.conj().T @ s - np.eye(2))) < 1e-10
 
 
+@pytest.mark.parametrize("eps, g1, g2", [(1e-14, 0.3125, 0.5), (1e-6, 0.1, 0.1)])
+def test_smatrix_near_interference_point_matches_closed_form(eps, g1, g2):
+    # u = 0, E = 0: E - H_eff has determinant ~ eps^2 or eps (rcond 1e-14 to
+    # 1e-10), but K = (g2 - g1)/eps * [[1, 1], [1, 1]] / 2 is exact, so
+    # S = 1 + (exp(-2i arctan kappa) - 1) J/2 with kappa = (g2 - g1)/eps
+    s, _ = twolevel_smatrix(0.0, TwoLevelParams(eps, g1, g2, 0.0))
+    phase = np.exp(-2j * np.arctan((g2 - g1) / eps))
+    exact = np.eye(2) + (phase - 1.0) * np.full((2, 2), 0.5)
+    assert np.max(np.abs(s - exact)) < 1e-9
+    assert np.max(np.abs(s.conj().T @ s - np.eye(2))) < 1e-12
+
+
 def test_fano_collapse_map_structure():
     # 101x101 map over (eps, E): the transmission zero line E ~ eps*dG/G and
     # the unit line coalesce toward the origin
