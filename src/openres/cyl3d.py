@@ -148,10 +148,11 @@ def disk_overlaps(cavity: CylCavity, r0: float, pq_list,
 
 class CylModel:
     """Open cylindrical resonator with ports at z=0 (unrotated, 'R') and
-    z=L (rotated by dphi, 'L')."""
+    z=L (rotated by dphi, 'L').  The modes are sorted by energy, or held in
+    the order ``labels`` when given."""
 
     def __init__(self, cavity: CylCavity, dphi: float, r0: float = 1.5,
-                 cutoff_max_sq: float = 16.0):
+                 cutoff_max_sq: float = 16.0, labels: tuple | None = None):
         self.cavity = cavity
         self.dphi = dphi
         self.r0 = r0
@@ -159,8 +160,13 @@ class CylModel:
         pq = sorted({ch.label[1:] for ch in self.channels})
         self.overlaps = disk_overlaps(cavity, r0, pq)
         self.basis = cavity.basis()
+        if labels is not None:
+            pos = {lab: i for i, lab in enumerate(self.basis.labels)}
+            self.basis = hcore.ClosedBasis(
+                labels, self.basis.energies[[pos[lab] for lab in labels]])
         hcore.read_only(self.basis.energies)
         self._w = hcore.read_only(self._coupling_matrix())
+        self.blocks = rotation_blocks(self.basis, dphi)
 
     def _coupling_matrix(self) -> np.ndarray:
         cav = self.cavity
@@ -179,15 +185,36 @@ class CylModel:
         return hcore.CouplingMatrix(self._w)
 
     def __call__(self, omega_sq: float) -> hcore.EffectiveHamiltonian:
-        return hcore.assemble(self.basis, self.channels, self.coupling(), omega_sq)
+        return hcore.assemble(self.basis, self.channels, self.coupling(), omega_sq,
+                              blocks=self.blocks)
+
+
+def rotation_blocks(basis: hcore.ClosedBasis, dphi: float) -> tuple:
+    """(even, odd) symmetry blocks of the half-turn about the transverse
+    axis through the cavity centre that swaps the two ports.  It maps
+    |m,n,l> to s |-m,n,l> with s = e^{i m dphi} (-1)^(l-1), for every dphi
+    and r0, so the blocks hold (|m,n,l> +/- s |-m,n,l>)/sqrt(2) for m > 0
+    and the m = 0 modes of odd (even block) or even (odd block) l: 81 + 81
+    modes at the default truncation."""
+    index = {lab: i for i, lab in enumerate(basis.labels)}
+    even, odd = [], []
+    for i, (m, n, l) in enumerate(basis.labels):
+        sign = (-1.0) ** (l - 1)
+        if m == 0:
+            (even if sign > 0 else odd).append((i, i, 0.0))
+        elif m > 0:
+            j, phase = index[(-m, n, l)], sign * np.exp(1j * m * dphi)
+            even.append((i, j, phase))
+            odd.append((i, j, -phase))
+    return tuple(hcore.SymmetryBlock.of(len(basis), vecs) for vecs in (even, odd))
 
 
 @lru_cache(maxsize=32)
 def cyl_model(cavity: CylCavity, dphi: float, r0: float = 1.5,
-              cutoff_max_sq: float = 16.0) -> CylModel:
+              cutoff_max_sq: float = 16.0, labels: tuple | None = None) -> CylModel:
     """The model of one geometry, built once per process and shared (its
     arrays are read-only)."""
-    return CylModel(cavity, dphi, r0, cutoff_max_sq)
+    return CylModel(cavity, dphi, r0, cutoff_max_sq, labels)
 
 
 def cyl_transmittance(model: CylModel, omega_sq: float):
@@ -208,7 +235,7 @@ def _stitched_spectra(models, band):
     prev = None
     for model in models:
         probe = 0.5 * (band[0] + band[1])
-        vals, vecs = np.linalg.eig(model(probe).matrix)
+        vals, vecs = hcore.spectrum(model(probe))
         order = np.argsort(vals.real)
         vals, vecs = vals[order], vecs[:, order]
         vecs = vecs / np.linalg.norm(vecs, axis=0)
@@ -237,11 +264,18 @@ def cyl_find_bics(cavity_template: CylCavity, dphi: float, scan: str,
     hi = band[1] if band[1] is not None else MU_11**2 * 0.999
     band = (band[0], hi)
 
+    def cavity(length):
+        return CylCavity(cavity_template.radius, float(length), cavity_template.m_max,
+                         cavity_template.n_max, cavity_template.l_max)
+
+    # the energy order of the modes changes with the length: a length scan
+    # keeps the order of its first point, so that branch vectors compare
+    # mode by mode along the grid
+    order = cavity(grid[0]).basis().labels if scan == "length" else None
+
     def family(x):
         if scan == "length":
-            cav = CylCavity(cavity_template.radius, float(x), cavity_template.m_max,
-                            cavity_template.n_max, cavity_template.l_max)
-            return cyl_model(cav, dphi, r0, cutoff_max_sq)
+            return cyl_model(cavity(x), dphi, r0, cutoff_max_sq, order)
         return cyl_model(cavity_template, float(x), r0, cutoff_max_sq)
 
     def keep(rec):
@@ -285,11 +319,13 @@ def surface_field(record: hcore.BICRecord, cavity: CylCavity,
 def port_channel_projection(record: hcore.BICRecord, model: CylModel) -> dict:
     """Overlap of the BIC boundary field with the open (0,1) duct mode over
     each port disk; vanishes at a converged zero-width point."""
+    pos = {lab: i for i, lab in enumerate(record.labels)}
+    vec = record.null_vector[[pos[lab] for lab in model.basis.labels]]
     out = {}
     for j, ch in enumerate(model.channels):
         if ch.label[1:] != (0, 1):
             continue
-        out[ch.port] = complex(np.dot(np.conj(model._w[:, j]), record.null_vector))
+        out[ch.port] = complex(np.dot(np.conj(model._w[:, j]), vec))
     return out
 
 

@@ -13,13 +13,17 @@ couplings, eigenvalue tracking along parameter sweeps with
 eigenvector-overlap branch continuation, and zero-width (BIC) detection
 with null-vector extraction.
 
+A model whose H_eff is block-diagonal in a symmetry-adapted basis declares
+that basis as ``SymmetryBlock``s; the eigensolves then work one block at a
+time (``spectrum``) and check the declaration on every solve.
+
 Everything here is pure: assembly and eigensolves build fresh arrays from
 immutable inputs, so parameter grid points can be evaluated concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +36,11 @@ _OVERLAP_CONTINUE = 0.5
 _UNITARITY_TOL = 1e-12
 _TIE_BREAK = 1e-3
 _DENSE_EIG_LIMIT = 250
+# off-block entries of a declared symmetry block above this fraction of
+# max|H| mean a wrong declaration (measured exact blocks: <= 1.2e-16)
+_BLOCK_TOL = 1e-12
+# a vector is held by a block that carries at least 1 - this of its weight
+_BLOCK_WEIGHT_TOL = 1e-8
 
 
 class StructuralError(ValueError):
@@ -149,6 +158,73 @@ def read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+@dataclass(frozen=True, eq=False)
+class SymmetryBlock:
+    """Orthonormal basis of one symmetry class of H_eff, held as index arrays.
+
+    Basis vector k is e_first[k] where phase[k] == 0, and otherwise
+    (e_first[k] + phase[k] e_second[k]) / sqrt(2) for two degenerate modes
+    (|phase| = 1).  ``size`` is the dimension of the mode space.  Memory is
+    O(block size): no dense isometry is formed.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    phase: np.ndarray
+    size: int
+    _a: np.ndarray = field(init=False, repr=False)
+    _b: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        phase = read_only(np.asarray(self.phase, dtype=complex))
+        scale = np.where(phase == 0, 1.0, np.sqrt(0.5))
+        object.__setattr__(self, "first", read_only(np.asarray(self.first, dtype=int)))
+        object.__setattr__(self, "second", read_only(np.asarray(self.second, dtype=int)))
+        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "_a", read_only(scale))
+        object.__setattr__(self, "_b", read_only(scale * phase))
+
+    @classmethod
+    def of(cls, size: int, vectors) -> "SymmetryBlock":
+        """A block from (i, j, phase) triples; (i, i, 0) is e_i alone."""
+        first, second, phase = zip(*vectors)
+        return cls(np.array(first), np.array(second), np.array(phase), size)
+
+    def __len__(self):
+        return self.first.size
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """Coordinates U_b^dag v of mode-basis vectors (rows of ``v``)."""
+        shape = (-1,) + (1,) * (v.ndim - 1)
+        return self._a.reshape(shape) * v[self.first] \
+            + self._b.conj().reshape(shape) * v[self.second]
+
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        """Mode-basis vectors U_b y of block coordinates (rows of ``y``)."""
+        shape = (-1,) + (1,) * (y.ndim - 1)
+        out = np.zeros((self.size,) + y.shape[1:], dtype=complex)
+        out[self.first] = self._a.reshape(shape) * y
+        out[self.second] += self._b.reshape(shape) * y
+        return out
+
+    def restrict(self, h: np.ndarray) -> np.ndarray:
+        """The block U_b^dag H U_b of ``h``, at O(n n_b) cost.
+
+        Raises StructuralError when H U_b leaves the block's span by more
+        than ``_BLOCK_TOL`` max|H|, so a wrong declaration fails instead of
+        giving a wrong spectrum."""
+        hu = h[:, self.first] * self._a
+        if np.any(self.phase):
+            hu = hu + h[:, self.second] * self._b
+        hb = self.project(hu)
+        off = np.max(np.abs(hu - self.lift(hb)))
+        if off > _BLOCK_TOL * np.max(np.abs(h)):
+            raise StructuralError(f"H_eff is not block-diagonal in the declared symmetry "
+                                  f"block (off-block {off:.2e}, max|H| "
+                                  f"{np.max(np.abs(h)):.2e})")
+        return hb
+
+
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
     matrix: np.ndarray
@@ -156,16 +232,23 @@ class EffectiveHamiltonian:
     channels: ChannelSet
     coupling: CouplingMatrix
     omega_sq: float
+    blocks: tuple = ()
 
 
 def assemble(basis: ClosedBasis, channels: ChannelSet, coupling: CouplingMatrix,
-             omega_sq: float, static: np.ndarray | None = None) -> EffectiveHamiltonian:
-    """Build H_eff(omega_sq) = diag(E) + V - i sum_c k_c W_c W_c^dag."""
+             omega_sq: float, static: np.ndarray | None = None,
+             blocks: tuple = ()) -> EffectiveHamiltonian:
+    """Build H_eff(omega_sq) = diag(E) + V - i sum_c k_c W_c W_c^dag.
+
+    ``blocks`` are the model's symmetry blocks (empty: none declared); they
+    must together span the mode space."""
     w = coupling.matrix
     n = len(basis)
     if w.shape != (n, len(channels)):
         raise StructuralError(f"coupling shape {w.shape} does not match "
                               f"{n} modes x {len(channels)} channels")
+    if blocks and (sum(len(b) for b in blocks) != n or any(b.size != n for b in blocks)):
+        raise StructuralError(f"symmetry blocks do not span the {n} modes")
     h = np.diag(basis.energies.astype(complex))
     if static is not None:
         v = np.asarray(static)
@@ -177,7 +260,7 @@ def assemble(basis: ClosedBasis, channels: ChannelSet, coupling: CouplingMatrix,
     # Hermitian shift +|k| W W^dag
     h = h - 1j * np.einsum("c,ic,jc->ij", k, w, w.conj())
     return EffectiveHamiltonian(matrix=h, basis=basis, channels=channels,
-                                coupling=coupling, omega_sq=omega_sq)
+                                coupling=coupling, omega_sq=omega_sq, blocks=tuple(blocks))
 
 
 def green(heff: EffectiveHamiltonian, energy: float) -> np.ndarray:
@@ -342,14 +425,49 @@ def _eig_near(h: np.ndarray, sigma: complex, k: int = 8, iters: int = 6):
     return vals, vecs
 
 
-def _eig(h: np.ndarray, sigma: complex | None = None):
-    if sigma is None or h.shape[0] <= _DENSE_EIG_LIMIT:
+def _eig(h: np.ndarray, sigma: complex):
+    if h.shape[0] <= _DENSE_EIG_LIMIT:
         return _eig_full(h)
     return _eig_near(h, sigma)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
+
+
+def block_eig(h: np.ndarray, block: SymmetryBlock):
+    """Eigenpairs of ``h`` inside one symmetry block, vectors in the mode
+    basis (StructuralError when ``h`` is not block-diagonal there)."""
+    vals, vecs = np.linalg.eig(block.restrict(h))
+    return vals, block.lift(vecs)
+
+
+def holding_block(blocks: Sequence[SymmetryBlock], vec: np.ndarray | None):
+    """The block that holds at least 1 - 1e-8 of ``vec``'s weight, or None."""
+    if vec is None or not blocks:
+        return None
+    floor = (1.0 - _BLOCK_WEIGHT_TOL) * np.vdot(vec, vec).real
+    for block in blocks:
+        y = block.project(vec)
+        if np.vdot(y, y).real >= floor:
+            return block
+    return None
+
+
+def spectrum(heff: EffectiveHamiltonian, vec: np.ndarray | None = None):
+    """Eigenpairs (vals, vecs) of H_eff, vectors in the mode basis.
+
+    Only the symmetry block holding ``vec`` is solved when there is one, and
+    every block when ``vec`` is None; a vector spread across blocks, or a
+    model without blocks, gets a dense eig of the full matrix."""
+    block = holding_block(heff.blocks, vec)
+    if block is not None:
+        return block_eig(heff.matrix, block)
+    if vec is None and heff.blocks:
+        parts = [block_eig(heff.matrix, b) for b in heff.blocks]
+        return (np.concatenate([vals for vals, _ in parts]),
+                np.hstack([vecs for _, vecs in parts]))
+    return _eig_full(heff.matrix)
 
 
 def _pick_branch(vals: np.ndarray, vecs: np.ndarray, seed_energy: float,
@@ -368,16 +486,31 @@ def _pick_branch(vals: np.ndarray, vecs: np.ndarray, seed_energy: float,
     return int(best)
 
 
-def _branch_eig(h: np.ndarray, sigma: float, vec: np.ndarray | None,
+def _branch_eig(heff: EffectiveHamiltonian, sigma: float, vec: np.ndarray | None,
                 prev_z: complex | None):
-    """One branch eigenpair of h: dense for small problems or cold starts,
-    warm Rayleigh-quotient iteration from the previous vector otherwise."""
-    n = h.shape[0]
-    if vec is not None and n > _DENSE_EIG_LIMIT:
+    """One branch eigenpair of H_eff.  A cold start (no ``vec``) solves
+    every symmetry block, or the full matrix, and picks the eigenvalue
+    nearest ``sigma``; a warm start continues ``vec`` inside the block that
+    holds it, or on the full matrix when no block does."""
+    if vec is None:
+        vals, vecs = spectrum(heff)
+        i = _pick_branch(vals, vecs, sigma, None)
+        return vals[i], _unit(vecs[:, i])
+    block = holding_block(heff.blocks, vec)
+    if block is None:
+        return _continue_eig(heff.matrix, sigma, vec, prev_z)
+    lam, y = _continue_eig(block.restrict(heff.matrix), sigma, block.project(vec), prev_z)
+    return lam, block.lift(y)
+
+
+def _continue_eig(h: np.ndarray, sigma: float, vec: np.ndarray, prev_z: complex | None):
+    """The eigenpair of h that continues ``vec``: dense for small problems,
+    warm Rayleigh-quotient iteration above ``_DENSE_EIG_LIMIT``."""
+    if h.shape[0] > _DENSE_EIG_LIMIT:
         got = _rqi(h, vec)
         if got is not None and abs(vec.conj() @ _unit(got[1])) >= _OVERLAP_CONTINUE:
             return got[0], _unit(got[1])
-    vals, vecs = _eig(h, sigma=sigma if vec is not None else None)
+    vals, vecs = _eig(h, sigma)
     i = _pick_branch(vals, vecs, sigma, vec, prev_z)
     return vals[i], _unit(vecs[:, i])
 
@@ -397,8 +530,7 @@ def solve_resonance(model: Callable[[float], EffectiveHamiltonian], seed: float,
     z = None
     e_prev = g_prev = None
     for it in range(1, max_iter + 1):
-        h = model(e)
-        z, vec = _branch_eig(h.matrix, e, vec, z)
+        z, vec = _branch_eig(model(e), e, vec, z)
         g = z.real - e
         if abs(g) <= tol * max(1.0, abs(e)):
             return ResonanceRecord(z=z, vector=vec, converged=True, iterations=it)
@@ -546,7 +678,7 @@ def _bic_record_from(rec: ResonanceRecord, family: ModelFamily, p: float,
                      width_tol: float, null_tol: float, labels: tuple) -> BICRecord:
     w2 = rec.energy
     h = family(p)(w2)
-    vals, vecs = _eig(h.matrix)
+    vals, vecs = spectrum(h, rec.vector)
     # minimal-|Im| pick restricted to the tracked branch neighborhood: the
     # spectrum may hold unrelated exactly-real (symmetry-protected)
     # eigenvalues that must not be grabbed

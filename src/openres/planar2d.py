@@ -167,13 +167,32 @@ def _cached_plumbing(cavity: RectCavity, p_max: int):
     return chans, basis, hcore.read_only(raw_coupling(cavity, chans))
 
 
+@lru_cache(maxsize=32)
+def parity_blocks(cavity: RectCavity, x_parity: bool = True,
+                  y_parity: bool = True) -> tuple:
+    """Symmetry blocks of the open rectangle, one per class of the
+    conserved parities: the mirrors x -> -x (the ports swap) and y -> -y
+    (each port maps to itself) split H_eff into (x-parity, y-parity)
+    classes.  Empty when no parity is conserved."""
+    groups = {}
+    for (x_even, y_even), idx in sinai_parity_blocks(cavity).items():
+        key = (x_parity and x_even, y_parity and y_even)
+        groups.setdefault(key, []).extend(idx)
+    if len(groups) < 2:
+        return ()
+    n = len(cavity.mode_labels)
+    return tuple(hcore.SymmetryBlock.of(n, [(i, i, 0.0) for i in sorted(idx)])
+                 for idx in groups.values())
+
+
 def planar_model(cavity: RectCavity, p_max: int = 8):
     """omega_sq -> H_eff callback for the open rectangle."""
     chans, basis, raw = _cached_plumbing(cavity, p_max)
+    blocks = parity_blocks(cavity)
 
     def model(omega_sq: float) -> hcore.EffectiveHamiltonian:
         w = coupling_planar(cavity, chans, omega_sq, raw=raw)
-        return hcore.assemble(basis, chans, w, omega_sq)
+        return hcore.assemble(basis, chans, w, omega_sq, blocks=blocks)
 
     return model
 
@@ -257,8 +276,11 @@ def planar_fw_bic(lx: float = 4.0, pair=((4, 3), (2, 5)), p_max: int = 8,
         ia, ib = labels.index(pair[0]), labels.index(pair[1])
         model = family(ly)
         e = 0.5 * (cav.energy(*pair[0]) + cav.energy(*pair[1]))
+        # the pair's parity block: the only one with pair weight
+        in_pair = np.zeros(len(labels))
+        in_pair[[ia, ib]] = math.sqrt(0.5)
         for it in range(1, 61):
-            vals, vecs = np.linalg.eig(model(e).matrix)
+            vals, vecs = hcore.spectrum(model(e), in_pair)
             weight = (np.abs(vecs[ia]) ** 2 + np.abs(vecs[ib]) ** 2) \
                 / np.linalg.norm(vecs, axis=0) ** 2
             cand = np.where((weight > 0.4) & (np.abs(vals.real - e) < 1.5))[0]
@@ -431,10 +453,12 @@ def sinai_model(cavity: RectCavity, bump: SinaiBump, p_max: int = 8,
     """omega_sq -> H_eff for the bumped open cavity."""
     chans, basis, raw = _cached_plumbing(cavity, p_max)
     static = sinai_potential_matrix(cavity, bump, nodes=nodes, audit=False)
+    # an off-centre bump breaks the parity of its displaced axis
+    blocks = parity_blocks(cavity, bump.x0 == 0.0, bump.y0 == 0.0)
 
     def model(omega_sq: float) -> hcore.EffectiveHamiltonian:
         w = coupling_planar(cavity, chans, omega_sq, raw=raw)
-        return hcore.assemble(basis, chans, w, omega_sq, static=static)
+        return hcore.assemble(basis, chans, w, omega_sq, static=static, blocks=blocks)
 
     return model
 

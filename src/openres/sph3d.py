@@ -168,8 +168,30 @@ def _port_columns(cavity: SphereCavity, attachment: WaveguideAttachment,
     return hcore.read_only(rotate_coupling(pole, cavity, attachment))
 
 
+@lru_cache(maxsize=8)
+def mirror_blocks(cavity: SphereCavity) -> tuple:
+    """(even, odd) symmetry blocks of the mirror y -> -y, which maps
+    |l,m,n> to (-1)^m |l,-m,n> and each port with alpha = gamma = 0 (a
+    direction in the xz-plane) to itself: the even block holds the m = 0
+    modes and (|l,m,n> + (-1)^m |l,-m,n>)/sqrt(2), the odd block the minus
+    combinations (84 + 63 modes at l_max = 6, n_max = 3)."""
+    labels = cavity.basis().labels
+    index = {lab: i for i, lab in enumerate(labels)}
+    even, odd = [], []
+    for i, (l, m, n) in enumerate(labels):
+        if m == 0:
+            even.append((i, i, 0.0))
+        elif m > 0:
+            j, sign = index[(l, -m, n)], (-1.0) ** m
+            even.append((i, j, sign))
+            odd.append((i, j, -sign))
+    return tuple(hcore.SymmetryBlock.of(len(labels), vecs) for vecs in (even, odd))
+
+
 class SphereModel:
-    """Open spherical cavity with an arbitrary number of rotated ports."""
+    """Open spherical cavity with an arbitrary number of rotated ports;
+    ports that all lie in the xz-plane (alpha = gamma = 0) keep the mirror
+    symmetry of ``mirror_blocks``."""
 
     def __init__(self, cavity: SphereCavity, attachments,
                  cutoff_max_sq: float = 16.0):
@@ -189,12 +211,15 @@ class SphereModel:
                 col = pole_labels.index(ch.label[1:])
                 w[:, j] = wr[:, col]
         self._w = w
+        in_plane = all(att.alpha == 0.0 and att.gamma == 0.0 for att in self.attachments)
+        self.blocks = mirror_blocks(cavity) if in_plane else ()
 
     def coupling(self) -> hcore.CouplingMatrix:
         return hcore.CouplingMatrix(self._w)
 
     def __call__(self, omega_sq: float) -> hcore.EffectiveHamiltonian:
-        return hcore.assemble(self.basis, self.channels, self.coupling(), omega_sq)
+        return hcore.assemble(self.basis, self.channels, self.coupling(), omega_sq,
+                              blocks=self.blocks)
 
 
 def sphere_model(cavity: SphereCavity, attachments, cutoff_max_sq: float = 16.0):

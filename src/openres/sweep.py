@@ -16,9 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, hcore
 
 _FMT = "%.16e"
+# what a grid point may fail with and still become a NaN row: numerical
+# singularities (the RuntimeErrors SingularScattering, SingularPoint,
+# SingularTransmissionPoint), LAPACK failures and domain errors such as "no
+# open channel" (ValueError).  Programming errors and hcore.StructuralError
+# (a wrong model declaration) propagate.
+_POINT_FAILURES = (RuntimeError, np.linalg.LinAlgError, ValueError)
 
 
 class UsageError(ValueError):
@@ -69,7 +75,8 @@ def run_sweep(spec: SweepSpec, evaluate, columns, threads: int = 1) -> MapResult
     The first point runs on the calling thread, the others in a thread pool
     (models are reentrant; LAPACK releases the GIL); results are buffered
     per index so output order never depends on scheduling.  A point that
-    raises becomes a NaN row + diagnostic.
+    fails numerically (``_POINT_FAILURES``) becomes a NaN row + diagnostic;
+    any other exception propagates.
     """
     a1 = spec.axis1.values()
     a2 = spec.axis2.values()
@@ -83,7 +90,9 @@ def run_sweep(spec: SweepSpec, evaluate, columns, threads: int = 1) -> MapResult
         try:
             vals = evaluate(dict(spec.fixed), a1[i], a2[j])
             out[idx, 2:] = [float(v) for v in vals]
-        except Exception as exc:  # pragma: no cover - error text varies
+        except hcore.StructuralError:
+            raise
+        except _POINT_FAILURES as exc:
             diags[idx] = f"{a1[i]!r} {a2[j]!r} {type(exc).__name__}: {exc}"
 
     # the first point runs alone: it fills the models' per-process caches,
@@ -221,6 +230,15 @@ def write_field(path, model: str, params: dict, axes_desc: str,
 
 def read_field(path):
     return _read_table(path)
+
+
+def read_resonances(path):
+    """(header dict, rows) of a resonance catalog; each row is a dict of
+    z, width, converged and iterations."""
+    header, data = _read_table(path)
+    return header, [{"z": complex(row[1], row[2]), "width": row[3],
+                     "converged": bool(row[4]), "iterations": int(row[5])}
+                    for row in data]
 
 
 def write_resonances(path, model: str, params: dict, records) -> None:

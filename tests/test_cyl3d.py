@@ -221,3 +221,19 @@ def test_cmt_bic_vector_decouples_from_both_ports():
         w_l = (-1.0) ** np.array([1, 0, 0]) * np.exp(1j * (0 - ms) * dphi) * w_r
         assert abs(np.conj(w_r) @ v) < 1e-12
         assert abs(np.conj(w_l) @ v) < 1e-12
+
+
+def test_length_scan_records_carry_their_own_mode_labels():
+    # the energy order of the modes changes along the scan; each record's
+    # null vector, read through its labels, must be the eigenvector of the
+    # energy-ordered model at its own (L, omega^2)
+    cav = cyl3d.CylCavity(3.0, 3.0, m_max=2, n_max=2, l_max=4)
+    recs = cyl3d.cyl_find_bics(cav, np.pi / 4, "length", np.linspace(2.6, 5.5, 12))
+    assert len(recs) >= 5
+    for rec in recs:
+        model = cyl3d.cyl_model(cyl3d.CylCavity(3.0, rec.param, 2, 2, 4), np.pi / 4)
+        vals, vecs = np.linalg.eig(model(rec.omega_sq).matrix)
+        j = int(np.argmin(np.abs(vals - rec.omega_sq)))
+        pos = {lab: i for i, lab in enumerate(rec.labels)}
+        vec = rec.null_vector[[pos[lab] for lab in model.basis.labels]]
+        assert abs(np.vdot(vecs[:, j], vec)) >= 0.99 * np.linalg.norm(vecs[:, j])

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openres import cyl3d, planar2d, sph3d, sweep
+from openres import cyl3d, hcore, planar2d, sph3d, sweep
 from openres.cli import MODELS, main
 from openres.sweep import Axis, SweepSpec
 
@@ -131,6 +131,48 @@ def test_singular_points_become_nan_with_diagnostics(tmp_path):
     assert Path(str(path) + ".diag").exists()
     header, data = sweep.read_map(path)
     assert np.isnan(data[:, 2]).any()
+
+
+def _failing_sweep(exc, threads=1):
+    spec = SweepSpec(model="well", fixed={}, axis1=Axis("k", 1.0, 2.0, 2),
+                     axis2=Axis("q", 1.0, 2.0, 2))
+
+    def evaluate(p, a1, a2):
+        if (a1, a2) == (2.0, 1.0):
+            raise exc
+        return [a1 + a2]
+
+    return sweep.run_sweep(spec, evaluate, ("sum",), threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("exc", [TypeError("bad call"), KeyError("eps"),
+                                 hcore.StructuralError("wrong block")])
+def test_run_sweep_propagates_programming_and_structural_errors(exc, threads):
+    with pytest.raises(type(exc)):
+        _failing_sweep(exc, threads)
+
+
+def test_run_sweep_numerical_failure_becomes_nan_row():
+    res = _failing_sweep(hcore.SingularScattering(2.0, 1e-17))
+    assert np.isnan(res.values[2, 2]) and np.array_equal(res.values[[0, 1, 3], 2],
+                                                         [2.0, 3.0, 4.0])
+    assert res.diagnostics == [
+        "np.float64(2.0) np.float64(1.0) SingularScattering: E - H_eff numerically "
+        "singular at E=2.0 (rcond~1.00e-17); candidate BIC"]
+
+
+@pytest.mark.parametrize("model,truncation", [("sphere", "3"), ("cyl", "2")])
+def test_cavity_resonance_catalog_has_no_repeated_pole(tmp_path, model, truncation):
+    # degenerate basis energies seed the same pole several times
+    assert main([model, "resonances", "--truncation", truncation,
+                 "--out", str(tmp_path)]) == 0
+    _, rows = sweep.read_resonances(tmp_path / f"{model}_resonances.dat")
+    z = np.array([r["z"] for r in rows])
+    assert 1 < len(rows) < 12
+    gaps = np.abs(z[:, None] - z[None, :]) + np.eye(len(z))
+    assert gaps.min() > 1e-9 * max(1.0, np.abs(z).max())
+    assert all(r["converged"] for r in rows)
 
 
 def test_cli_exit_codes(tmp_path):
