@@ -85,12 +85,18 @@ def _null_vector_field(bics):
 
 def _cavity_resonances(model, band, energy: float):
     """Fixed-point poles seeded from the first 12 basis energies in band.
-    Degenerate seeds reach the same pole: a row within 1e-9 max(1, |z|) of
-    an earlier one is dropped, and a converged row replaces an unconverged
-    one, so no pole repeats."""
+    A degenerate energy is solved once: bit-identical seeds give identical
+    cold solves."""
     seeds = [e for e in model(energy).basis.energies if band[0] < e < band[1]][:12]
+    return _distinct_poles(hcore.resonances(model, list(dict.fromkeys(seeds))))
+
+
+def _distinct_poles(records):
+    """Distinct seeds can still reach the same pole: a row within
+    1e-9 max(1, |z|) of an earlier one is dropped, and a converged row
+    replaces an unconverged one, so no pole repeats."""
     poles = []
-    for rec in hcore.resonances(model, seeds):
+    for rec in records:
         i = next((i for i, kept in enumerate(poles)
                   if abs(rec.z - kept.z) <= 1e-9 * max(1.0, abs(kept.z))), None)
         if i is None:

@@ -249,33 +249,38 @@ def assemble(basis: ClosedBasis, channels: ChannelSet, coupling: CouplingMatrix,
                               f"{n} modes x {len(channels)} channels")
     if blocks and (sum(len(b) for b in blocks) != n or any(b.size != n for b in blocks)):
         raise StructuralError(f"symmetry blocks do not span the {n} modes")
-    h = np.diag(basis.energies.astype(complex))
+    k = channels.wavenumbers(omega_sq)
+    # evanescent channels have k = i|k|; -i*k W W^dag then becomes the
+    # Hermitian shift +|k| W W^dag.  One GEMM, then in place: each n x n
+    # temporary costs about as much as the GEMM itself.
+    h = (w * k) @ w.conj().T
+    h *= -1j
     if static is not None:
         v = np.asarray(static)
         if v.shape != (n, n):
             raise StructuralError("static perturbation has wrong shape")
-        h = h + v
-    k = channels.wavenumbers(omega_sq)
-    # evanescent channels have k = i|k|; -i*k W W^dag then becomes the
-    # Hermitian shift +|k| W W^dag
-    h = h - 1j * np.einsum("c,ic,jc->ij", k, w, w.conj())
+        h += v
+    h.flat[:: n + 1] += basis.energies
     return EffectiveHamiltonian(matrix=h, basis=basis, channels=channels,
                                 coupling=coupling, omega_sq=omega_sq, blocks=tuple(blocks))
 
 
-def green(heff: EffectiveHamiltonian, energy: float) -> np.ndarray:
-    """Green function (E - H_eff)^(-1) with singularity detection."""
+def green(heff: EffectiveHamiltonian, energy: float, rhs: np.ndarray) -> np.ndarray:
+    """(E - H_eff)^(-1) rhs by one LU, with singularity detection: solving
+    for the columns of ``rhs`` alone costs O(n^2) each, where the inverse
+    would cost O(n^3)."""
     import warnings
 
-    a = energy * np.eye(heff.matrix.shape[0]) - heff.matrix
+    a = -heff.matrix
+    a.flat[:: a.shape[0] + 1] += energy
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(a)
+        lu, piv = sla.lu_factor(a, overwrite_a=True)
     diag = np.abs(np.diag(lu))
     rcond = diag.min() / max(diag.max(), 1e-300)
     if rcond < 1e-14:
         raise SingularScattering(energy, rcond)
-    return sla.lu_solve((lu, piv), np.eye(a.shape[0], dtype=complex))
+    return sla.lu_solve((lu, piv), rhs)
 
 
 def smatrix(heff: EffectiveHamiltonian, energy: float | None = None):
@@ -294,8 +299,7 @@ def smatrix(heff: EffectiveHamiltonian, energy: float | None = None):
         raise ValueError(f"no open channel at E={energy}")
     w = heff.coupling.matrix[:, idx]
     k = np.array([heff.channels[i].wavenumber(energy).real for i in idx])
-    g = green(heff, energy)
-    core = w.conj().T @ g @ w
+    core = w.conj().T @ green(heff, energy, w)
     flux = np.sqrt(k)
     s = np.eye(idx.size, dtype=complex) - 2j * (flux[:, None] * core * flux[None, :])
     if np.max(np.abs(s.conj().T @ s - np.eye(idx.size))) > _UNITARITY_TOL:

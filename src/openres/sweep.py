@@ -1,9 +1,9 @@
 """Parameter-sweep engine, BIC catalogs and flat-file outputs.
 
 Maps are evaluated on a row-major (axis1 outer, axis2 inner) grid, in
-parallel over points, and written by a single writer in deterministic order;
-identical configurations produce byte-identical files regardless of the
-thread count.  Numbers are written with 17 significant digits so files
+parallel over axis1 rows, and written by a single writer in deterministic
+order; identical configurations produce byte-identical files regardless of
+the thread count.  Numbers are written with 17 significant digits so files
 round-trip doubles exactly.  Per-point solver failures become NaN rows plus
 a line in a ``.diag`` sidecar.
 """
@@ -72,11 +72,11 @@ class MapResult:
 def run_sweep(spec: SweepSpec, evaluate, columns, threads: int = 1) -> MapResult:
     """Evaluate ``evaluate(params, a1, a2) -> sequence`` over the grid.
 
-    The first point runs on the calling thread, the others in a thread pool
-    (models are reentrant; LAPACK releases the GIL); results are buffered
-    per index so output order never depends on scheduling.  A point that
-    fails numerically (``_POINT_FAILURES``) becomes a NaN row + diagnostic;
-    any other exception propagates.
+    The first point runs on the calling thread, then each axis1 row is one
+    task of a thread pool (models are reentrant; LAPACK releases the GIL);
+    results are buffered per index so output order never depends on
+    scheduling.  A point that fails numerically (``_POINT_FAILURES``)
+    becomes a NaN row + diagnostic; any other exception propagates.
     """
     a1 = spec.axis1.values()
     a2 = spec.axis2.values()
@@ -95,16 +95,21 @@ def run_sweep(spec: SweepSpec, evaluate, columns, threads: int = 1) -> MapResult
         except _POINT_FAILURES as exc:
             diags[idx] = f"{a1[i]!r} {a2[j]!r} {type(exc).__name__}: {exc}"
 
-    # the first point runs alone: it fills the models' per-process caches,
-    # which threads missing them at once would each fill again
-    one(0)
-    rest = range(1, a1.size * a2.size)
-    if threads <= 1:
-        for idx in rest:
+    def row(i):
+        for idx in range(max(1, i * a2.size), (i + 1) * a2.size):
             one(idx)
+
+    # the first point runs alone: it fills the caches that every row
+    # shares.  A task is then one whole axis1 row, so no two threads
+    # build the same per-row geometry at once (lru_cache does not merge
+    # concurrent misses) and a map queues a1.size tasks, not one per point.
+    one(0)
+    if threads <= 1:
+        for i in range(a1.size):
+            row(i)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, rest))
+            list(pool.map(row, range(a1.size)))
     return MapResult(model=spec.model, params=dict(spec.fixed), axis1=spec.axis1,
                      axis2=spec.axis2, columns=tuple(columns), values=out,
                      diagnostics=[d for d in diags if d])

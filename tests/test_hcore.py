@@ -4,6 +4,7 @@ unitarity, fixed-point resonances, branch tracking and BIC extraction."""
 import ast
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -52,6 +53,29 @@ def test_assemble_evanescent_channel_gives_hermitian_shift():
     assert np.allclose(h.matrix.imag, 0.0, atol=1e-14)
 
 
+def _complex_lossless(seed, n_modes=6):
+    """A random lossless model with complex couplings and a Hermitian static
+    term; at omega^2 = 9 two channels are open and two evanescent."""
+    rng = np.random.default_rng(seed)
+    basis, channels, w = _random_lossless(n_modes=n_modes, seed=seed)
+    phases = np.exp(2j * np.pi * rng.uniform(size=w.matrix.shape))
+    v = rng.normal(0.0, 0.3, (n_modes, n_modes)) + 1j * rng.normal(0.0, 0.3, (n_modes, n_modes))
+    return basis, channels, hcore.CouplingMatrix(w.matrix * phases), 0.5 * (v + v.conj().T)
+
+
+def test_assemble_matches_einsum_formula():
+    for seed in range(3):
+        basis, channels, w, v = _complex_lossless(seed)
+        for e, static in ((0.5, None), (9.0, v), (20.0, v)):
+            k = channels.wavenumbers(e)
+            expect = np.diag(basis.energies) - 1j * np.einsum("c,ic,jc->ij", k, w.matrix,
+                                                              w.matrix.conj())
+            if static is not None:
+                expect = expect + static
+            h = hcore.assemble(basis, channels, w, e, static=static).matrix
+            assert np.max(np.abs(h - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
 def test_assemble_dimension_mismatch():
     basis = hcore.ClosedBasis(labels=(0, 1), energies=np.array([1.0, 2.0]))
     channels = hcore.ChannelSet([hcore.Channel("L", ("p", 1), 0.0)])
@@ -98,6 +122,57 @@ def test_smatrix_unitary_with_evanescent_channels():
     s, open_chans = hcore.smatrix(h, 9.0)
     assert len(open_chans) == 2
     assert np.max(np.abs(s.conj().T @ s - np.eye(2))) < 1e-10
+
+
+def test_green_solves_for_the_given_columns():
+    basis, channels, w, v = _complex_lossless(5)
+    h = hcore.assemble(basis, channels, w, 9.0, static=v)
+    expect = np.linalg.solve(9.0 * np.eye(len(basis)) - h.matrix, w.matrix)
+    got = hcore.green(h, 9.0, w.matrix)
+    assert got.shape == w.matrix.shape
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def _mp_smatrix(basis, channels, w, static, energy):
+    """S over the open channels from a 30-digit Green function
+    (E - H_eff)^(-1), with H_eff built in mpmath from the model's inputs."""
+    n, c = w.shape
+    with mpmath.workdps(30):
+        e = mpmath.mpf(energy)
+        k = [mpmath.sqrt(e - ch.cutoff_sq) if ch.is_open(energy)
+             else mpmath.mpc(0, 1) * mpmath.sqrt(ch.cutoff_sq - e) for ch in channels]
+        wm = [[mpmath.mpc(x) for x in row] for row in w]
+        a = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                hij = -mpmath.mpc(0, 1) * mpmath.fsum(k[q] * wm[i][q] * mpmath.conj(wm[j][q])
+                                                      for q in range(c))
+                if static is not None:
+                    hij += mpmath.mpc(static[i, j])
+                if i == j:
+                    hij += mpmath.mpf(basis.energies[i])
+                a[i, j] = (e if i == j else 0) - hij
+        g = a**-1
+        idx = [q for q, ch in enumerate(channels) if ch.is_open(energy)]
+        s = np.empty((len(idx), len(idx)), dtype=complex)
+        for x, p in enumerate(idx):
+            for y, q in enumerate(idx):
+                core = mpmath.fsum(mpmath.conj(wm[i][p]) * g[i, j] * wm[j][q]
+                                   for i in range(n) for j in range(n))
+                s[x, y] = complex((x == y) - 2j * mpmath.sqrt(k[p] * k[q]) * core)
+    return s
+
+
+def test_smatrix_matches_high_precision_green_function():
+    # two open and two evanescent channels, complex couplings, static term
+    for seed in range(4):
+        basis, channels, w, v = _complex_lossless(seed)
+        for static in (None, v):
+            h = hcore.assemble(basis, channels, w, 9.0, static=static)
+            s, open_chans = hcore.smatrix(h, 9.0)
+            assert len(open_chans) == 2
+            ref = _mp_smatrix(basis, channels, w.matrix, static, 9.0)
+            assert np.max(np.abs(s - ref)) < 1e-12
 
 
 def test_smatrix_singularity_reported_as_candidate_bic():

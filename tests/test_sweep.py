@@ -2,12 +2,13 @@
 config/override precedence, catalog structure."""
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from openres import cyl3d, hcore, planar2d, sph3d, sweep
+from openres import cli, cyl3d, hcore, planar2d, sph3d, sweep
 from openres.cli import MODELS, main
 from openres.sweep import Axis, SweepSpec
 
@@ -173,6 +174,37 @@ def test_cavity_resonance_catalog_has_no_repeated_pole(tmp_path, model, truncati
     gaps = np.abs(z[:, None] - z[None, :]) + np.eye(len(z))
     assert gaps.min() > 1e-9 * max(1.0, np.abs(z).max())
     assert all(r["converged"] for r in rows)
+
+
+def test_cavity_resonances_solve_each_degenerate_seed_once(monkeypatch):
+    p = {**MODELS["sphere"].defaults, "l_max": 3, "n_max": 3}
+    model, band = cli._sphere_model(p), (1e-3, cyl3d.MU_11**2)
+    seeds = [e for e in model(p["energy"]).basis.energies if band[0] < e < band[1]][:12]
+    every_seed = cli._distinct_poles(hcore.resonances(model, seeds))
+    solved = []
+    solve = hcore.solve_resonance
+    monkeypatch.setattr(hcore, "solve_resonance",
+                        lambda m, seed, *a, **kw: solved.append(seed) or solve(m, seed, *a, **kw))
+    poles = cli._cavity_resonances(model, band, p["energy"])
+    assert len(solved) == len(set(seeds)) < len(seeds)
+    assert [(r.z, r.converged, r.iterations) for r in poles] == \
+        [(r.z, r.converged, r.iterations) for r in every_seed]
+
+
+def test_threaded_map_builds_each_geometry_once(tmp_path):
+    # one pool task per dtheta row: the "in" port and the five "out" ports are
+    # each rotated once (a radius no other test uses, so every one misses);
+    # a short switch interval makes two threads that share a row miss together
+    before = sph3d._port_columns.cache_info().misses
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert main(["sphere", "map", "--axis1", "dtheta:1:2:5", "--axis2",
+                     "energy:0.3:1.5:4", "--threads", "2", "--truncation", "3",
+                     "--set", "radius=4.7", "--out", str(tmp_path)]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert sph3d._port_columns.cache_info().misses - before == 6
 
 
 def test_cli_exit_codes(tmp_path):
