@@ -599,7 +599,8 @@ def main(argv=None) -> int:
             recs, labels = model.bics(params, args.tol_width, args.tol_null)
             sweep.write_catalog(out, args.model, params, recs, label_getter=labels)
         elif args.verb == "resonances":
-            sweep.write_resonances(out, args.model, params, model.resonances(params))
+            recs = model.resonances(params)
+            sweep.write_resonances(out, args.model, params, recs)
         else:
             try:
                 n1, n2 = (int(t) for t in args.grid.split(":"))
@@ -611,6 +612,8 @@ def main(argv=None) -> int:
         print(out)
         if args.verb == "map" and np.all(np.isnan(result.values[:, 2:])):
             raise sweep.NumericalFailure("every grid point failed")
+        if args.verb == "resonances" and not any(r.converged for r in recs):
+            raise sweep.NumericalFailure("no resonance found")
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -125,10 +125,13 @@ def raw_coupling(cavity: RectCavity, channels: hcore.ChannelSet) -> np.ndarray:
     """
     basis = cavity.basis()
     out = np.zeros((len(basis), len(channels)))
+    mouth = {(p, n): _channel_y_integral(cavity, p, n)
+             for p in {ch.label[1] for ch in channels}
+             for n in {n for _, n in basis.labels}}
     for j, ch in enumerate(channels):
         p = ch.label[1]
         for i, (m, n) in enumerate(basis.labels):
-            ov = _channel_y_integral(cavity, p, n)
+            ov = mouth[(p, n)]
             if ov == 0.0:
                 continue
             if cavity.bc == "dirichlet":

@@ -10,6 +10,12 @@ Evaluation strategy: ascending series for small argument, Miller backward
 recurrence with normalization otherwise; half-integer orders go through the
 spherical-Bessel closed forms.  All functions are pure and accept scalars or
 numpy arrays in the argument; root tables are computed once and reused.
+
+A scalar argument runs the same recurrences on Python floats (the
+``_*_scalar`` kernels): the operations and their order are those of the
+array path, so both give the same bits, at a fraction of the cost of a
+one-element array.  Root bisection evaluates one point per step and takes
+this path; scans and quadratures pass arrays.
 """
 
 from __future__ import annotations
@@ -92,6 +98,43 @@ def _jn_table(nmax: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _jn_series_scalar(n: int, x: float) -> float:
+    """``_jn_series`` at one point, on Python floats."""
+    half = 0.5 * x
+    term = 1.0
+    for k in range(1, n + 1):
+        term = term * half / k
+    total = term
+    msq = -(half * half)
+    for m in range(1, 60):
+        term = term * msq / (m * (m + n))
+        total += term
+        if abs(term) <= 1e-18 * (abs(total) + 1e-300):
+            break
+    return total
+
+
+def _jn_miller_scalar(nmax: int, x: float) -> list[float]:
+    """``_jn_miller`` at one point x > 0, on Python floats."""
+    start = int(x + nmax + 25 + 12.0 * math.sqrt(max(x, nmax, 1.0)))
+    jp1, j, norm = 0.0, 1e-300, 0.0
+    out = [0.0] * (nmax + 1)
+    for n in range(start, 0, -1):
+        jp1, j = j, (2.0 * n / x) * j - jp1
+        if abs(j) > 1e280:
+            j *= 1e-280
+            jp1 *= 1e-280
+            out = [v * 1e-280 for v in out]
+            norm *= 1e-280
+        n -= 1
+        if n <= nmax:
+            out[n] = j
+        if n > 0 and n % 2 == 0:
+            norm += 2.0 * j
+    norm += j
+    return [v / norm for v in out]
+
+
 def spherical_jl(lmax: int, x) -> np.ndarray:
     """Spherical Bessel functions j_0..j_lmax, shape (lmax+1, len(x)).
 
@@ -129,13 +172,62 @@ def spherical_jl(lmax: int, x) -> np.ndarray:
     return out[: lmax + 1]
 
 
+def _spherical_jl_scalar(lmax: int, x: float) -> list[float]:
+    """``spherical_jl`` at one point x > 0, on Python floats (below 1e-4 it
+    hands the point to the array path).  sin stays a numpy call, so the
+    bits do not depend on libm agreeing with numpy's loop."""
+    if x < 1e-4:
+        return spherical_jl(lmax, np.array([x]))[:, 0].tolist()
+    start = lmax + 1 + int(20 + x)
+    jp1, j = 0.0, 1e-300
+    tab = [0.0] * (lmax + 2)
+    for n in range(start, 0, -1):
+        jp1, j = j, ((2.0 * n + 1.0) / x) * j - jp1
+        if abs(j) > 1e280:
+            j *= 1e-280
+            jp1 *= 1e-280
+            tab = [v * 1e-280 for v in tab]
+        if n - 1 <= lmax + 1:
+            tab[n - 1] = j
+    scale = float(np.sin(x)) / x / tab[0]
+    return [v * scale for v in tab[: lmax + 1]]
+
+
+def _bessel_j_scalar(twop: int, half_order: bool, x: float) -> tuple[float, float]:
+    """``bessel_j`` at one point x >= 0, on Python floats."""
+    if not half_order:
+        n = twop // 2
+        if x < _SERIES_CUTOFF:
+            tab = {k: _jn_series_scalar(k, x) for k in range(max(n - 1, 0), n + 2)}
+        else:
+            tab = _jn_miller_scalar(n + 1, x)
+        if n == 0:
+            return tab[0], -tab[1]
+        return tab[n], 0.5 * (tab[n - 1] - tab[n + 1])
+    l = (twop - 1) // 2
+    if x == 0.0:
+        return 0.0, math.inf if l == 0 else 0.0
+    jl = _spherical_jl_scalar(l + 1, x)[l]
+    jlm1 = _spherical_jl_scalar(l - 1, x)[l - 1] if l >= 1 else float(np.cos(x)) / x
+    jlp = jlm1 - (l + 1.0) / x * jl
+    return (math.sqrt(2.0 * x / math.pi) * jl,
+            math.sqrt(2.0 / (math.pi * x)) * (0.5 * jl + x * jlp))
+
+
 def bessel_j(p, x) -> tuple[np.ndarray, np.ndarray]:
     """J_p(x) and J'_p(x) for integer or half-integer order p >= 0.
 
-    Returns a pair (value, derivative); scalar in, scalar out.
+    Returns a pair (value, derivative); scalar in, scalar out (a scalar
+    runs the float kernel, bit-identical to the array path).
     Raises ValueError on non-finite or negative argument.
     """
-    scalar = np.isscalar(x)
+    if np.isscalar(x):
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError("argument must be finite")
+        if x < 0:
+            raise ValueError("argument must be nonnegative")
+        return _bessel_j_scalar(*_validate_order(p), x)
     shape = np.shape(x)
     x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if not np.all(np.isfinite(x)):
@@ -164,9 +256,6 @@ def bessel_j(p, x) -> tuple[np.ndarray, np.ndarray]:
         der = np.sqrt(2.0 / (np.pi * xp)) * (0.5 * jl[l] + xp * jlp)
         val = np.where(pos, val, 0.0)
         der = np.where(pos, der, np.inf if l == 0 else 0.0)
-
-    if scalar:
-        return float(val[0]), float(der[0])
     return val.reshape(shape), der.reshape(shape)
 
 
@@ -259,11 +348,15 @@ def spherical_neumann_roots(l: int, count: int) -> NeumannRootTable:
         raise ValueError("count must be >= 1")
 
     def djl(t):
+        if np.ndim(t) == 0:
+            t = float(t)
+            jl = _spherical_jl_scalar(l + 1, t)[l]
+            jm1 = float(np.cos(t)) / t if l == 0 else _spherical_jl_scalar(l, t)[l - 1]
+            return jm1 - (l + 1.0) / t * jl
         ta = np.atleast_1d(t)
         tab = spherical_jl(l + 1, ta)
         jm1 = np.cos(ta) / ta if l == 0 else spherical_jl(l, ta)[l - 1]
-        d = jm1 - (l + 1.0) / ta * tab[l]
-        return d if np.ndim(t) else float(d[0])
+        return jm1 - (l + 1.0) / ta * tab[l]
 
     roots = _bracketed_roots(djl, count, x0=0.2)
     return NeumannRootTable(order=l, roots=tuple(roots))

@@ -132,18 +132,20 @@ def sphere_pole_coupling(cavity: SphereCavity,
 
 def rotate_coupling(w_pole: np.ndarray, cavity: SphereCavity,
                     attachment: WaveguideAttachment) -> np.ndarray:
-    """Wigner rotation of the pole coupling block to an attachment."""
+    """Wigner rotation of the pole coupling block to an attachment; each
+    d^l_{mk}(beta) is evaluated once and shared by every radial index n."""
     basis = cavity.basis()
     idx = {lab: i for i, lab in enumerate(basis.labels)}
     out = np.zeros_like(w_pole)
     a, b, g = attachment.alpha, attachment.beta, attachment.gamma
+    terms = {}
     for (l, m, n), i in idx.items():
+        if (l, m) not in terms:
+            terms[(l, m)] = [(k, d) for k in range(-l, l + 1)
+                             if (d := specfun.wigner_small_d(l, m, k, b)) != 0.0]
         phase = np.exp(-1j * m * g)
         acc = np.zeros(w_pole.shape[1], dtype=complex)
-        for k in range(-l, l + 1):
-            d = specfun.wigner_small_d(l, m, k, b)
-            if d == 0.0:
-                continue
+        for k, d in terms[(l, m)]:
             acc += np.exp(-1j * k * a) * d * w_pole[idx[(l, k, n)]]
         out[i] = phase * acc
     return out

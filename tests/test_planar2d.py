@@ -312,3 +312,34 @@ def test_sinai_protected_modes_at_zero_bump():
         if n % 2 == 0 and n > 0 and e < 2.0:
             j = np.argmin(np.abs(vals.real - e))
             assert abs(vals[j].imag) < 1e-12
+
+
+def _raw_coupling_per_entry(cavity, channels):
+    """The interface integrals as written before the mouth integrals were
+    shared: one ``_channel_y_integral`` per (channel, mode)."""
+    basis = cavity.basis()
+    out = np.zeros((len(basis), len(channels)))
+    for j, ch in enumerate(channels):
+        p = ch.label[1]
+        for i, (m, n) in enumerate(basis.labels):
+            ov = pl._channel_y_integral(cavity, p, n)
+            if ov == 0.0:
+                continue
+            if cavity.bc == "dirichlet":
+                xfac = (math.pi * m / cavity.lx) * 2.0 / math.sqrt(cavity.lx * cavity.ly)
+                sign = 1.0 if ch.port == "L" else math.cos(math.pi * m)
+            else:
+                xfac = math.sqrt((2 - (m == 0)) * (2 - (n == 0)) / (cavity.lx * cavity.ly))
+                sign = 1.0 if ch.port == "L" else math.cos(math.pi * m)
+            out[i, j] = sign * xfac * ov
+    return out
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("lx, ly, m_max, n_max, p_max", [
+    (4.0, LY_DEG, 12, 12, 6), (3.3, 2.7, 9, 14, 8)])
+def test_raw_coupling_bit_equal_to_per_entry_loop(bc, lx, ly, m_max, n_max, p_max):
+    cav = pl.RectCavity(lx=lx, ly=ly, bc=bc, m_max=m_max, n_max=n_max)
+    chans = pl.planar_channels(bc, p_max)
+    assert np.array_equal(pl.raw_coupling(cav, chans),
+                          _raw_coupling_per_entry(cav, chans))

@@ -63,6 +63,21 @@ def test_bessel_domain_errors():
         specfun.bessel_j(0.3, 1.0)
 
 
+@pytest.mark.parametrize("p", list(range(0, 9)) + [l + 0.5 for l in range(0, 9)])
+def test_scalar_kernel_bit_equal_to_one_element_array(p):
+    # a float argument runs the float kernel, an array the numpy path; both
+    # must give the same bits in the series (x < 2) and Miller regions, and
+    # at the origin
+    rng = np.random.default_rng(int(2 * p))
+    xs = np.concatenate([rng.uniform(1e-4, 2.0, 100), rng.uniform(2.0, 60.0, 100),
+                         [0.0, 1e-4, 1.999999999, 2.0, 60.0]])
+    for x in xs:
+        val, der = specfun.bessel_j(p, float(x))
+        ref_val, ref_der = specfun.bessel_j(p, np.array([x]))
+        assert type(val) is float and type(der) is float
+        assert val == ref_val[0] and der == ref_der[0], (p, x)
+
+
 # ----------------------------------------------------------------- roots --
 
 def test_neumann_root_table_values():

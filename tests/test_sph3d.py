@@ -173,3 +173,33 @@ def test_surface_field_grid():
     assert f.shape == (12, 10)
     assert np.all(np.isfinite(f))
     assert np.max(np.abs(f)) > 0
+
+
+def _rotate_coupling_per_n(w_pole, cavity, attachment):
+    """The rotation as written before each d^l_mk was shared across n: one
+    Wigner evaluation per (l, m, n, k)."""
+    idx = {lab: i for i, lab in enumerate(cavity.basis().labels)}
+    out = np.zeros_like(w_pole)
+    a, b, g = attachment.alpha, attachment.beta, attachment.gamma
+    for (l, m, n), i in idx.items():
+        phase = np.exp(-1j * m * g)
+        acc = np.zeros(w_pole.shape[1], dtype=complex)
+        for k in range(-l, l + 1):
+            d = specfun.wigner_small_d(l, m, k, b)
+            if d == 0.0:
+                continue
+            acc += np.exp(-1j * k * a) * d * w_pole[idx[(l, k, n)]]
+        out[i] = phase * acc
+    return out
+
+
+@pytest.mark.parametrize("att", [
+    sph3d.WaveguideAttachment("X", alpha=0.5, beta=1.1, gamma=0.2),
+    sph3d.WaveguideAttachment("Y", alpha=-2.3, beta=math.pi / 2, gamma=1.7),
+    sph3d.WaveguideAttachment("Z", beta=2.0),
+])
+def test_rotate_coupling_bit_equal_to_per_n_loop(att):
+    chans = sph3d.duct_channels(16.0, ports=("X",))
+    w = sph3d.sphere_pole_coupling(CAV, chans)
+    assert np.array_equal(sph3d.rotate_coupling(w, CAV, att),
+                          _rotate_coupling_per_n(w, CAV, att))

@@ -305,6 +305,14 @@ def test_resonances_output(tmp_path):
     assert all(i <= 1e-9 for i in ims)
 
 
+@pytest.mark.parametrize("model", ["well", "zeeman"])
+def test_resonances_that_find_no_pole_exit_3_and_keep_the_file(tmp_path, capsys, model):
+    assert main([model, "resonances", "--out", str(tmp_path)]) == 3
+    assert "numerical failure: no resonance found" in capsys.readouterr().err
+    _, rows = sweep.read_resonances(tmp_path / f"{model}_resonances.dat")
+    assert len(rows) == 0
+
+
 def test_heavy_model_maps_small_truncation(tmp_path):
     out = str(tmp_path)
     assert main(["planar", "map", "--axis1", "energy:12:16:3",
