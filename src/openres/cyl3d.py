@@ -256,9 +256,10 @@ def cyl_find_bics(cavity_template: CylCavity, dphi: float, scan: str,
     (scan='angle', grid in radians) in the single-open-channel band.
 
     Branch widths are stitched along the grid by eigenvector overlap (robust
-    through avoided crossings); each local width minimum is golden-refined
-    with self-consistent fixed-point solves on the locally identified
-    branch."""
+    through avoided crossings); each local width minimum is located by
+    ``hcore.find_bics``, as the Brent root of the signed open-channel
+    amplitude, or by golden section with self-consistent fixed-point solves
+    on the locally identified branch where the root cannot work."""
     if scan not in ("length", "angle"):
         raise ValueError("scan must be 'length' or 'angle'")
     hi = band[1] if band[1] is not None else MU_11**2 * 0.999

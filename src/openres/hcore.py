@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.optimize import brentq
 
 DEFAULT_WIDTH_TOL = 1e-8
 DEFAULT_NULL_TOL = 1e-7
@@ -41,6 +42,13 @@ _DENSE_EIG_LIMIT = 250
 _BLOCK_TOL = 1e-12
 # a vector is held by a block that carries at least 1 - this of its weight
 _BLOCK_WEIGHT_TOL = 1e-8
+# the BIC root: fixed points E = mu(E) stop at this relative residual, Brent
+# at this relative bracket (the signed amplitude is rounding noise below it),
+# and the amplitude counts as real up to this fraction of its bracket ends
+_ROOT_FP_TOL = 1e-14
+_ROOT_FP_ITER = 50
+_ROOT_XTOL = 1e-13
+_ROOT_IMAG_TOL = 1e-8
 
 
 class StructuralError(ValueError):
@@ -294,17 +302,22 @@ def smatrix(heff: EffectiveHamiltonian, energy: float | None = None):
     """
     if energy is None:
         energy = heff.omega_sq
-    idx = heff.channels.open_indices(energy)
+    idx, k = _open_channels(heff, energy)
     if idx.size == 0:
         raise ValueError(f"no open channel at E={energy}")
     w = heff.coupling.matrix[:, idx]
-    k = np.array([heff.channels[i].wavenumber(energy).real for i in idx])
     core = w.conj().T @ green(heff, energy, w)
     flux = np.sqrt(k)
     s = np.eye(idx.size, dtype=complex) - 2j * (flux[:, None] * core * flux[None, :])
     if np.max(np.abs(s.conj().T @ s - np.eye(idx.size))) > _UNITARITY_TOL:
         s = _kmatrix_smatrix(heff, energy, w * flux[None, :], s)
     return s, [heff.channels[i] for i in idx]
+
+
+def _open_channels(heff: EffectiveHamiltonian, energy: float):
+    """Indices and (real) wavenumbers of the channels open at ``energy``."""
+    idx = heff.channels.open_indices(energy)
+    return idx, np.array([heff.channels[i].wavenumber(energy).real for i in idx])
 
 
 def _kmatrix_smatrix(heff: EffectiveHamiltonian, energy: float, v: np.ndarray,
@@ -362,6 +375,8 @@ class BICRecord:
     is_bic: bool
     labels: tuple = ()
     classification: str | None = None
+    # width of the parameter bracket the search ended on (None: not searched)
+    param_err: float | None = None
 
     def modal_expansion(self):
         return bic_mode(self, self.labels)
@@ -605,6 +620,8 @@ def _continue_branch(family, prev: ResonanceRecord, p: float, depth: int,
 
 
 def _golden_minimize(fun, a: float, b: float, tol: float):
+    """Golden-section minimiser of ``fun`` on [a, b]; returns it and the
+    width of the final bracket (at most ``tol``)."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
@@ -617,7 +634,192 @@ def _golden_minimize(fun, a: float, b: float, tol: float):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fun(d)
-    return c if fc < fd else d
+    return (c if fc < fd else d), abs(b - a)
+
+
+class _NoRoot(Exception):
+    """The signed open-channel amplitude cannot locate this BIC."""
+
+
+class _SignedAmplitude:
+    """The signed open-channel amplitude sigma(p) of one width minimum.
+
+    V = W_o sqrt(k) are the open couplings and A = H_eff + i V V^dag the
+    Hermitian part of H_eff, both inside the symmetry block that holds the
+    grid record's vector (the whole space when none does).  The emission
+    direction u is V w, with w = V^dag a / |V^dag a| of the grid record,
+    kept per ``Channel``.  On the compression of A off u, one level y
+    solves E = mu(E); then A y = E y + (u^dag A y) u, so where
+    s = u^dag A y vanishes, y is an eigenvector of A orthogonal to u, hence
+    a zero-width eigenvector of H_eff when V has rank one.
+    sigma(p) = s conj(r^dag y), with r the level at the first point
+    evaluated, is free of the vector's phase, and real up to one constant
+    phase under time reversal.  The basis is matched by label, so a model
+    whose basis order changes with p is followed mode by mode.
+
+    ``grid`` holds three grid records: the middle one gives the block and
+    the level at the first point; w comes from the first of them, middle
+    first, that emits (a grid record right on the BIC emits nothing).  The
+    level keeps the ordinal it has at the first point or, ``diabatic``,
+    is the one of largest overlap with r at every point.
+    """
+
+    def __init__(self, family: ModelFamily, grid: Sequence[ResonanceRecord],
+                 diabatic: bool = False):
+        rec = grid[1]
+        for r in (rec, grid[0], grid[2]):
+            h = family(r.param)(r.energy)
+            if r is rec:
+                self.labels = h.basis.labels
+            idx, k = _open_channels(h, r.energy)
+            v = h.coupling.matrix[:, idx] * np.sqrt(k)
+            c = v.conj().T @ r.vector
+            if np.linalg.norm(c) > _BLOCK_TOL * np.linalg.norm(v):
+                break
+        else:
+            raise _NoRoot("the branch does not couple to an open channel")
+        self.direction = {h.channels[i]: w for i, w in zip(idx, c / np.linalg.norm(c))}
+        self.family = family
+        self.diabatic = diabatic
+        self.target = rec.vector
+        self.energy = rec.energy
+        self.ordinal = self.ref = None
+        self.evals = {}
+
+    def _level(self, h: EffectiveHamiltonian):
+        """(mu_j, u^dag A y, y in the mode basis of ``h``, y in the labels'
+        order) of the compressed block of ``h``."""
+        pos = None
+        target = self.target
+        if h.basis.labels != self.labels:
+            index = {lab: i for i, lab in enumerate(h.basis.labels)}
+            pos = np.array([index[lab] for lab in self.labels])
+            target = np.empty_like(self.target)
+            target[pos] = self.target
+        idx, k = _open_channels(h, h.omega_sq)
+        v = h.coupling.matrix[:, idx] * np.sqrt(k)
+        x = v @ np.array([self.direction.get(h.channels[i], 0.0) for i in idx],
+                         dtype=complex)
+        block = holding_block(h.blocks, target)
+        if block is None:
+            a = h.matrix + 1j * (v @ v.conj().T)
+        else:
+            vb = block.project(v)
+            a = block.restrict(h.matrix) + 1j * (vb @ vb.conj().T)
+            x, target = block.project(x), block.project(target)
+        a = 0.5 * (a + a.conj().T)
+        nu = np.linalg.norm(x)
+        if not nu > _BLOCK_TOL * np.linalg.norm(v) or a.shape[0] < 2:
+            raise _NoRoot("the block has no open direction, or no level off it")
+        u = x / nu
+        au = a @ u
+        # P A P with P = 1 - u u^dag, and u itself pushed above the spectrum
+        shift = np.abs(a).sum(axis=0).max() + 1.0
+        m = a - np.outer(u, au.conj()) - np.outer(au, u.conj()) \
+            + (np.vdot(u, au).real + shift) * np.outer(u, u.conj())
+        mu, ys = np.linalg.eigh(m)
+        if self.ordinal is None or self.diabatic:
+            self.ordinal = int(np.argmax(np.abs(ys[:, :-1].conj().T @ target)))
+        j = self.ordinal
+        y = ys[:, j]
+        y_h = y if block is None else block.lift(y)
+        return mu[j], np.vdot(au, y), y_h, (y_h if pos is None else y_h[pos])
+
+    def __call__(self, p: float) -> complex:
+        """sigma(p) at the fixed point E = mu(E), started from the energy of
+        the previous evaluation; records (sigma, E, y, |r^dag y|) in
+        ``evals``."""
+        model = self.family(p)
+        e = self.energy
+        e_prev = g_prev = None
+        for _ in range(_ROOT_FP_ITER):
+            mu, s, y, y_ref = self._level(model(e))
+            g = mu - e
+            if abs(g) <= _ROOT_FP_TOL * max(1.0, abs(e)):
+                break
+            if g_prev is None or g == g_prev:
+                e_next = mu
+            else:
+                e_next = e - g * (e - e_prev) / (g - g_prev)
+            e_prev, g_prev, e = e, g, e_next
+        else:
+            raise _NoRoot(f"no fixed point E = mu(E) at p={p}")
+        if self.ref is None:
+            self.ref = self.target = y_ref
+        overlap = np.vdot(self.ref, y_ref)
+        sigma = s * overlap.conjugate()
+        self.energy = e
+        self.evals[p] = (sigma, e, y, abs(overlap))
+        return sigma
+
+
+def _bracket_width(values: dict, root: float) -> float:
+    """Width of the sign-change bracket that ends at ``root`` among the
+    evaluated points (0 when the value there is exactly zero)."""
+    if values[root] == 0.0:
+        return 0.0
+    ps = sorted(values)
+    i = ps.index(root)
+    return min(abs(q - root) for q in ps[max(i - 1, 0): i + 2]
+               if values[q] * values[root] < 0)
+
+
+def _root_bic(family: ModelFamily, grid: Sequence[ResonanceRecord], width_tol: float,
+              null_tol: float, labels: tuple) -> BICRecord:
+    """BIC record at the Brent root of the signed amplitude of the middle
+    of three grid records, between the outer two.  The level is followed by
+    its ordinal and, where that finds no zero, by its overlap: a level that
+    does not couple to u crosses it exactly, and the ordinal then steps onto
+    that level, whose sigma vanishes with its overlap r^dag y.  Raises
+    _NoRoot when neither finds a zero: no sign change, an amplitude that is
+    not real, a root on another level (overlap with r below 1/2), or a root
+    wider than ``width_tol`` (a jump of sigma; the null residual of an
+    eigenpair at the root is rounding, so ``null_tol`` only classifies the
+    record)."""
+    lo, hi = sorted((grid[0].param, grid[2].param))
+    for diabatic in (False, True):
+        sigma = _SignedAmplitude(family, grid, diabatic)
+        try:
+            root, err = _brent_root(sigma, lo, hi)
+        except _NoRoot as exc:
+            failure = exc
+            continue
+        _, energy, y, overlap = sigma.evals[root]
+        h = family(root)(energy)
+        vals, vecs = spectrum(h, y)
+        j = int(np.argmax(np.abs(y.conj() @ vecs) / np.linalg.norm(vecs, axis=0)))
+        out = bic_record(root, h, energy, vals[j], _unit(vecs[:, j]), width_tol,
+                         null_tol, labels)
+        out.param_err = err
+        if overlap < _OVERLAP_CONTINUE:
+            failure = _NoRoot(f"the level at the root p={root} is another level")
+        elif out.gamma_res > width_tol:
+            failure = _NoRoot(f"the root at p={root} has width {out.gamma_res:.2e}")
+        else:
+            return out
+    raise failure
+
+
+def _brent_root(sigma: _SignedAmplitude, lo: float, hi: float) -> tuple[float, float]:
+    """Brent root of sigma on [lo, hi] and its final bracket width."""
+    s_lo, s_hi = sigma(lo), sigma(hi)
+    if s_lo == 0.0:
+        raise _NoRoot("the amplitude vanishes at the bracket end")
+    phase = s_lo / abs(s_lo)
+    scale = max(abs(s_lo), abs(s_hi))
+    values = {}
+
+    def real_part(p):
+        val = (sigma.evals[p][0] if p in sigma.evals else sigma(p)) / phase
+        if abs(val.imag) > _ROOT_IMAG_TOL * scale:
+            raise _NoRoot(f"the amplitude is not real at p={p}")
+        values[p] = val.real
+        return val.real
+
+    if real_part(lo) * real_part(hi) > 0:
+        raise _NoRoot("no sign change")
+    root = brentq(real_part, lo, hi, xtol=_ROOT_XTOL * max(1.0, abs(lo), abs(hi)))
+    return root, _bracket_width(values, root)
 
 
 def find_bics(trajectory: Sequence[ResonanceRecord], family: ModelFamily,
@@ -627,12 +829,20 @@ def find_bics(trajectory: Sequence[ResonanceRecord], family: ModelFamily,
               keep: Callable[[ResonanceRecord], bool] | None = None) -> list[BICRecord]:
     """Zero-width points of a sampled branch (records with ``.param``).
 
-    Each interior local minimum of Gamma(p) that passes ``keep`` is refined
-    by golden section between its neighbours to ``param_tol``; minima above
-    ``width_tol`` are kept as quasi-BIC records (is_bic False).  The branch
-    at p is ``branch(p, grid_record)``, recorded from its own eigenpair, or
-    by default the fixed-point resonance of ``family(p)`` seeded by the grid
-    record, whose null vector is the eigenvector of smallest |Im z| near it.
+    Each interior local minimum of Gamma(p) that passes ``keep`` is located
+    between its neighbours by a Brent root of the signed open-channel
+    amplitude of ``_SignedAmplitude``, and recorded from the complex
+    spectrum there.  Where that cannot work - a block without open
+    channels, no sign change (a quasi-BIC), an amplitude that is not real,
+    or a root on another level or wider than ``width_tol`` (see
+    ``_root_bic``) - the branch width is golden-section minimised instead,
+    on the same bracket, to ``param_tol``; minima above
+    ``width_tol`` are kept as quasi-BIC records (is_bic False).  In the
+    fallback the branch at p is ``branch(p, grid_record)``, recorded from
+    its own eigenpair, or by default the fixed-point resonance of
+    ``family(p)`` seeded by the grid record, whose null vector is the
+    eigenvector of smallest |Im z| near it.  ``param_err`` is the width of
+    the final bracket of either search.
     """
     own = branch is not None
     if not own:
@@ -648,19 +858,26 @@ def find_bics(trajectory: Sequence[ResonanceRecord], family: ModelFamily,
         minimum = widths[i] <= widths[i - 1] and widths[i] <= widths[i + 1]
         if not minimum or (keep is not None and not keep(recs[i])):
             continue
+        try:
+            out.append(_root_bic(family, recs[i - 1: i + 2], width_tol, null_tol, labels))
+            continue
+        except _NoRoot:
+            pass
 
         def branch_width(p, seed=recs[i]):
             r = branch(p, seed)
             return r.width if r.converged else np.inf
 
-        p_star = _golden_minimize(branch_width, recs[i - 1].param, recs[i + 1].param,
-                                  param_tol)
+        p_star, err = _golden_minimize(branch_width, recs[i - 1].param,
+                                       recs[i + 1].param, param_tol)
         rec = branch(p_star, recs[i])
         if own:
-            out.append(bic_record(p_star, family(p_star)(rec.energy), rec.energy, rec.z,
-                                  rec.vector, width_tol, null_tol, labels))
+            bic = bic_record(p_star, family(p_star)(rec.energy), rec.energy, rec.z,
+                             rec.vector, width_tol, null_tol, labels)
         else:
-            out.append(_bic_record_from(rec, family, p_star, width_tol, null_tol, labels))
+            bic = _bic_record_from(rec, family, p_star, width_tol, null_tol, labels)
+        bic.param_err = err
+        out.append(bic)
     return out
 
 

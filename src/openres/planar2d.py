@@ -259,7 +259,8 @@ def planar_fw_bic(lx: float = 4.0, pair=((4, 3), (2, 5)), p_max: int = 8,
 
     Scans the width of the dark hybrid (narrowest pair-dominated
     eigenvector, identified point by point) over Ly around the bare
-    degeneracy and golden-refines its zero with ``hcore.find_bics``.
+    degeneracy and locates its zero with ``hcore.find_bics`` (the Brent
+    root of the signed open-channel amplitude in the pair's parity block).
     Returns (record, ly_degenerate); the evanescent channels shift the zero
     away from the bare crossing.  Raises RuntimeError when the scan window
     holds no interior width minimum.

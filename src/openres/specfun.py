@@ -21,6 +21,7 @@ this path; scans and quadratures pass arrays.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -281,7 +282,8 @@ class NeumannRootTable:
 
 
 def _bracketed_roots(f, count: int, x0: float = _ROOT_GRID_STEP,
-                     step: float = _ROOT_GRID_STEP, limit: float = 60.0):
+                     step: float = _ROOT_GRID_STEP, limit: float = 60.0,
+                     known: tuple = ()):
     """Sign-change bracketing on a uniform grid + bisection to 1e-13.
 
     ``f`` takes an array for the scan and a float for the bisection.  The
@@ -289,7 +291,9 @@ def _bracketed_roots(f, count: int, x0: float = _ROOT_GRID_STEP,
     ``limit`` is evaluated in one call, and the window grows by 30 until
     ``count`` roots are bracketed (at most up to 1e4).  Only the signs of
     the scan values are used, so the roots do not depend on how ``f``
-    rounds an array against a scalar."""
+    rounds an array against a scalar, nor on ``count``: the first roots of
+    an earlier call with the same ``f`` and grid, passed as ``known``, are
+    reused instead of bisected again."""
     roots = []
     grid = [x0]
     vals = np.empty(0)
@@ -302,6 +306,8 @@ def _bracketed_roots(f, count: int, x0: float = _ROOT_GRID_STEP,
             lo, hi, flo = grid[i], grid[i + 1], vals[i]
             if flo == 0.0:
                 roots.append(lo)
+            elif flo * vals[i + 1] < 0 and len(roots) < len(known):
+                roots.append(known[len(roots)])
             elif flo * vals[i + 1] < 0:
                 a, b, fa = lo, hi, flo
                 while b - a > _ROOT_BISECT_TOL:
@@ -318,18 +324,34 @@ def _bracketed_roots(f, count: int, x0: float = _ROOT_GRID_STEP,
     return roots
 
 
-@lru_cache(maxsize=None)
+# order -> the longest Neumann root table built so far; the lock keeps
+# concurrent sweep threads from extending one table twice
+_NEUMANN_TABLES: dict[int, NeumannRootTable] = {}
+_NEUMANN_LOCK = threading.Lock()
+
+
 def neumann_roots(p: int, count: int) -> NeumannRootTable:
-    """First `count` roots of J'_p, the cutoff table of a circular duct."""
+    """First `count` roots of J'_p, the cutoff table of a circular duct.
+
+    Each order keeps one table: a shorter request is a slice of it, and a
+    longer one extends it, bisecting only the roots it lacks."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    want = count - 1 if p == 0 else count
-    roots = []
-    if want > 0:
-        roots = _bracketed_roots(lambda t: bessel_j(p, t)[1], want)
-    if p == 0:
-        roots = [0.0] + roots
-    return NeumannRootTable(order=p, roots=tuple(roots))
+    with _NEUMANN_LOCK:
+        table = _NEUMANN_TABLES.get(p)
+        if table is None or len(table.roots) < count:
+            lead = (0.0,) if p == 0 else ()
+            known = table.roots[len(lead):] if table is not None else ()
+            want = count - len(lead)
+            roots = ()
+            if want > 0:
+                roots = tuple(_bracketed_roots(lambda t: bessel_j(p, t)[1], want,
+                                               known=known))
+            table = NeumannRootTable(order=p, roots=lead + roots)
+            _NEUMANN_TABLES[p] = table
+    if len(table.roots) == count:
+        return table
+    return NeumannRootTable(order=p, roots=table.roots[:count])
 
 
 @lru_cache(maxsize=None)

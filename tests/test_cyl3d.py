@@ -146,6 +146,27 @@ def test_cyl_find_bics_near_012_111_crossing():
     assert all(abs(v) <= 1e-4 for v in proj.values())
 
 
+def test_cyl_find_bics_invariant_under_basis_permutation(monkeypatch):
+    # listing the modes in a random order changes nothing but rounding: the
+    # Brent root moves by ~2e-15, where the golden-section width minimum
+    # moved by ~2e-9
+    cav = cyl3d.CylCavity(3.0, 3.0, m_max=3, n_max=2, l_max=4)
+    grid = np.linspace(2.95, 3.15, 5)
+    recs = cyl3d.cyl_find_bics(cav, np.pi / 4, "length", grid)
+    basis = cyl3d.CylCavity.basis
+
+    def permuted(self):
+        b = basis(self)
+        order = np.random.default_rng(3).permutation(len(b))
+        return hcore.ClosedBasis(tuple(b.labels[i] for i in order), b.energies[order])
+    monkeypatch.setattr(cyl3d.CylCavity, "basis", permuted)
+    moved = cyl3d.cyl_find_bics(cav, np.pi / 4, "length", grid)
+    assert len(recs) == len(moved) == 1 and recs[0].is_bic and moved[0].is_bic
+    assert moved[0].labels != recs[0].labels
+    assert moved[0].param == pytest.approx(recs[0].param, rel=1e-10, abs=0.0)
+    assert moved[0].omega_sq == pytest.approx(recs[0].omega_sq, rel=1e-10, abs=0.0)
+
+
 def test_surface_field_shape():
     rec_like = hcore.BICRecord(param=5.0, omega_sq=0.39,
                                null_vector=np.array([1.0, 0.0], dtype=complex),

@@ -7,8 +7,9 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from openres import hcore
+from openres import hcore, toymodels
 from openres.toymodels import TwoLevelParams, twolevel_matrix, twolevel_model
 
 RNG = np.random.default_rng(42)
@@ -278,9 +279,132 @@ def test_find_bics_symmetric_twolevel_null_vector():
     assert hits[0].residual <= 1e-7
 
 
-def test_quasi_bic_reported_not_dropped():
+def _counting_golden(monkeypatch):
+    calls = []
+    golden = hcore._golden_minimize
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return golden(*args, **kwargs)
+    monkeypatch.setattr(hcore, "_golden_minimize", counted)
+    return calls
+
+
+def _narrow_branch_bics(g1, g2, u):
+    # a grid that misses the BIC point, tracked on the branch that closes
+    eps_star = toymodels.twolevel_bic_point(g1, g2, u)
+    family = _twolevel_family(g1, g2, u)
+    grid = eps_star + np.linspace(-0.4, 0.4, 16) + 0.013
+    vals = np.linalg.eigvals(twolevel_matrix(TwoLevelParams(grid[0], g1, g2, u)))
+    seed = vals[int(np.argmax(vals.imag))].real
+    traj = hcore.track(family, grid, seed_energy=seed)
+    return eps_star, family, traj, hcore.find_bics(traj, family)
+
+
+def test_find_bics_root_matches_twolevel_closed_form(monkeypatch):
+    # the Brent root of the signed amplitude lands on eps* to rounding; a
+    # golden-section width minimum resolves it only to ~1e-8
+    golden = _counting_golden(monkeypatch)
+    g1, g2, u = 0.3, 0.1, 0.5
+    eps_star, _, _, recs = _narrow_branch_bics(g1, g2, u)
+    assert len(recs) == 1 and recs[0].is_bic and golden == []
+    assert recs[0].param == pytest.approx(eps_star, rel=1e-12, abs=0.0)
+    assert recs[0].omega_sq == pytest.approx(
+        toymodels.twolevel_bic_energy(g1, g2, u, eps_star), rel=1e-12, abs=0.0)
+    assert 0.0 <= recs[0].param_err <= 1e-12
+
+
+def _naive_amplitude(family, rec):
+    """The uncompressed form: the open-channel amplitude u^dag y of the
+    Hermitian part's eigenvector y, followed by its ordinal in the sorted
+    spectrum (fixed at the first call by overlap with the grid record) and
+    phased so that its largest component is real and positive."""
+    v = family(rec.param)(rec.energy).coupling.matrix
+    w = v.conj().T @ rec.vector
+    u = v @ (w / np.linalg.norm(w))
+    u /= np.linalg.norm(u)
+    ordinal = []
+
+    def sigma(p):
+        h = family(p)(rec.energy)
+        a = h.matrix + 1j * (v @ v.conj().T)
+        _, ys = np.linalg.eigh(0.5 * (a + a.conj().T))
+        if not ordinal:
+            ordinal.append(int(np.argmax(np.abs(ys.conj().T @ rec.vector))))
+        y = ys[:, ordinal[0]]
+        big = y[np.argmax(np.abs(y))]
+        return (np.vdot(u, y) * abs(big) / big).real
+    return sigma
+
+
+def _split_levels_family(g1, g2, dark=None):
+    """Levels 1 +/- eps on two identical leads (2 w_n^2 = g_n) with no
+    Hermitian coupling; ``dark`` adds a mode of energy dark(eps) that
+    couples to nothing."""
+    channels = hcore.ChannelSet([hcore.Channel("L", ("lead",), 0.0, fixed_k=1.0),
+                                 hcore.Channel("R", ("lead",), 0.0, fixed_k=1.0)])
+    rows = [[g1 / 2.0] * 2, [g2 / 2.0] * 2] + ([[0.0] * 2] if dark else [])
+    coupling = hcore.CouplingMatrix(np.sqrt(rows).astype(complex))
+
+    def family(eps):
+        energies = [1.0 + eps, 1.0 - eps] + ([dark(eps)] if dark else [])
+        basis = hcore.ClosedBasis(("+", "-", "dark")[:len(energies)], np.array(energies))
+        return lambda _w2: hcore.assemble(basis, channels, coupling, _w2)
+    return family
+
+
+def test_find_bics_root_through_exact_level_crossing(monkeypatch):
+    # levels 1 +/- eps with no Hermitian coupling: the Hermitian part
+    # diag(1 + eps, 1 - eps) has its two levels cross exactly at the BIC
+    # eps* = 0, E* = 1.  The compressed amplitude changes sign there; the
+    # ordinal-tracked eigenvector of the uncompressed part jumps from one
+    # mode to the other and its amplitude keeps its sign, so Brent cannot
+    # even bracket the BIC with it
+    golden = _counting_golden(monkeypatch)
+    g1, g2 = 0.3, 0.1
+    family = _split_levels_family(g1, g2)
+    grid = np.linspace(-0.4, 0.4, 16) + 0.013
+    vals = np.linalg.eigvals(family(grid[0])(1.0).matrix)
+    traj = hcore.track(family, grid, seed_energy=vals[int(np.argmax(vals.imag))].real)
+    recs = hcore.find_bics(traj, family)
+    assert len(recs) == 1 and recs[0].is_bic and golden == []
+    assert abs(recs[0].param) <= 1e-12 and recs[0].param_err <= 1e-12
+    assert recs[0].omega_sq == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    target = np.array([np.sqrt(g2), -np.sqrt(g1)]) / np.sqrt(g1 + g2)
+    assert abs(abs(np.vdot(target, recs[0].null_vector)) - 1.0) <= 1e-12
+    i = int(np.argmin([r.width for r in traj]))
+    naive = _naive_amplitude(family, traj[i])
+    lo, hi = traj[i - 1].param, traj[i + 1].param
+    assert naive(lo) * naive(hi) > 0
+    with pytest.raises(ValueError):
+        brentq(naive, lo, hi)
+
+
+def test_find_bics_root_follows_level_through_crossing_dark_level(monkeypatch):
+    # the levels 1 +/- eps of the crossing test plus a third mode that
+    # couples to nothing and sweeps through the BIC energy inside the
+    # bracket: it crosses the BIC level of the compression exactly.  By
+    # ordinal the far bracket end lands on the dark mode, where sigma is
+    # exactly zero; that root is on another level, so the level is
+    # followed by overlap instead, to the BIC at eps* = 0
+    golden = _counting_golden(monkeypatch)
+    g1, g2 = 0.3, 0.1
+    family = _split_levels_family(g1, g2, dark=lambda eps: 1.0 + 0.5 * (eps - 0.06))
+    grid = np.linspace(-0.4, 0.4, 16) + 0.013
+    seed = np.array([np.sqrt(g2), -np.sqrt(g1), 0.0]) / np.sqrt(g1 + g2)
+    traj = hcore.track(family, grid, seed_energy=1.0, branch_vector=seed)
+    recs = hcore.find_bics(traj, family)
+    assert len(recs) == 1 and recs[0].is_bic and golden == []
+    assert abs(recs[0].param) <= 1e-12 and recs[0].param_err <= 1e-12
+    assert recs[0].omega_sq == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    assert abs(abs(np.vdot(seed, recs[0].null_vector)) - 1.0) <= 1e-12
+
+
+def test_quasi_bic_reported_not_dropped(monkeypatch):
     # asymmetric leads: no superposition decouples from both continua, so the
-    # width minimum stays finite -> quasi-BIC records
+    # width minimum stays finite -> quasi-BIC records, which the root finder
+    # hands to the golden-section minimiser on the grid bracket
+    golden = _counting_golden(monkeypatch)
     channels = hcore.ChannelSet([hcore.Channel("L", ("lead",), 0.0, fixed_k=1.0),
                                  hcore.Channel("R", ("lead",), 0.0, fixed_k=1.0)])
     w = hcore.CouplingMatrix(np.array([[0.30, 0.20], [0.25, -0.35]], dtype=complex))
@@ -295,6 +419,9 @@ def test_quasi_bic_reported_not_dropped():
     recs = hcore.find_bics(traj, family)
     assert recs and all(not r.is_bic for r in recs)
     assert all(r.gamma_res > 1e-8 for r in recs)
+    assert len(golden) == len(recs)
+    assert all(0.0 < r.param_err <= 1e-10 for r in recs)
+    assert all(min(ab) < r.param < max(ab) for r, ab in zip(recs, golden))
 
 
 def test_bic_singularity_duality_and_orthogonality():

@@ -153,6 +153,38 @@ def test_planar_fw_bic_small_truncation():
     assert strict.param == rec.param
 
 
+def _permuted_basis(cls, monkeypatch, seed=3):
+    """Patch ``cls.basis`` to list the modes in a random order (the same
+    order at every geometry): a change of nothing but rounding."""
+    basis = cls.basis
+
+    def permuted(self):
+        b = basis(self)
+        order = np.random.default_rng(seed).permutation(len(b))
+        return hcore.ClosedBasis(tuple(b.labels[i] for i in order), b.energies[order])
+    monkeypatch.setattr(cls, "basis", permuted)
+
+
+def test_planar_fw_bic_invariant_under_basis_permutation(monkeypatch):
+    # the Brent root is exact to rounding: a permuted basis moves it by
+    # ~4e-16, where the golden-section width minimum moved by ~8e-9
+    kw = dict(lx=4.0, p_max=4, m_max=10, n_max=10, n_grid=9)
+    rec, _ = pl.planar_fw_bic(**kw)
+    pl._cached_plumbing.cache_clear()
+    pl.parity_blocks.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            _permuted_basis(pl.RectCavity, patch)
+            moved, _ = pl.planar_fw_bic(**kw)
+    finally:
+        pl._cached_plumbing.cache_clear()
+        pl.parity_blocks.cache_clear()
+    assert rec.is_bic and moved.is_bic
+    assert moved.labels != rec.labels
+    assert moved.param == pytest.approx(rec.param, rel=1e-10, abs=0.0)
+    assert moved.omega_sq == pytest.approx(rec.omega_sq, rel=1e-10, abs=0.0)
+
+
 def test_planar_fw_bic_raises_without_interior_minimum():
     # this window is too narrow to hold the width minimum: the scan falls
     # monotonically towards one edge, so there is no zero to refine
