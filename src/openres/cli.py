@@ -37,7 +37,10 @@ class Model:
     label getter (None: the records' own modal expansion);
     ``resonances(p)`` the pole records; ``field(p, n1, n2, tol_width,
     tol_null)`` the (axes description, grid1, grid2, field) of the trapped
-    state."""
+    state.  ``point`` also takes an array for each parameter named in
+    ``batched`` (one value per point of a map row) and then gives one array
+    per column, bit for bit the scalar values, with NaN where a point
+    fails."""
 
     defaults: dict
     columns: tuple
@@ -45,6 +48,7 @@ class Model:
     bics: Callable
     resonances: Callable
     field: Callable
+    batched: tuple = ()
 
 
 VERBS = ("map", "resonances", "bics", "field")
@@ -110,9 +114,20 @@ def _twolevel_params(p, eps):
     return toymodels.TwoLevelParams(eps, p["gamma1"], p["gamma2"], p["u"])
 
 
+def _abs2(z):
+    """(|z|^2, |z|) of a complex scalar or array, rounded as the scalar
+    ``abs(z) ** 2``: np.abs of a complex array and an array ``** 2`` can
+    each differ from it by an ulp; np.hypot and Python's float power do
+    not."""
+    mod = np.hypot(z.real, z.imag)
+    if np.ndim(mod) == 0:
+        return mod ** 2, mod
+    return np.array([v ** 2 for v in mod.tolist()]), mod
+
+
 def _twolevel_point(p):
     t = toymodels.twolevel_transmission(p["energy"], _twolevel_params(p, p["eps"]))
-    return [abs(t) ** 2, abs(t)]
+    return list(_abs2(t))
 
 
 def _twolevel_bics(p, tol_width, tol_null):
@@ -191,7 +206,7 @@ def _well_field(p, n1, n2, tol_width, tol_null):
 
 def _abring_point(p):
     sol = wires1d.ring_solve(wires1d.RingParams(p["k"], p["gamma"]))
-    return [abs(sol["t"]) ** 2, abs(sol["r"]) ** 2]
+    return [_abs2(sol["t"])[0], _abs2(sol["r"])[0]]
 
 
 def _abring_bics(p, tol_width, tol_null):
@@ -435,7 +450,7 @@ MODELS: dict[str, Model] = {
         columns=("T2", "absT"), point=_twolevel_point, bics=_twolevel_bics,
         resonances=lambda p: hcore.resonances(
             toymodels.twolevel_model(_twolevel_params(p, p["eps"])), [p["eps"], -p["eps"]]),
-        field=_null_vector_field(_twolevel_bics)),
+        field=_null_vector_field(_twolevel_bics), batched=("eps", "energy")),
     "fpchain": Model(
         defaults={"eps1": -0.5, "eps2": 0.5, "eps_w": 0.0, "u": 0.25, "v0": 0.5,
                   "energy": 0.5},
@@ -450,7 +465,7 @@ MODELS: dict[str, Model] = {
     "abring": Model(
         defaults={"k": math.pi, "gamma": 0.0},
         columns=("T2", "R2"), point=_abring_point, bics=_abring_bics,
-        resonances=_abring_resonances, field=_abring_field),
+        resonances=_abring_resonances, field=_abring_field, batched=("k", "gamma")),
     "zeeman": Model(
         defaults={"energy": 20.0, "theta": math.pi / 4, "length": 2.0,
                   "b_field": 10.0, "phi": math.pi / 3, "u0": -20.0},
@@ -590,10 +605,13 @@ def main(argv=None) -> int:
                 p[axis1.name], p[axis2.name] = a1, a2
                 return model.point(p)
 
+            row = sweep.point_row(evaluate, len(model.columns))
+            if axis2.name in model.batched:
+                row = sweep.batched_row(
+                    lambda p, a1, a2: np.column_stack(evaluate(p, a1, a2)), row)
             spec = SweepSpec(model=args.model, fixed=params, axis1=axis1,
                              axis2=axis2)
-            result = sweep.run_sweep(spec, evaluate, model.columns,
-                                     threads=args.threads)
+            result = sweep.run_sweep(spec, row, model.columns, threads=args.threads)
             sweep.write_map(out, result)
         elif args.verb == "bics":
             recs, labels = model.bics(params, args.tol_width, args.tol_null)

@@ -855,7 +855,10 @@ def find_bics(trajectory: Sequence[ResonanceRecord], family: ModelFamily,
     widths = np.array([r.width for r in recs])
     out = []
     for i in range(1, len(recs) - 1):
-        minimum = widths[i] <= widths[i - 1] and widths[i] <= widths[i + 1]
+        lo, hi = sorted((widths[i - 1], widths[i + 1]))
+        # a point as wide as both neighbours, to rounding, lies on a flat
+        # plateau, not at a minimum
+        minimum = widths[i] <= lo and hi - widths[i] > 1e-12 * max(abs(lo), abs(hi))
         if not minimum or (keep is not None and not keep(recs[i])):
             continue
         try:

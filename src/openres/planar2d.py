@@ -410,19 +410,27 @@ def sinai_potential_matrix(cavity: RectCavity, bump: SinaiBump,
     """Gaussian bump in the cavity eigenbasis (basis ordering of .basis())."""
     if abs(bump.x0) > cavity.lx / 2 or abs(bump.y0) > cavity.ly / 2:
         raise ValueError("bump center outside the cavity")
-    xm, yn = _axis_factor_matrices(cavity, bump.radius, bump.x0, bump.y0, nodes)
     if audit:
+        xm, yn = _axis_factor_matrices(cavity, bump.radius, bump.x0, bump.y0, nodes)
         xm2, yn2 = _axis_factor_matrices(cavity, bump.radius, bump.x0, bump.y0,
                                          2 * nodes)
         rel = max(np.max(np.abs(xm - xm2)), np.max(np.abs(yn - yn2)))
         if rel > 1e-8 * max(np.max(np.abs(xm2)), 1e-30):
             raise RuntimeError(f"bump quadrature not converged (change {rel:.2e})")
-    basis = cavity.basis()
+    return bump.vg * _unit_bump_matrix(cavity, bump.radius, bump.x0, bump.y0, nodes)
+
+
+@lru_cache(maxsize=32)
+def _unit_bump_matrix(cavity: RectCavity, radius: float, x0: float, y0: float,
+                      nodes: int) -> np.ndarray:
+    """The bump at vg = 1, X kron Y in the basis ordering of .basis(), shared
+    by every bump height of one geometry (read-only)."""
+    xm, yn = _axis_factor_matrices(cavity, radius, x0, y0, nodes)
     lo = 1 if cavity.bc == "dirichlet" else 0
-    mi = np.array([m - lo for (m, n) in basis.labels])
-    ni = np.array([n - lo for (m, n) in basis.labels])
-    v = xm[np.ix_(mi, mi)] * yn[np.ix_(ni, ni)]
-    return bump.vg * v
+    labels = cavity.basis().labels
+    mi = np.array([m - lo for (m, n) in labels])
+    ni = np.array([n - lo for (m, n) in labels])
+    return hcore.read_only(xm[np.ix_(mi, mi)] * yn[np.ix_(ni, ni)])
 
 
 def sinai_parity_blocks(cavity: RectCavity) -> dict:

@@ -69,50 +69,82 @@ class MapResult:
     diagnostics: list = field(default_factory=list)
 
 
-def run_sweep(spec: SweepSpec, evaluate, columns, threads: int = 1) -> MapResult:
-    """Evaluate ``evaluate(params, a1, a2) -> sequence`` over the grid.
+def point_row(evaluate, ncol: int):
+    """Row evaluator of a per-point ``evaluate(params, a1, a2) -> sequence``.
 
-    The first point runs on the calling thread, then each axis1 row is one
-    task of a thread pool (models are reentrant; LAPACK releases the GIL);
-    results are buffered per index so output order never depends on
-    scheduling.  A point that fails numerically (``_POINT_FAILURES``)
-    becomes a NaN row + diagnostic; any other exception propagates.
+    Each point runs in its own try: a point that fails numerically
+    (``_POINT_FAILURES``) becomes a NaN row and the diagnostic line
+    ``"<a1!r> <a2!r> <exception type>: <message>"``; any other exception
+    propagates."""
+    def row(params, a1, a2):
+        vals = np.full((a2.size, ncol), np.nan)
+        diags = []
+        for j, x in enumerate(a2):
+            try:
+                vals[j] = [float(v) for v in evaluate(dict(params), a1, x)]
+            except hcore.StructuralError:
+                raise
+            except _POINT_FAILURES as exc:
+                diags.append(f"{a1!r} {x!r} {type(exc).__name__}: {exc}")
+        return vals, diags
+    return row
+
+
+def batched_row(kernel, fallback):
+    """Row evaluator of a vectorised ``kernel(params, a1, a2) -> (a2.size,
+    ncol) array`` that leaves NaN where a point fails.  Such points are
+    evaluated again by the row evaluator ``fallback`` (a ``point_row``), so
+    they fail with their own exception and diagnostic; a kernel that raises
+    a point failure hands the whole row to ``fallback``."""
+    def row(params, a1, a2):
+        try:
+            vals = kernel(dict(params), a1, a2)
+        except hcore.StructuralError:
+            raise
+        except _POINT_FAILURES:
+            return fallback(params, a1, a2)
+        bad = np.isnan(vals).any(axis=1)
+        if not bad.any():
+            return vals, []
+        vals[bad], diags = fallback(params, a1, a2[bad])
+        return vals, diags
+    return row
+
+
+def run_sweep(spec: SweepSpec, row, columns, threads: int = 1) -> MapResult:
+    """Evaluate the grid one axis1 row at a time: ``row(params, a1, a2)``
+    gives the (a2.size, len(columns)) values at a1 over the axis2 values
+    a2 and the diagnostic lines of its failed points (see ``point_row``
+    and ``batched_row``).
+
+    The first row runs on the calling thread, filling the caches that every
+    row shares; each further row is then one task of a thread pool (models
+    are reentrant; LAPACK releases the GIL), so no two threads build the
+    same per-row geometry at once (lru_cache does not merge concurrent
+    misses).  Results are buffered per row, so output order never depends
+    on scheduling.
     """
     a1 = spec.axis1.values()
     a2 = spec.axis2.values()
-    ncol = len(columns)
-    out = np.full((a1.size * a2.size, 2 + ncol), np.nan)
-    diags = [None] * (a1.size * a2.size)
+    out = np.empty((a1.size * a2.size, 2 + len(columns)))
+    out[:, 0] = np.repeat(a1, a2.size)
+    out[:, 1] = np.tile(a2, a1.size)
+    diags = [[] for _ in a1]
 
-    def one(idx):
-        i, j = divmod(idx, a2.size)
-        out[idx, 0], out[idx, 1] = a1[i], a2[j]
-        try:
-            vals = evaluate(dict(spec.fixed), a1[i], a2[j])
-            out[idx, 2:] = [float(v) for v in vals]
-        except hcore.StructuralError:
-            raise
-        except _POINT_FAILURES as exc:
-            diags[idx] = f"{a1[i]!r} {a2[j]!r} {type(exc).__name__}: {exc}"
+    def task(i):
+        vals, diags[i] = row(dict(spec.fixed), a1[i], a2)
+        out[i * a2.size:(i + 1) * a2.size, 2:] = vals
 
-    def row(i):
-        for idx in range(max(1, i * a2.size), (i + 1) * a2.size):
-            one(idx)
-
-    # the first point runs alone: it fills the caches that every row
-    # shares.  A task is then one whole axis1 row, so no two threads
-    # build the same per-row geometry at once (lru_cache does not merge
-    # concurrent misses) and a map queues a1.size tasks, not one per point.
-    one(0)
+    task(0)
     if threads <= 1:
-        for i in range(a1.size):
-            row(i)
+        for i in range(1, a1.size):
+            task(i)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(row, range(a1.size)))
+            list(pool.map(task, range(1, a1.size)))
     return MapResult(model=spec.model, params=dict(spec.fixed), axis1=spec.axis1,
                      axis2=spec.axis2, columns=tuple(columns), values=out,
-                     diagnostics=[d for d in diags if d])
+                     diagnostics=[d for row_diags in diags for d in row_diags])
 
 
 def _header_lines(kind: str, model: str, params: dict, extra: list[str]) -> list[str]:
@@ -134,7 +166,8 @@ def write_map(path, result: MapResult) -> None:
         "columns: " + " ".join((result.axis1.name, result.axis2.name)
                                + tuple(result.columns)),
     ])
-    body = "\n".join(" ".join(_FMT % v for v in row) for row in result.values)
+    row_fmt = " ".join([_FMT] * result.values.shape[1])
+    body = "\n".join(row_fmt % tuple(row) for row in result.values.tolist())
     path.write_text("\n".join(lines) + "\n" + body + "\n")
     if result.diagnostics:
         Path(str(path) + ".diag").write_text(

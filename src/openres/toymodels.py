@@ -44,9 +44,14 @@ class TwoLevelParams:
 
 
 def twolevel_matrix(p: TwoLevelParams) -> np.ndarray:
+    """H_eff; with an array ``p.eps``, one 2 x 2 matrix per value, stacked."""
     g12 = math.sqrt(p.gamma1 * p.gamma2)
-    return np.array([[p.eps - 1j * p.gamma1, p.u - 1j * g12],
-                     [p.u - 1j * g12, -p.eps - 1j * p.gamma2]])
+    eps = np.asarray(p.eps)
+    h = np.empty(eps.shape + (2, 2), dtype=complex)
+    h[..., 0, 0] = eps - 1j * p.gamma1
+    h[..., 0, 1] = h[..., 1, 0] = p.u - 1j * g12
+    h[..., 1, 1] = -eps - 1j * p.gamma2
+    return h
 
 
 def twolevel_eigenvalues(p: TwoLevelParams) -> tuple[complex, complex]:
@@ -110,22 +115,47 @@ def twolevel_model(p: TwoLevelParams):
 def twolevel_transmission(energy: float, p: TwoLevelParams,
                           singular_tol: float = 1e-12) -> complex:
     """Transmission amplitude from the biorthogonal residue expansion
-    T = -2i sum_l V_l^2 / (E - z_l)."""
+    T = -2i sum_l V_l^2 / (E - z_l).
+
+    ``energy`` and ``p.eps`` may be arrays, broadcast together: the 2 x 2
+    eig then runs once per eps value in one stacked call (once in all when
+    only the energy varies), and a point that would raise
+    ``SingularTransmissionPoint`` is NaN instead.  Each point gets the bits
+    of the scalar call: stacked eig runs LAPACK per matrix, and the stacked
+    matmuls run the same BLAS dot as 1-D ones."""
     h = twolevel_matrix(p)
     vals, vecs = np.linalg.eig(h)
+    scalar = vals.ndim == 1 and np.ndim(energy) == 0
+    # the array abs of a complex can differ by an ulp from the scalar one;
+    # np.hypot does not
+    modulus = abs if scalar else (lambda z: np.hypot(z.real, z.imag))
     w = _leads_coupling(p)[:, 0]
     t = 0.0 + 0.0j
+    failed = False
     for lam in range(2):
-        v = vecs[:, lam]
-        norm2 = v @ v  # biorthogonal (transpose) normalization
-        if abs(norm2) < 1e-300:
+        # [()] turns a 0-d result into a scalar, so that scalar input runs
+        # scalar arithmetic
+        v = vecs[..., :, lam:lam + 1]
+        # biorthogonal (transpose) normalization
+        norm2 = (np.swapaxes(v, -1, -2) @ v)[..., 0, 0][()]
+        defective = modulus(norm2) < 1e-300
+        if scalar and defective:
             raise SingularTransmissionPoint("defective eigenvector pair")
-        vlam = (w @ v)
-        if abs(energy - vals[lam]) < singular_tol and abs(vals[lam].imag) < singular_tol:
+        vlam = (w @ v)[..., 0][()]
+        z = vals[..., lam][()]
+        gap = energy - z
+        on_level = (modulus(gap) < singular_tol) & (abs(z.imag) < singular_tol)
+        if scalar and on_level:
             raise SingularTransmissionPoint(
                 f"E={energy} sits on a real eigenvalue; value depends on approach path")
-        t += vlam * vlam / norm2 / (energy - vals[lam])
-    return -2j * t
+        failed = failed | defective | on_level
+        # an array complex product can differ from the scalar one by an ulp
+        # (numpy's SIMD loop fuses multiply-add); Python's product does not
+        sq = vlam * vlam if np.ndim(vlam) == 0 else np.array([x * x for x in vlam.tolist()])
+        # failed array points divide by zero; they end as NaN below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = t + sq / norm2 / gap
+    return -2j * t if scalar else np.where(failed, np.nan, -2j * t)
 
 
 def twolevel_smatrix(energy: float, p: TwoLevelParams):

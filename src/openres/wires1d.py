@@ -96,38 +96,61 @@ def well_det_min_over_grid(k_max=20.0, q_max=20.0, widths=(1.0, 2.0, 5.0),
 
 @dataclass(frozen=True)
 class RingParams:
+    """k and gamma may be arrays (broadcast together): one ring per point."""
+
     k: float       # wavenumber, circumference units
     gamma: float   # flux phase 2 pi Phi / Phi_0
 
     def __post_init__(self):
-        if self.k <= 0:
+        bad = self.k <= 0
+        if bad.any() if isinstance(bad, np.ndarray) else bad:
             raise ValueError("k must be positive")
 
 
 def ring_matrix(p: RingParams):
-    """Junction-matching system F (r, t, a1, a2, b1, b2)^T = g."""
+    """Junction-matching system F (r, t, a1, a2, b1, b2)^T = g; F is 6 x 6,
+    stacked over the points of array parameters."""
     k, g = p.k, p.gamma
     km, kp = k - g, k + g
     e1, e2 = np.exp(0.5j * km), np.exp(-0.5j * kp)
     e3, e4 = np.exp(0.5j * kp), np.exp(-0.5j * km)
-    f = np.array([
+    entries = [
         [-1, 0, 1, 1, 0, 0],
         [-1, 0, 0, 0, 1, 1],
         [0, -1, e1, e2, 0, 0],
         [0, -1, 0, 0, e3, e4],
         [1, 0, km / k, -kp / k, kp / k, -km / k],
         [0, -1, km / k * e1, -kp / k * e2, kp / k * e3, -km / k * e4],
-    ], dtype=complex)
+    ]
     rhs = np.array([1, 1, 0, 0, 1, 0], dtype=complex)
+    if not isinstance(km, np.ndarray):
+        return np.array(entries, dtype=complex), rhs
+    f = np.empty(km.shape + (6, 6), dtype=complex)
+    for i, row in enumerate(entries):
+        for j, x in enumerate(row):
+            f[..., i, j] = x
     return f, rhs
 
 
 def ring_solve(p: RingParams) -> dict:
+    """Amplitudes of the ring at (k, gamma).  A singular system raises
+    ``SingularPoint``; over array parameters the singular points are NaN in
+    every amplitude instead, and the others are solved in one stacked call
+    (LAPACK runs per matrix, so each point gets the scalar bits)."""
     f, rhs = ring_matrix(p)
     det = np.linalg.det(f)
-    if abs(det) < 1e-12:
-        raise SingularPoint(f"ring system singular at (k, gamma)=({p.k}, {p.gamma})")
-    r, t, a1, a2, b1, b2 = np.linalg.solve(f, rhs)
+    if f.ndim == 2:
+        if abs(det) < 1e-12:
+            raise SingularPoint(f"ring system singular at (k, gamma)=({p.k}, {p.gamma})")
+        x = np.linalg.solve(f, rhs)
+    else:
+        # np.hypot, not np.abs: the array abs of a complex can differ by an
+        # ulp from the scalar one.  A stacked solve fails as a whole on one
+        # singular matrix, so those are masked out first.
+        ok = ~(np.hypot(det.real, det.imag) < 1e-12)
+        x = np.full(f.shape[:-1], np.nan, dtype=complex)
+        x[ok] = np.linalg.solve(f[ok], rhs)
+    r, t, a1, a2, b1, b2 = x.T
     return {"r": r, "t": t, "a1": a1, "a2": a2, "b1": b1, "b2": b2, "det": det}
 
 

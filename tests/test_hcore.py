@@ -290,6 +290,17 @@ def _counting_golden(monkeypatch):
     return calls
 
 
+def test_find_bics_skips_flat_width_plateau(monkeypatch):
+    # gamma1 = gamma2, u = 0: for |eps| > 0.1 the branch width is 0.2 to
+    # rounding, a plateau with no minimum; only the BIC at eps = 0 is found
+    golden = _counting_golden(monkeypatch)
+    family = _twolevel_family(0.1, 0.1, 0.0)
+    traj = hcore.track(family, np.linspace(-0.5, 0.5, 21), seed_energy=0.05)
+    recs = hcore.find_bics(traj, family)
+    assert len(recs) == 1 and recs[0].is_bic and abs(recs[0].param) < 1e-12
+    assert golden == []
+
+
 def _narrow_branch_bics(g1, g2, u):
     # a grid that misses the BIC point, tracked on the branch that closes
     eps_star = toymodels.twolevel_bic_point(g1, g2, u)

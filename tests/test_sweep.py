@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openres import cli, cyl3d, hcore, planar2d, sph3d, sweep
+from openres import cli, cyl3d, hcore, planar2d, sph3d, sweep, toymodels, wires1d
 from openres.cli import MODELS, main
 from openres.sweep import Axis, SweepSpec
 
@@ -25,7 +25,8 @@ def _run_map(tmp_path, threads):
         p["eps"], p["energy"] = a1, a2
         return point(p)
 
-    res = sweep.run_sweep(spec, evaluate, columns, threads=threads)
+    res = sweep.run_sweep(spec, sweep.point_row(evaluate, len(columns)), columns,
+                          threads=threads)
     path = tmp_path / f"map_{threads}.dat"
     sweep.write_map(path, res)
     return path
@@ -73,11 +74,12 @@ def test_cached_couplings_are_read_only():
     rect = planar2d.RectCavity(4.0, 4.0, m_max=4, n_max=4)
     _, rect_basis, raw = planar2d._cached_plumbing(rect, 2)
     bump_x, bump_y = planar2d._axis_factor_matrices(rect, 1.5, 0.0, 0.0, 16)
+    bump = planar2d._unit_bump_matrix(rect, 1.5, 0.0, 0.0, 16)
     cyl = cyl3d.cyl_model(cyl3d.CylCavity(3.0, 4.0, 2, 2, 2), 0.5)
     sphere = sph3d.SphereCavity(4.2, 3, 2)
     pole, _, sphere_basis = sph3d._pole_block(sphere, 16.0)
     port = sph3d._port_columns(sphere, sph3d.WaveguideAttachment("in"), 16.0)
-    for shared in (raw, rect_basis.energies, bump_x, bump_y, cyl._w, cyl.basis.energies,
+    for shared in (raw, rect_basis.energies, bump_x, bump_y, bump, cyl._w, cyl.basis.energies,
                    pole, port, sphere_basis.energies):
         with pytest.raises(ValueError):
             shared[0] = 1.0
@@ -109,7 +111,7 @@ def test_degenerate_axis_two_identical_rows(tmp_path):
         p["k"], p["q"] = a1, a2
         return point(p)
 
-    res = sweep.run_sweep(spec, evaluate, columns)
+    res = sweep.run_sweep(spec, sweep.point_row(evaluate, len(columns)), columns)
     assert np.array_equal(res.values[:3, 2:], res.values[3:, 2:])
 
 
@@ -124,7 +126,7 @@ def test_singular_points_become_nan_with_diagnostics(tmp_path):
         p["gamma"], p["k"] = a1, a2
         return point(p)
 
-    res = sweep.run_sweep(spec, evaluate, columns)
+    res = sweep.run_sweep(spec, sweep.point_row(evaluate, len(columns)), columns)
     assert res.diagnostics
     assert np.isnan(res.values[:, 2]).any()
     path = tmp_path / "ring.dat"
@@ -132,6 +134,98 @@ def test_singular_points_become_nan_with_diagnostics(tmp_path):
     assert Path(str(path) + ".diag").exists()
     header, data = sweep.read_map(path)
     assert np.isnan(data[:, 2]).any()
+
+
+def _scalar_map(path, model, axis1, axis2):
+    # the per-point path: every point a scalar call of the model's point
+    columns, point = MODELS[model].columns, MODELS[model].point
+
+    def evaluate(p, a1, a2):
+        p[axis1.name], p[axis2.name] = a1, a2
+        return point(p)
+
+    spec = SweepSpec(model=model, fixed=dict(MODELS[model].defaults), axis1=axis1,
+                     axis2=axis2)
+    sweep.write_map(path, sweep.run_sweep(spec, sweep.point_row(evaluate, len(columns)),
+                                          columns))
+
+
+@pytest.mark.parametrize("model,axis1,axis2,failures", [
+    # through the trapping point 2 pi (1, 1) and k <= 0, each axis on axis2
+    ("abring", "gamma:0:12.566370614359172:5", "k:-3.141592653589793:9.42477796076938:9",
+     ("SingularPoint", "ValueError: k must be positive")),
+    ("abring", "k:-3.141592653589793:9.42477796076938:9", "gamma:0:12.566370614359172:5",
+     ("SingularPoint", "ValueError: k must be positive")),
+    # through the Fano collapse point (eps, E) = (0, 0)
+    ("twolevel", "eps:-1:1:9", "energy:-1:1:9", ("SingularTransmissionPoint",)),
+    ("twolevel", "energy:-1:1:9", "eps:-1:1:9", ("SingularTransmissionPoint",)),
+])
+def test_batched_map_rows_match_scalar_points(tmp_path, model, axis1, axis2, failures):
+    assert {axis1.split(":")[0], axis2.split(":")[0]} <= set(MODELS[model].batched)
+    ref = tmp_path / "scalar" / f"{model}_map.dat"
+    ref.parent.mkdir()
+    _scalar_map(ref, model, cli._parse_axis(axis1, model), cli._parse_axis(axis2, model))
+    diag = Path(str(ref) + ".diag").read_text()
+    assert all(f in diag for f in failures)
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        assert main([model, "map", "--axis1", axis1, "--axis2", axis2,
+                     "--threads", str(threads), "--out", str(out)]) == 0
+        for name in (ref.name, ref.name + ".diag"):
+            assert (out / name).read_bytes() == (ref.parent / name).read_bytes()
+
+
+def _loop_point(model, p):
+    # the scalar map point as computed before rows were batched
+    if model == "abring":
+        sol = wires1d.ring_solve(wires1d.RingParams(p["k"], p["gamma"]))
+        return [abs(sol["t"]) ** 2, abs(sol["r"]) ** 2]
+    t = toymodels.twolevel_transmission(p["energy"], toymodels.TwoLevelParams(
+        p["eps"], p["gamma1"], p["gamma2"], p["u"]))
+    return [abs(t) ** 2, abs(t)]
+
+
+@pytest.mark.parametrize("model", ["abring", "twolevel"])
+def test_batched_point_rounds_as_scalar_points(model):
+    # random points, off the round values of the map grids above: numpy's
+    # array abs and ** 2 can each round an ulp away from the scalar ones
+    rng = np.random.default_rng(7)
+    params = dict(MODELS[model].defaults)
+    for name in MODELS[model].batched:
+        xs = rng.uniform(0.1, 9.0, 2048)
+        cols = MODELS[model].point({**params, name: xs})
+        for j, x in enumerate(xs):
+            assert [c[j] for c in cols] == _loop_point(model, {**params, name: x})
+
+
+def test_batched_row_hands_failures_to_the_point_path():
+    calls = []
+
+    def kernel(p, a1, a2):
+        if a1 == 1.0:
+            raise ValueError("whole row")
+        return np.where(a2[:, None] == 2.0, np.nan, a2[:, None] + a1)
+
+    def evaluate(p, a1, a2):
+        calls.append((a1, a2))
+        if a2 == 2.0:
+            raise hcore.SingularScattering(a2, 1e-17)
+        return [a1 + a2]
+
+    row = sweep.batched_row(kernel, sweep.point_row(evaluate, 1))
+    vals, diags = row({}, 0.0, np.array([1.0, 2.0, 3.0]))
+    assert calls == [(0.0, 2.0)] and np.array_equal(vals[[0, 2], 0], [1.0, 3.0])
+    assert np.isnan(vals[1, 0]) and diags == [
+        "0.0 np.float64(2.0) SingularScattering: E - H_eff numerically singular "
+        "at E=2.0 (rcond~1.00e-17); candidate BIC"]
+    vals, diags = row({}, 1.0, np.array([1.0, 3.0]))
+    assert calls[1:] == [(1.0, 1.0), (1.0, 3.0)] and vals[:, 0].tolist() == [2.0, 4.0]
+
+    def wrong_block(p, a1, a2):
+        raise hcore.StructuralError("wrong block")
+
+    with pytest.raises(hcore.StructuralError):
+        sweep.batched_row(wrong_block, row)({}, 0.0, np.array([1.0]))
 
 
 def _failing_sweep(exc, threads=1):
@@ -143,7 +237,7 @@ def _failing_sweep(exc, threads=1):
             raise exc
         return [a1 + a2]
 
-    return sweep.run_sweep(spec, evaluate, ("sum",), threads=threads)
+    return sweep.run_sweep(spec, sweep.point_row(evaluate, 1), ("sum",), threads=threads)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -105,6 +105,30 @@ def test_transmission_singular_point_flagged():
         twolevel_transmission(0.0, p)
 
 
+@pytest.mark.parametrize("g1,g2,u", [(0.1, 0.1, 0.0), (0.3, 0.1, 0.5)])
+def test_twolevel_transmission_over_arrays_matches_scalar_calls_bit_for_bit(g1, g2, u):
+    # rows along the energy (one eig) and along eps (stacked eig), through
+    # the real-eigenvalue point (0, 0) of the symmetric model, where the
+    # scalar call raises and the row holds NaN
+    grid = np.linspace(-1.0, 1.0, 41)
+
+    def scalar(e, eps):
+        try:
+            return twolevel_transmission(e, TwoLevelParams(eps, g1, g2, u))
+        except SingularTransmissionPoint:
+            return None
+
+    for fixed in (0.0, 0.35, -1.0):
+        by_energy = twolevel_transmission(grid, TwoLevelParams(fixed, g1, g2, u))
+        by_eps = twolevel_transmission(fixed, TwoLevelParams(grid, g1, g2, u))
+        for j, x in enumerate(grid):
+            for got, want in ((by_energy[j], scalar(x, fixed)),
+                              (by_eps[j], scalar(fixed, x))):
+                assert np.isnan(got) if want is None else got == want
+    if (g1, g2, u) == (0.1, 0.1, 0.0):
+        assert np.isnan(twolevel_transmission(grid, TwoLevelParams(0.0, g1, g2, u))[20])
+
+
 def test_transmission_equals_engine_smatrix_entry():
     p = TwoLevelParams(0.23, 0.07, 0.18, 0.4)
     for e in (-0.5, 0.11, 0.9):

@@ -110,6 +110,33 @@ def test_ring_singularity_flag_at_trapping_point():
         w.ring_solve(w.RingParams(2 * np.pi, 2 * np.pi))
 
 
+def test_ring_solve_over_arrays_matches_scalar_calls_bit_for_bit():
+    # stacked rows through trapping points 2 pi (m, n): NaN there, and every
+    # other point carries the bits of its own scalar call
+    k = np.linspace(0.05, 4 * np.pi, 37)
+    k[7] = 2 * np.pi
+    singular = []
+    for gamma in (0.0, 2 * np.pi, 1.3):
+        row = w.ring_solve(w.RingParams(k, gamma))
+        for j, kj in enumerate(k):
+            try:
+                one = w.ring_solve(w.RingParams(kj, gamma))
+            except w.SingularPoint:
+                singular.append((kj, gamma))
+                assert all(np.isnan(row[key][j]) for key in row if key != "det")
+                continue
+            assert all(row[key][j] == one[key] for key in one)
+    assert (2 * np.pi, 2 * np.pi) in singular
+    assert all(kj % (2 * np.pi) == 0 and g % (2 * np.pi) == 0 for kj, g in singular)
+    gammas = np.linspace(-3.0, 9.0, 29)
+    row = w.ring_solve(w.RingParams(2.7, gammas))
+    for j, g in enumerate(gammas):
+        one = w.ring_solve(w.RingParams(2.7, g))
+        assert all(row[key][j] == one[key] for key in one)
+    with pytest.raises(ValueError, match="k must be positive"):
+        w.RingParams(np.array([1.0, 0.0]), 0.0)
+
+
 def test_ring_null_structure_at_trapping_points():
     f0 = 0.5 * np.array([0, 0, 1, -1, -1, 1])
     f0_left_11 = 0.5 * np.array([-1, 1, 1, -1, 0, 0])

@@ -44,12 +44,19 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 LIGHT = ("twolevel", "fpchain", "well", "abring", "zeeman")
 
 MAPS = (
+    # the abring and twolevel maps are evaluated one stacked call per row,
+    # so each runs with both of its batched axes on axis2; the twolevel
+    # grids pass through the collapse point (0, 0)
     ("twolevel", "eps:-1:1:5", "energy:-1:1:5"),
+    ("twolevel", "energy:-1:1:5", "eps:-1:1:5", "--threads", "2"),
     ("fpchain", "eps1:-1:1:4", "energy:-1:1:4"),
     ("well", "k:0.5:3:4", "q:1:3:4"),
     # the grid passes through the trapping point 2 pi (1, 1): NaN rows and
     # a .diag sidecar
     ("abring", "gamma:0:12.566370614359172:5", "k:3.141592653589793:9.42477796076938:5"),
+    # transposed, with k <= 0 on the grid as well
+    ("abring", "k:-3.141592653589793:9.42477796076938:9", "gamma:0:12.566370614359172:5",
+     "--threads", "2"),
     ("zeeman", "energy:5:25:4", "length:1:3:3"),
     # the cavity maps run on two sweep threads over two geometries each, so
     # that the per-process model caches are filled and shared; the sphere
