@@ -857,8 +857,10 @@ def find_bics(trajectory: Sequence[ResonanceRecord], family: ModelFamily,
     for i in range(1, len(recs) - 1):
         lo, hi = sorted((widths[i - 1], widths[i + 1]))
         # a point as wide as both neighbours, to rounding, lies on a flat
-        # plateau, not at a minimum
-        minimum = widths[i] <= lo and hi - widths[i] > 1e-12 * max(abs(lo), abs(hi))
+        # plateau, not at a minimum - unless the plateau itself has no width
+        # (a level decoupled from every channel)
+        minimum = widths[i] <= lo and (hi - widths[i] > 1e-12 * max(abs(lo), abs(hi))
+                                       or widths[i] <= width_tol)
         if not minimum or (keep is not None and not keep(recs[i])):
             continue
         try:

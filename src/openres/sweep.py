@@ -117,12 +117,12 @@ def run_sweep(spec: SweepSpec, row, columns, threads: int = 1) -> MapResult:
     a2 and the diagnostic lines of its failed points (see ``point_row``
     and ``batched_row``).
 
-    The first row runs on the calling thread, filling the caches that every
-    row shares; each further row is then one task of a thread pool (models
-    are reentrant; LAPACK releases the GIL), so no two threads build the
-    same per-row geometry at once (lru_cache does not merge concurrent
-    misses).  Results are buffered per row, so output order never depends
-    on scheduling.
+    The first point runs alone on the calling thread, filling the caches
+    that every row shares; the rest of its row and each further row are
+    then one task of a thread pool (models are reentrant; LAPACK releases
+    the GIL), so no two threads build the same per-row geometry at once
+    (lru_cache does not merge concurrent misses).  Results are buffered per
+    row, so output order never depends on scheduling.
     """
     a1 = spec.axis1.values()
     a2 = spec.axis2.values()
@@ -131,17 +131,19 @@ def run_sweep(spec: SweepSpec, row, columns, threads: int = 1) -> MapResult:
     out[:, 1] = np.tile(a2, a1.size)
     diags = [[] for _ in a1]
 
-    def task(i):
-        vals, diags[i] = row(dict(spec.fixed), a1[i], a2)
-        out[i * a2.size:(i + 1) * a2.size, 2:] = vals
+    def task(i, start=0, stop=a2.size):
+        vals, row_diags = row(dict(spec.fixed), a1[i], a2[start:stop])
+        out[i * a2.size + start:i * a2.size + stop, 2:] = vals
+        diags[i] += row_diags
 
-    task(0)
+    task(0, stop=1)
+    rest = [(0, 1)] + [(i, 0) for i in range(1, a1.size)]
     if threads <= 1:
-        for i in range(1, a1.size):
-            task(i)
+        for i, start in rest:
+            task(i, start)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(task, range(1, a1.size)))
+            list(pool.map(lambda job: task(*job), rest))
     return MapResult(model=spec.model, params=dict(spec.fixed), axis1=spec.axis1,
                      axis2=spec.axis2, columns=tuple(columns), values=out,
                      diagnostics=[d for row_diags in diags for d in row_diags])

@@ -126,9 +126,6 @@ def twolevel_transmission(energy: float, p: TwoLevelParams,
     h = twolevel_matrix(p)
     vals, vecs = np.linalg.eig(h)
     scalar = vals.ndim == 1 and np.ndim(energy) == 0
-    # the array abs of a complex can differ by an ulp from the scalar one;
-    # np.hypot does not
-    modulus = abs if scalar else (lambda z: np.hypot(z.real, z.imag))
     w = _leads_coupling(p)[:, 0]
     t = 0.0 + 0.0j
     failed = False
@@ -138,13 +135,15 @@ def twolevel_transmission(energy: float, p: TwoLevelParams,
         v = vecs[..., :, lam:lam + 1]
         # biorthogonal (transpose) normalization
         norm2 = (np.swapaxes(v, -1, -2) @ v)[..., 0, 0][()]
-        defective = modulus(norm2) < 1e-300
+        # np.hypot, not np.abs: the array abs of a complex can differ by an
+        # ulp from the scalar one
+        defective = np.hypot(norm2.real, norm2.imag) < 1e-300
         if scalar and defective:
             raise SingularTransmissionPoint("defective eigenvector pair")
         vlam = (w @ v)[..., 0][()]
         z = vals[..., lam][()]
         gap = energy - z
-        on_level = (modulus(gap) < singular_tol) & (abs(z.imag) < singular_tol)
+        on_level = (np.hypot(gap.real, gap.imag) < singular_tol) & (abs(z.imag) < singular_tol)
         if scalar and on_level:
             raise SingularTransmissionPoint(
                 f"E={energy} sits on a real eigenvalue; value depends on approach path")

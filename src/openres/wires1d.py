@@ -123,9 +123,7 @@ def ring_matrix(p: RingParams):
         [0, -1, km / k * e1, -kp / k * e2, kp / k * e3, -km / k * e4],
     ]
     rhs = np.array([1, 1, 0, 0, 1, 0], dtype=complex)
-    if not isinstance(km, np.ndarray):
-        return np.array(entries, dtype=complex), rhs
-    f = np.empty(km.shape + (6, 6), dtype=complex)
+    f = np.empty(np.shape(km) + (6, 6), dtype=complex)
     for i, row in enumerate(entries):
         for j, x in enumerate(row):
             f[..., i, j] = x

@@ -301,6 +301,15 @@ def test_find_bics_skips_flat_width_plateau(monkeypatch):
     assert golden == []
 
 
+def test_find_bics_keeps_zero_width_plateau():
+    # gamma2 = u = 0: level 2 at -eps is decoupled, its width is 0 to the
+    # bit, and every interior grid point of the branch is a BIC
+    family = _twolevel_family(0.1, 0.0, 0.0)
+    traj = hcore.track(family, np.linspace(0.5, 1.5, 11), seed_energy=-0.5)
+    recs = hcore.find_bics(traj, family)
+    assert len(recs) == 9 and all(r.is_bic for r in recs)
+
+
 def _narrow_branch_bics(g1, g2, u):
     # a grid that misses the BIC point, tracked on the branch that closes
     eps_star = toymodels.twolevel_bic_point(g1, g2, u)

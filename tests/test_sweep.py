@@ -257,6 +257,35 @@ def test_run_sweep_numerical_failure_becomes_nan_row():
         "singular at E=2.0 (rcond~1.00e-17); candidate BIC"]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_sweep_runs_the_first_point_alone(threads):
+    # the first point warms the caches on its own; the rest of its row is
+    # one task, and row 0's values and diagnostics join in grid order
+    spec = SweepSpec(model="well", fixed={}, axis1=Axis("k", 1.0, 3.0, 3),
+                     axis2=Axis("q", 1.0, 3.0, 3))
+
+    def evaluate(p, a1, a2):
+        if a1 == 1.0 and a2 != 2.0:
+            raise ValueError(f"no channel at q={a2}")
+        return [a1 + a2]
+
+    point, calls = sweep.point_row(evaluate, 1), []
+
+    def row(params, a1, a2):
+        calls.append((float(a1), a2.tolist()))
+        return point(params, a1, a2)
+
+    res = sweep.run_sweep(spec, row, ("sum",), threads=threads)
+    assert calls[0] == (1.0, [1.0])
+    assert sorted(calls[1:]) == [(1.0, [2.0, 3.0]), (2.0, [1.0, 2.0, 3.0]),
+                                 (3.0, [1.0, 2.0, 3.0])]
+    assert np.array_equal(res.values[:, 2], [np.nan, 3.0, np.nan, 3.0, 4.0, 5.0,
+                                             4.0, 5.0, 6.0], equal_nan=True)
+    assert res.diagnostics == [
+        "np.float64(1.0) np.float64(1.0) ValueError: no channel at q=1.0",
+        "np.float64(1.0) np.float64(3.0) ValueError: no channel at q=3.0"]
+
+
 @pytest.mark.parametrize("model,truncation", [("sphere", "3"), ("cyl", "2")])
 def test_cavity_resonance_catalog_has_no_repeated_pole(tmp_path, model, truncation):
     # degenerate basis energies seed the same pole several times
