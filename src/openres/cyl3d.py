@@ -7,8 +7,9 @@ relative to the unrotated one, and the face factor contributes (-1)^(l-1):
 
     W^(L)_{mnl;pq} = (-1)^(l-1) e^{i(p-m) dphi} W^(R)_{mnl;pq}.
 
-Overlap integrals are evaluated on the port disk by Gauss-Legendre (radius)
-x trapezoid (angle) quadrature with automatic node doubling.  The truncated
+Overlap integrals over the port disk are closed-form: Graf's addition
+theorem reduces the angular integral to one Bessel factor and Lommel's
+integral the radial one to Bessel values (``disk_overlaps``).  The truncated
 three-mode theory around the (0,1,2)/(±1,1,1) crossing is provided in
 closed form, including the line of zero-width points in (L, dphi).
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from types import MappingProxyType
 
 import numpy as np
 from scipy.optimize import brentq
@@ -59,17 +61,26 @@ class CylCavity:
         return amp * math.cos(math.pi * (l - 1) * z / self.length)
 
 
+def _radial_norm(m: int, mu: float, radius: float) -> float:
+    """N of the radial factor N J_m(mu r / R), unit-normed over the disk:
+    int_0^R (N J_m(mu r / R))^2 r dr = 1 at a Neumann root mu of order m."""
+    if mu == 0.0:
+        return math.sqrt(2.0) / radius
+    jmu, _ = specfun.bessel_j(m, mu)
+    if m == 0:
+        return math.sqrt(2.0) / (radius * jmu)
+    return math.sqrt(2.0 / (mu * mu - m * m)) * mu / (radius * jmu)
+
+
 def radial_profile(m: int, n: int, radius: float, r: np.ndarray) -> np.ndarray:
     """Normalized cross-section radial factor of a hard-wall disk mode."""
     m = abs(m)
     mu = specfun.neumann_roots(m, n)[n]
+    norm = _radial_norm(m, mu, radius)
     if mu == 0.0:
-        return np.full_like(np.asarray(r, dtype=float), math.sqrt(2.0) / radius)
-    jmu, _ = specfun.bessel_j(m, mu)
+        return np.full_like(np.asarray(r, dtype=float), norm)
     jr, _ = specfun.bessel_j(m, mu * np.asarray(r, dtype=float) / radius)
-    if m == 0:
-        return math.sqrt(2.0) / (radius * jmu) * jr
-    return math.sqrt(2.0 / (mu * mu - m * m)) * mu / (radius * jmu) * jr
+    return norm * jr
 
 
 def duct_channels(cutoff_max_sq: float = 16.0, ports=("R", "L"),
@@ -86,64 +97,53 @@ def duct_channels(cutoff_max_sq: float = 16.0, ports=("R", "L"),
     return hcore.ChannelSet(chans)
 
 
-@lru_cache(maxsize=16)
-def _disk_quadrature(n_rho: int, n_alpha: int):
-    t, wq = np.polynomial.legendre.leggauss(n_rho)
-    rho = 0.5 * (t + 1.0)
-    wr = 0.5 * wq * rho
-    alpha = np.linspace(0.0, 2.0 * math.pi, n_alpha, endpoint=False)
-    wa = 2.0 * math.pi / n_alpha
-    return rho, wr, alpha, wa
+def radial_integral(p: int, a: float, b: float) -> float:
+    """int_0^1 rho J_p(a rho) J_p(b rho) drho, p >= 0, a, b >= 0.
 
-
-def _disk_overlaps(radius: float, r0: float, m_list, pq_list,
-                   n_rho: int, n_alpha: int) -> dict:
-    """K[(m, n, p, q)] = (1/2pi) intint psi_pq(rho) e^{i p a} psi_mn(r) e^{-i m phi}."""
-    rho, wr, alpha, wa = _disk_quadrature(n_rho, n_alpha)
-    rg = np.sqrt(r0 * r0 + rho[:, None] ** 2 + 2.0 * r0 * rho[:, None] * np.cos(alpha)[None, :])
-    phig = np.arctan2(rho[:, None] * np.sin(alpha)[None, :],
-                      r0 + rho[:, None] * np.cos(alpha)[None, :])
-    out = {}
-    cav_cache = {}
-    duct_cache = {}
-    for (m, n) in m_list:
-        key = (abs(m), n)
-        if key not in cav_cache:
-            cav_cache[key] = radial_profile(abs(m), n, radius, rg)
-        cav = cav_cache[key] * np.exp(-1j * m * phig)
-        for (p, q) in pq_list:
-            dk = (abs(p), q)
-            if dk not in duct_cache:
-                duct_cache[dk] = radial_profile(abs(p), q, 1.0, rho)
-            duct = duct_cache[dk][:, None] * np.exp(1j * p * alpha)[None, :]
-            val = (wa / (2.0 * math.pi)) * np.sum(wr[:, None] * duct * cav)
-            out[(m, n, p, q)] = complex(val)
-    return out
+    Lommel's integral (DLMF 10.22.5): [b J_p(a) J'_p(b) - a J_p(b) J'_p(a)]
+    / (a^2 - b^2), which holds at a = 0 and b = 0 too.  Within 1e-3 of
+    a = b the difference cancels; there a Gauss-Legendre rule of
+    64 + 2 (a + b) nodes, exact to rounding, takes over."""
+    if abs(a - b) < 1e-3 * max(a, b) or a == b:
+        t, w = np.polynomial.legendre.leggauss(64 + 2 * int(a + b))
+        rho = 0.5 * (t + 1.0)
+        return float(np.sum(0.5 * w * rho * specfun.bessel_j(p, a * rho)[0]
+                            * specfun.bessel_j(p, b * rho)[0]))
+    (ja, dja), (jb, djb) = specfun.bessel_j(p, a), specfun.bessel_j(p, b)
+    return (b * ja * djb - a * jb * dja) / (a * a - b * b)
 
 
 @lru_cache(maxsize=32)
-def _disk_overlaps_converged(radius: float, m_max: int, n_max: int, r0: float,
-                             pq_tuple: tuple, n_rho: int, n_alpha: int,
-                             tol: float):
-    m_list = [(m, n) for m in range(-m_max, m_max + 1)
-              for n in range(1, n_max + 1)]
-    pq_list = list(pq_tuple)
-    k1 = _disk_overlaps(radius, r0, m_list, pq_list, n_rho, n_alpha)
-    for _ in range(3):
-        k2 = _disk_overlaps(radius, r0, m_list, pq_list, 2 * n_rho, 2 * n_alpha)
-        diff = max(abs(k1[key] - k2[key]) for key in k1)
-        if diff <= tol:
-            return k2
-        k1, n_rho, n_alpha = k2, 2 * n_rho, 2 * n_alpha
-    raise RuntimeError(f"disk quadrature did not stabilize (change {diff:.2e})")
+def _disk_overlaps(radius: float, m_max: int, n_max: int, r0: float, pq_tuple: tuple):
+    roots = [specfun.neumann_roots(abs(p), q)[q] for p, q in pq_tuple]
+    ducts = [(p, q, a, _radial_norm(abs(p), a, 1.0)) for (p, q), a in zip(pq_tuple, roots)]
+    out = {}
+    for m in range(-m_max, m_max + 1):
+        for n in range(1, n_max + 1):
+            mu = specfun.neumann_roots(abs(m), n_max)[n]
+            k, norm = mu / radius, _radial_norm(abs(m), mu, radius)
+            for p, q, a, duct_norm in ducts:
+                # J_n = (-1)^n J_|n| for n < 0, for each of m, p and m - p
+                sign = (-1) ** ((abs(m) + abs(p) + abs(m - p)) // 2 + m)
+                val = (sign * norm * duct_norm * specfun.bessel_j(abs(m - p), k * r0)[0]
+                       * radial_integral(abs(p), a, k))
+                out[(m, n, p, q)] = complex(val)
+    return MappingProxyType(out)
 
 
-def disk_overlaps(cavity: CylCavity, r0: float, pq_list,
-                  n_rho: int = 64, n_alpha: int = 256, tol: float = 1e-7) -> dict:
-    """Converged port-disk overlaps keyed by (m, n, p, q); node counts double
-    until entries stabilize.  Length-independent, cached per geometry."""
-    return _disk_overlaps_converged(cavity.radius, cavity.m_max, cavity.n_max,
-                                    r0, tuple(pq_list), n_rho, n_alpha, tol)
+def disk_overlaps(cavity: CylCavity, r0: float, pq_list) -> MappingProxyType:
+    """Port-disk overlaps K[(m, n, p, q)] =
+    (1/2pi) intint_disk psi_pq(rho) e^{i p alpha} psi_mn(r) e^{-i m phi}
+    over the duct disk r e^{i phi} = r0 + rho e^{i alpha}, rho <= 1.
+
+    Graf's addition theorem (DLMF 10.23.7),
+    J_m(k r) e^{i m phi} = sum_nu J_{m-nu}(k r0) J_nu(k rho) e^{i nu alpha},
+    leaves nu = p after the alpha integral, so with k = mu_mn / R
+    K = N_mn N_pq J_{m-p}(k r0) int_0^1 rho J_|p|(mu_pq rho) J_p(k rho) drho
+    (signed orders by J_{-n} = (-1)^n J_n; the radial factor is
+    ``radial_integral``).  Length-independent, cached per geometry; the
+    mapping is read-only because every model of the geometry shares it."""
+    return _disk_overlaps(cavity.radius, cavity.m_max, cavity.n_max, r0, tuple(pq_list))
 
 
 class CylModel:

@@ -1,11 +1,14 @@
 """Cylindrical-resonator checks: duct overlaps against the closed-form
-constants, port phase relation, wave-faucet transmittance, twisted
-zero-width points and the three-mode truncated theory."""
+constants and a 2-D quadrature of the port disk, port phase relation,
+wave-faucet transmittance, twisted zero-width points and the three-mode
+truncated theory."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from openres import cyl3d, hcore
 
@@ -49,22 +52,77 @@ def test_coaxial_port_azimuthal_selection():
     assert abs(k[(1, 1, 1, 1)]) > 0.05
 
 
+@lru_cache(maxsize=8)
+def _disk_grid(r0, n_rho, n_alpha):
+    """Gauss-Legendre (radius) x trapezoid (angle) nodes on the port disk
+    centred at r0: rho, weights with the Jacobian rho, alpha, the angle
+    weight, and the cavity polar coordinates (r, phi) of each node."""
+    t, wq = np.polynomial.legendre.leggauss(n_rho)
+    rho = 0.5 * (t + 1.0)
+    alpha = np.linspace(0.0, 2.0 * math.pi, n_alpha, endpoint=False)
+    rg = np.sqrt(r0**2 + rho[:, None]**2 + 2 * r0 * rho[:, None] * np.cos(alpha)[None, :])
+    phig = np.arctan2(rho[:, None] * np.sin(alpha)[None, :],
+                      r0 + rho[:, None] * np.cos(alpha)[None, :])
+    return rho, 0.5 * wq * rho, alpha, 2.0 * math.pi / n_alpha, rg, phig
+
+
+@lru_cache(maxsize=64)
+def _cavity_profile_on_disk(m, n, radius, r0, nodes):
+    return cyl3d.radial_profile(m, n, radius, _disk_grid(r0, *nodes)[4])
+
+
+def _quadrature_overlap(radius, r0, m, n, p, q, dphi=0.0, nodes=(128, 512)):
+    """(1/2pi) intint psi_pq e^{i p a} psi_mn e^{-i m phi} over the port disk
+    centred at azimuth dphi, by 2-D quadrature on the disk."""
+    rho, wr, alpha, wa, _, phig = _disk_grid(r0, *nodes)
+    cavf = _cavity_profile_on_disk(abs(m), n, radius, r0, nodes) * np.exp(-1j * m * (phig + dphi))
+    duct = (cyl3d.radial_profile(p, q, 1.0, rho)[:, None]
+            * np.exp(1j * p * (alpha + dphi))[None, :])
+    return (wa / (2 * math.pi)) * np.sum(wr[:, None] * duct * cavf)
+
+
 def test_port_phase_relation_against_independent_quadrature(overlaps):
     # rotated-port couplings recomputed geometrically: the duct phase is
     # referenced in the lab frame, the disk sits at azimuth dphi
     dphi = 0.7
-    rho, wr, alpha, wa = cyl3d._disk_quadrature(128, 512)
-    r0 = 1.5
-    rg = np.sqrt(r0**2 + rho[:, None]**2 + 2 * r0 * rho[:, None] * np.cos(alpha)[None, :])
-    phig = np.arctan2(rho[:, None] * np.sin(alpha)[None, :],
-                      r0 + rho[:, None] * np.cos(alpha)[None, :])
     for (m, n, p, q) in [(1, 1, 0, 1), (2, 1, 1, 1), (-1, 1, 1, 1), (3, 1, -1, 1)]:
-        cavf = cyl3d.radial_profile(m, n, 3.0, rg) * np.exp(-1j * m * (phig + dphi))
-        duct = (cyl3d.radial_profile(p, q, 1.0, rho)[:, None]
-                * np.exp(1j * p * (alpha + dphi))[None, :])
-        rotated = (wa / (2 * math.pi)) * np.sum(wr[:, None] * duct * cavf)
+        rotated = _quadrature_overlap(3.0, 1.5, m, n, p, q, dphi)
         expect = overlaps[(m, n, p, q)] * np.exp(1j * (p - m) * dphi)
-        assert rotated == pytest.approx(expect, abs=1e-8)
+        assert rotated == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("radius,r0,m_max,n_max", [
+    (3.0, 1.5, 4, 3), (3.0, 0.0, 4, 3), (2.5, 1.5, 5, 4), (2.5, 0.75, 5, 4)])
+def test_closed_form_overlaps_match_disk_quadrature(radius, r0, m_max, n_max):
+    # every (m, n, p, q) entry of the Graf/Lommel closed form against the
+    # 2-D quadrature of the port disk (entries up to 0.67 in size)
+    cav = cyl3d.CylCavity(radius, 4.0, m_max, n_max, 2)
+    pq = sorted({ch.label[1:] for ch in cyl3d.duct_channels(16.0)})
+    k = cyl3d.disk_overlaps(cav, r0, pq)
+    assert len(k) == (2 * m_max + 1) * n_max * len(pq)
+    for (m, n, p, q), val in k.items():
+        assert val == pytest.approx(
+            _quadrature_overlap(radius, r0, m, n, p, q, nodes=(64, 256)), abs=1e-12)
+
+
+def _radial_integral_oracle(p, a, b):
+    t, w = np.polynomial.legendre.leggauss(200)
+    rho = 0.5 * (t + 1.0)
+    return float(np.sum(0.5 * w * rho * jv(p, a * rho) * jv(p, b * rho)))
+
+
+@pytest.mark.parametrize("p,a", [(0, 0.0), (0, 3.831705970207512),
+                                 (1, 1.841183781340659), (2, 3.054236928227140),
+                                 (4, 5.317553126083994)])
+def test_radial_integral_continuous_through_a_equals_b(p, a):
+    # the Lommel difference form hands over to quadrature within 1e-3 of
+    # a = b: both sides of that switch and the nearly equal arguments agree
+    # with an independent quadrature (scipy's J_p)
+    rels = (0.0, 1e-9, -1e-9, 1e-6, -1e-6, 0.999e-3, -0.999e-3, 1.001e-3, -1.001e-3,
+            1e-2, -1e-2, 0.5)
+    for b in [a * (1.0 + rel) for rel in rels] + [0.0, 0.7]:
+        assert cyl3d.radial_integral(p, a, b) == pytest.approx(
+            _radial_integral_oracle(p, a, b), abs=1e-12)
 
 
 def test_left_port_face_factor():

@@ -83,6 +83,11 @@ def test_cached_couplings_are_read_only():
                    pole, port, sphere_basis.energies):
         with pytest.raises(ValueError):
             shared[0] = 1.0
+    # the port-disk overlaps are one mapping shared by every model of a
+    # radius and r0
+    assert cyl.overlaps is cyl3d.cyl_model(cyl3d.CylCavity(3.0, 5.0, 2, 2, 2), 0.1).overlaps
+    with pytest.raises(TypeError):
+        cyl.overlaps[(0, 1, 0, 1)] = 1.0
 
 
 def test_map_round_trip_exact(tmp_path):
