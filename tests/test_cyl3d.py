@@ -95,14 +95,16 @@ def test_port_phase_relation_against_independent_quadrature(overlaps):
     (3.0, 1.5, 4, 3), (3.0, 0.0, 4, 3), (2.5, 1.5, 5, 4), (2.5, 0.75, 5, 4)])
 def test_closed_form_overlaps_match_disk_quadrature(radius, r0, m_max, n_max):
     # every (m, n, p, q) entry of the Graf/Lommel closed form against the
-    # 2-D quadrature of the port disk (entries up to 0.67 in size)
+    # 2-D quadrature of the port disk (entries up to 0.67 in size; they
+    # agree to 1.4e-15, while a Lommel form that drops its J'_p(mu_pq) term,
+    # about 1e-14 at the bisected roots, misses by 8.7e-14)
     cav = cyl3d.CylCavity(radius, 4.0, m_max, n_max, 2)
     pq = sorted({ch.label[1:] for ch in cyl3d.duct_channels(16.0)})
     k = cyl3d.disk_overlaps(cav, r0, pq)
     assert len(k) == (2 * m_max + 1) * n_max * len(pq)
     for (m, n, p, q), val in k.items():
         assert val == pytest.approx(
-            _quadrature_overlap(radius, r0, m, n, p, q, nodes=(64, 256)), abs=1e-12)
+            _quadrature_overlap(radius, r0, m, n, p, q, nodes=(64, 256)), abs=1e-14)
 
 
 def _radial_integral_oracle(p, a, b):
