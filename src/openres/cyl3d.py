@@ -48,13 +48,20 @@ class CylCavity:
                      for l in range(1, self.l_max + 1))
 
     def energy(self, m: int, n: int, l: int) -> float:
-        mu = specfun.neumann_roots(abs(m), self.n_max)[n]
+        return self._energy(specfun.neumann_roots(abs(m), self.n_max)[n], l)
+
+    def _energy(self, mu: float, l: int) -> float:
         return (mu / self.radius) ** 2 + (math.pi * (l - 1) / self.length) ** 2
 
     def basis(self) -> hcore.ClosedBasis:
-        labels = sorted(self.mode_labels(), key=lambda mnl: self.energy(*mnl))
+        """The modes sorted by energy (stable in ``mode_labels`` order); one
+        root table per |m|."""
+        tables = [specfun.neumann_roots(m, self.n_max) for m in range(self.m_max + 1)]
+        energy = {(m, n, l): self._energy(tables[abs(m)][n], l)
+                  for m, n, l in self.mode_labels()}
+        labels = sorted(energy, key=energy.get)
         return hcore.ClosedBasis(labels=tuple(labels),
-                                 energies=np.array([self.energy(*x) for x in labels]))
+                                 energies=np.array([energy[x] for x in labels]))
 
     def z_factor(self, l: int, z: float) -> float:
         amp = math.sqrt((2.0 - (l == 1)) / self.length)

@@ -14,8 +14,9 @@ eigenvector-overlap branch continuation, and zero-width (BIC) detection
 with null-vector extraction.
 
 A model whose H_eff is block-diagonal in a symmetry-adapted basis declares
-that basis as ``SymmetryBlock``s; the eigensolves then work one block at a
-time (``spectrum``) and check the declaration on every solve.
+that basis as ``SymmetryBlock``s.  ``assemble`` then builds each block on its
+own and checks the declaration; the S-matrix solves and the eigensolves work
+one block at a time, and the full mode-basis matrix is formed only when read.
 
 Everything here is pure: assembly and eigensolves build fresh arrays from
 immutable inputs, so parameter grid points can be evaluated concurrently.
@@ -24,6 +25,7 @@ immutable inputs, so parameter grid points can be evaluated concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,8 +39,9 @@ _OVERLAP_CONTINUE = 0.5
 _UNITARITY_TOL = 1e-12
 _TIE_BREAK = 1e-3
 _DENSE_EIG_LIMIT = 250
-# off-block entries of a declared symmetry block above this fraction of
-# max|H| mean a wrong declaration (measured exact blocks: <= 1.2e-16)
+# off-block entries of declared symmetry blocks above this fraction of the
+# largest on-block entry mean a wrong declaration (measured exact blocks:
+# <= 1.1e-16 at the default truncations; see _block_parts)
 _BLOCK_TOL = 1e-12
 # a vector is held by a block that carries at least 1 - this of its weight
 _BLOCK_WEIGHT_TOL = 1e-8
@@ -182,6 +185,7 @@ class SymmetryBlock:
     size: int
     _a: np.ndarray = field(init=False, repr=False)
     _b: np.ndarray = field(init=False, repr=False)
+    _paired: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         phase = read_only(np.asarray(self.phase, dtype=complex))
@@ -191,6 +195,7 @@ class SymmetryBlock:
         object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "_a", read_only(scale))
         object.__setattr__(self, "_b", read_only(scale * phase))
+        object.__setattr__(self, "_paired", bool(np.any(phase)))
 
     @classmethod
     def of(cls, size: int, vectors) -> "SymmetryBlock":
@@ -203,92 +208,234 @@ class SymmetryBlock:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Coordinates U_b^dag v of mode-basis vectors (rows of ``v``)."""
+        if not self._paired:
+            return v[self.first]
         shape = (-1,) + (1,) * (v.ndim - 1)
         return self._a.reshape(shape) * v[self.first] \
             + self._b.conj().reshape(shape) * v[self.second]
 
     def lift(self, y: np.ndarray) -> np.ndarray:
         """Mode-basis vectors U_b y of block coordinates (rows of ``y``)."""
-        shape = (-1,) + (1,) * (y.ndim - 1)
         out = np.zeros((self.size,) + y.shape[1:], dtype=complex)
+        if not self._paired:
+            out[self.first] = y
+            return out
+        shape = (-1,) + (1,) * (y.ndim - 1)
         out[self.first] = self._a.reshape(shape) * y
         out[self.second] += self._b.reshape(shape) * y
         return out
 
-    def restrict(self, h: np.ndarray) -> np.ndarray:
-        """The block U_b^dag H U_b of ``h``, at O(n n_b) cost.
-
-        Raises StructuralError when H U_b leaves the block's span by more
-        than ``_BLOCK_TOL`` max|H|, so a wrong declaration fails instead of
-        giving a wrong spectrum."""
-        hu = h[:, self.first] * self._a
-        if np.any(self.phase):
-            hu = hu + h[:, self.second] * self._b
-        hb = self.project(hu)
-        off = np.max(np.abs(hu - self.lift(hb)))
-        if off > _BLOCK_TOL * np.max(np.abs(h)):
-            raise StructuralError(f"H_eff is not block-diagonal in the declared symmetry "
-                                  f"block (off-block {off:.2e}, max|H| "
-                                  f"{np.max(np.abs(h)):.2e})")
-        return hb
+    def energies(self, e: np.ndarray) -> tuple[np.ndarray, float]:
+        """The diagonal of U_b^dag diag(e) U_b, and the largest entry of
+        diag(e) U_b that it leaves out (nonzero only where a pair joins
+        modes of different energy)."""
+        if not self._paired:
+            return e[self.first], 0.0
+        wa, wb = np.abs(self._a), np.abs(self._b)
+        lam = wa * wa * e[self.first] + wb * wb * e[self.second]
+        left = np.maximum(wa * np.abs(e[self.first] - lam), wb * np.abs(e[self.second] - lam))
+        return lam, float(left.max(initial=0.0))
 
 
-@dataclass(frozen=True)
+def _project(block: SymmetryBlock | None, v: np.ndarray) -> np.ndarray:
+    """U_b^dag v, with None the whole mode space (U = 1)."""
+    return v if block is None else block.project(v)
+
+
+def _sandwich(blocks: Sequence[SymmetryBlock], v: np.ndarray) -> np.ndarray:
+    """U^dag V U of a mode-basis matrix V, the blocks one after another: one
+    gather, or four when a block pairs modes."""
+    f = np.concatenate([blk.first for blk in blocks])
+    if not any(blk._paired for blk in blocks):
+        return v[np.ix_(f, f)]
+    s = np.concatenate([blk.second for blk in blocks])
+    a = np.concatenate([blk._a for blk in blocks])
+    c = np.concatenate([blk._b for blk in blocks])
+    return (a[:, None] * (v[np.ix_(f, f)] * a + v[np.ix_(f, s)] * c)
+            + c.conj()[:, None] * (v[np.ix_(s, f)] * a + v[np.ix_(s, s)] * c))
+
+
+@lru_cache(maxsize=64)
+def _frame_norms(blocks: tuple, n: int) -> tuple[float, float]:
+    """(largest row, largest column) 1-norm of the mode-to-block matrix U of
+    ``blocks``.  Raises StructuralError unless every row of U is a unit
+    vector, as it is for blocks that together span the n modes."""
+    if sum(len(b) for b in blocks) != n or any(b.size != n for b in blocks):
+        raise StructuralError(f"symmetry blocks do not span the {n} modes")
+    rows = np.concatenate([np.concatenate([b.first, b.second[b._b != 0]]) for b in blocks])
+    coef = np.abs(np.concatenate([np.concatenate([b._a, b._b[b._b != 0]])
+                                  for b in blocks]))
+    if not np.allclose(np.bincount(rows, coef * coef, minlength=n), 1.0,
+                       rtol=0.0, atol=1e-12):
+        raise StructuralError(f"symmetry blocks do not span the {n} modes")
+    return (float(np.bincount(rows, coef, minlength=n).max()),
+            float(max((np.abs(b._a) + np.abs(b._b)).max() for b in blocks)))
+
+
+@dataclass(frozen=True, eq=False)
 class EffectiveHamiltonian:
-    matrix: np.ndarray
+    """H_eff(omega_sq), held as one matrix per declared symmetry block.
+
+    ``parts[i]`` is the block H_b = U_b^dag H_eff U_b of ``blocks[i]``; a
+    model that declares no blocks has one part, the whole matrix.  Built by
+    ``assemble``.  ``matrix`` is the mode-basis matrix, formed from the parts
+    on first read; the S-matrix, eigensolve and BIC paths read the parts, so
+    only the callers off those paths form it (``particular_solution``, the
+    K-matrix fallback of ``smatrix``, a vector spread over several blocks)."""
+
     basis: ClosedBasis
     channels: ChannelSet
     coupling: CouplingMatrix
     omega_sq: float
     blocks: tuple = ()
+    static: np.ndarray | None = None
+    parts: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        object.__setattr__(self, "parts", _block_parts(self))
+
+    @property
+    def pieces(self):
+        """(block, part) pairs; the block is None for a model without blocks."""
+        return zip(self.blocks or (None,), self.parts)
+
+    def block_matrix(self, block: SymmetryBlock) -> np.ndarray:
+        """The part of one of the declared ``blocks``."""
+        return next(part for b, part in self.pieces if b is block)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The mode-basis matrix, sum of U_b H_b U_b^dag over the blocks."""
+        if not self.blocks:
+            return self.parts[0]
+        n = len(self.basis)
+        h = np.zeros((n, n), dtype=complex)
+        for block, part in self.pieces:
+            h += block.lift(block.lift(part).conj().T).conj().T
+        return read_only(h)
+
+
+def _block_parts(heff: EffectiveHamiltonian) -> tuple:
+    """The blocks H_b = U_b^dag (diag E + V) U_b - i (W_b k) W_b^dag, with
+    W_b = U_b^dag W, of ``heff``'s declared blocks (the whole space when it
+    declares none); the n x n mode-basis matrix is never formed.
+
+    Every off-block tile H_ab = U_a^dag H U_b (a != b) is formed too, one at
+    a time, and checked: StructuralError when r max|H_ab| exceeds
+    ``_BLOCK_TOL`` max|H_bb| / s^2, with r and s the largest row and column
+    1-norms of the mode-to-block matrix U.  r max|H_ab| bounds every
+    off-block entry of H U_b in the mode basis, and max|H_bb| / s^2 <=
+    max|H|, so a declaration that leaves off-block entries above
+    ``_BLOCK_TOL`` max|H| in H U_b fails the check."""
+    w, e = heff.coupling.matrix, heff.basis.energies
+    n = len(heff.basis)
+    if w.shape != (n, len(heff.channels)):
+        raise StructuralError(f"coupling shape {w.shape} does not match "
+                              f"{n} modes x {len(heff.channels)} channels")
+    v = None if heff.static is None else np.asarray(heff.static)
+    if v is not None and v.shape != (n, n):
+        raise StructuralError("static perturbation has wrong shape")
+    k = heff.channels.wavenumbers(heff.omega_sq)
+    blocks = heff.blocks or (None,)
+    ws = [_project(b, w) for b in blocks]
+    ends = np.cumsum([x.shape[0] for x in ws])
+    # a coupling tile needs only the channels that reach both of its blocks:
+    # the others add exact zeros.  Blocks that one set of channels reaches
+    # share a key.
+    reach = [np.any(x, axis=0) for x in ws] if heff.blocks \
+        else [np.ones(w.shape[1], dtype=bool)]
+    keys = [r.tobytes() for r in reach]
+    cols = [slice(None) if r.all() else r for r in reach]
+    # evanescent channels have k = i|k|; -i*k W W^dag then becomes the
+    # Hermitian shift +|k| W W^dag
+    wk = [x[:, c] * k[c] for x, c in zip(ws, cols)]
+    wh = [x[:, c].conj().T for x, c in zip(ws, cols)]
+    vb = v if v is None or not heff.blocks else _sandwich(heff.blocks, v)
+    parts, off = [], 0.0
+    for i, a in enumerate(blocks):
+        rows = slice(ends[i] - len(ws[i]), ends[i])
+        for j, wb in enumerate(ws):
+            tile = None if vb is None else vb[rows, ends[j] - len(wb):ends[j]]
+            # one GEMM per tile, then in place: each temporary costs about
+            # as much as the GEMM itself
+            if keys[i] == keys[j]:
+                h = wk[i] @ wh[j]
+            else:
+                both = reach[i] & reach[j]
+                if not both.any():
+                    if tile is not None:
+                        off = max(off, _peak(tile))
+                    continue
+                h = (ws[i][:, both] * k[both]) @ wb[:, both].conj().T
+            h *= -1j
+            if tile is not None:
+                h += tile
+            if i != j:
+                off = max(off, _peak(h))
+                continue
+            lam, gap = (e, 0.0) if a is None else a.energies(e)
+            off = max(off, gap)
+            h.flat[:: h.shape[0] + 1] += lam
+            parts.append(read_only(h))
+    if heff.blocks:
+        r, s = _frame_norms(heff.blocks, n)
+        # _peak is within sqrt(2) below max|.|, and the part of diag(E) U_b
+        # that H_b leaves out (gap) adds at most s * gap to a tile entry
+        off = r * (np.sqrt(2.0) + s) * off
+        on = max(_peak(p) for p in parts)
+        if off > _BLOCK_TOL * on / (s * s):
+            raise StructuralError(f"H_eff is not block-diagonal in the declared symmetry "
+                                  f"blocks (off-block {off:.2e}, on-block {on:.2e})")
+    return tuple(parts)
+
+
+def _peak(h: np.ndarray) -> float:
+    """max(|Re h|, |Im h|) over the entries of ``h`` (complex: with
+    contiguous rows): between max|h| / sqrt(2) and max|h|, without square
+    roots."""
+    x = h.view(float) if np.iscomplexobj(h) else h
+    return float(max(x.max(initial=0.0), -x.min(initial=0.0)))
 
 
 def assemble(basis: ClosedBasis, channels: ChannelSet, coupling: CouplingMatrix,
              omega_sq: float, static: np.ndarray | None = None,
              blocks: tuple = ()) -> EffectiveHamiltonian:
-    """Build H_eff(omega_sq) = diag(E) + V - i sum_c k_c W_c W_c^dag.
+    """Build H_eff(omega_sq) = diag(E) + V - i sum_c k_c W_c W_c^dag, one
+    matrix per symmetry block (see ``EffectiveHamiltonian``).
 
     ``blocks`` are the model's symmetry blocks (empty: none declared); they
-    must together span the mode space."""
-    w = coupling.matrix
-    n = len(basis)
-    if w.shape != (n, len(channels)):
-        raise StructuralError(f"coupling shape {w.shape} does not match "
-                              f"{n} modes x {len(channels)} channels")
-    if blocks and (sum(len(b) for b in blocks) != n or any(b.size != n for b in blocks)):
-        raise StructuralError(f"symmetry blocks do not span the {n} modes")
-    k = channels.wavenumbers(omega_sq)
-    # evanescent channels have k = i|k|; -i*k W W^dag then becomes the
-    # Hermitian shift +|k| W W^dag.  One GEMM, then in place: each n x n
-    # temporary costs about as much as the GEMM itself.
-    h = (w * k) @ w.conj().T
-    h *= -1j
-    if static is not None:
-        v = np.asarray(static)
-        if v.shape != (n, n):
-            raise StructuralError("static perturbation has wrong shape")
-        h += v
-    h.flat[:: n + 1] += basis.energies
-    return EffectiveHamiltonian(matrix=h, basis=basis, channels=channels,
-                                coupling=coupling, omega_sq=omega_sq, blocks=tuple(blocks))
+    must together span the mode space, and H_eff must not leave them
+    (StructuralError otherwise, see ``_block_parts``)."""
+    return EffectiveHamiltonian(basis, channels, coupling, omega_sq, tuple(blocks), static)
 
 
 def green(heff: EffectiveHamiltonian, energy: float, rhs: np.ndarray) -> np.ndarray:
-    """(E - H_eff)^(-1) rhs by one LU, with singularity detection: solving
-    for the columns of ``rhs`` alone costs O(n^2) each, where the inverse
-    would cost O(n^3)."""
+    """(E - H_eff)^(-1) rhs by one LU per symmetry block, with singularity
+    detection: solving for the columns of ``rhs`` alone costs O(n_b^2)
+    each, where the inverse would cost O(n_b^3).  The pivot ratio is taken
+    over all the blocks, as one LU of the whole matrix would see it."""
     import warnings
 
-    a = -heff.matrix
-    a.flat[:: a.shape[0] + 1] += energy
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(a, overwrite_a=True)
-    diag = np.abs(np.diag(lu))
-    rcond = diag.min() / max(diag.max(), 1e-300)
+    factors, lo, hi = [], np.inf, 0.0
+    for part in heff.parts:
+        a = -part
+        a.flat[:: a.shape[0] + 1] += energy
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu, piv = sla.lu_factor(a, overwrite_a=True)
+        diag = np.abs(np.diag(lu))
+        lo, hi = min(lo, diag.min()), max(hi, diag.max())
+        factors.append((lu, piv))
+    rcond = lo / max(hi, 1e-300)
     if rcond < 1e-14:
         raise SingularScattering(energy, rcond)
-    return sla.lu_solve((lu, piv), rhs)
+    if not heff.blocks:
+        return sla.lu_solve(factors[0], rhs)
+    out = 0.0
+    for block, lu in zip(heff.blocks, factors):
+        out = out + block.lift(sla.lu_solve(lu, block.project(rhs)))
+    return out
 
 
 def smatrix(heff: EffectiveHamiltonian, energy: float | None = None):
@@ -454,10 +601,10 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def block_eig(h: np.ndarray, block: SymmetryBlock):
-    """Eigenpairs of ``h`` inside one symmetry block, vectors in the mode
-    basis (StructuralError when ``h`` is not block-diagonal there)."""
-    vals, vecs = np.linalg.eig(block.restrict(h))
+def block_eig(heff: EffectiveHamiltonian, block: SymmetryBlock):
+    """Eigenpairs of H_eff inside one of its declared blocks, vectors in the
+    mode basis."""
+    vals, vecs = np.linalg.eig(heff.block_matrix(block))
     return vals, block.lift(vecs)
 
 
@@ -481,9 +628,9 @@ def spectrum(heff: EffectiveHamiltonian, vec: np.ndarray | None = None):
     model without blocks, gets a dense eig of the full matrix."""
     block = holding_block(heff.blocks, vec)
     if block is not None:
-        return block_eig(heff.matrix, block)
+        return block_eig(heff, block)
     if vec is None and heff.blocks:
-        parts = [block_eig(heff.matrix, b) for b in heff.blocks]
+        parts = [block_eig(heff, b) for b in heff.blocks]
         return (np.concatenate([vals for vals, _ in parts]),
                 np.hstack([vecs for _, vecs in parts]))
     return _eig_full(heff.matrix)
@@ -518,7 +665,7 @@ def _branch_eig(heff: EffectiveHamiltonian, sigma: float, vec: np.ndarray | None
     block = holding_block(heff.blocks, vec)
     if block is None:
         return _continue_eig(heff.matrix, sigma, vec, prev_z)
-    lam, y = _continue_eig(block.restrict(heff.matrix), sigma, block.project(vec), prev_z)
+    lam, y = _continue_eig(heff.block_matrix(block), sigma, block.project(vec), prev_z)
     return lam, block.lift(y)
 
 
@@ -705,7 +852,7 @@ class _SignedAmplitude:
             a = h.matrix + 1j * (v @ v.conj().T)
         else:
             vb = block.project(v)
-            a = block.restrict(h.matrix) + 1j * (vb @ vb.conj().T)
+            a = h.block_matrix(block) + 1j * (vb @ vb.conj().T)
             x, target = block.project(x), block.project(target)
         a = 0.5 * (a + a.conj().T)
         nu = np.linalg.norm(x)
@@ -891,8 +1038,12 @@ def bic_record(p: float, h: EffectiveHamiltonian, energy: float, z: complex,
                labels: tuple = ()) -> BICRecord:
     """BIC record of the eigenpair (z, vector) of ``h`` at parameter p: its
     width -2 Im z and null residual ||(energy - H_eff) a|| against the two
-    tolerances; labels default to the basis labels of ``h``."""
-    residual = float(np.linalg.norm((energy * np.eye(len(vector)) - h.matrix) @ vector))
+    tolerances; labels default to the basis labels of ``h``.  The residual
+    is summed over the symmetry blocks, so the mode-basis matrix is not
+    formed."""
+    residual = float(np.linalg.norm(np.concatenate(
+        [(energy * np.eye(part.shape[0]) - part) @ _project(block, vector)
+         for block, part in h.pieces])))
     gamma = -2.0 * z.imag
     return BICRecord(param=p, omega_sq=energy, null_vector=vector, gamma_res=gamma,
                      residual=residual,

@@ -26,12 +26,12 @@ def _map(path, shift=0.0):
                     MapResult("planar", {"lx": 4.0}, a1, a2, ("T11", "Ttotal"), values))
 
 
-def _catalog(path, swap=False, param=4.61686131, phase=1.0):
+def _catalog(path, swap=False, param=4.61686131, phase=1.0, omega_sq=1.98733786):
     labels = ((4, 1, 1), (4, -1, 1), (1, 1, 2), (1, -1, 2))
     vec = np.array([0.6, -0.6, 0.37, 0.37], dtype=complex) * phase
     if swap:
         labels, vec = (labels[1], labels[0]) + labels[2:], vec[[1, 0, 2, 3]]
-    rec = hcore.BICRecord(param=param, omega_sq=1.98733786, null_vector=vec / np.linalg.norm(vec),
+    rec = hcore.BICRecord(param=param, omega_sq=omega_sq, null_vector=vec / np.linalg.norm(vec),
                           gamma_res=1e-15, residual=1e-14, is_bic=True, labels=labels,
                           classification="friedrich-wintgen")
     sweep.write_catalog(path / "sphere_bics.dat", "sphere", {"radius": 4.2}, [rec])
@@ -66,6 +66,22 @@ def test_changes_above_tolerance_fail(tmp_path, kw, message):
     lines, ok = digest.compare_trees(old, _tree(tmp_path, "new", **kw))
     assert not ok
     assert any(message in line for line in lines)
+
+
+def test_bic_located_at_zero_passes(tmp_path):
+    # twolevel bics: eps* = 0 from golden section, then from the Brent root
+    old = _tree(tmp_path, "old", param=-7.9e-11, omega_sq=-7.9e-11)
+    new = _tree(tmp_path, "new", param=4.2e-17, omega_sq=4.2e-17)
+    lines, ok = digest.compare_trees(old, new)
+    assert ok, lines
+
+
+@pytest.mark.parametrize("key", ["param", "omega_sq"])
+def test_small_bic_coordinate_still_compared_relatively(tmp_path, key):
+    old = _tree(tmp_path, "old", **{key: 1e-3})
+    lines, ok = digest.compare_trees(old, _tree(tmp_path, "new", **{key: 1e-3 + 1e-9}))
+    assert not ok
+    assert any(f"{key} differs" in line for line in lines)
 
 
 def test_exit_code_and_file_set_must_match(tmp_path):

@@ -89,6 +89,11 @@ MAP_ABS = 1e-12
 # to sinai 5.1e-13, sphere 3.1e-14, cyl 8.9e-15, planar 6.3e-16; 1e-7 is
 # also the benchmark checker's tolerance
 BIC_REL = 1e-7
+# a BIC coordinate within this of zero has no relative scale (twolevel's
+# eps* = 0 reads -7.9e-11 from golden section and 4.2e-17 from the Brent
+# root): two such values compare equal.  It is the golden-section
+# param_tol, the coarsest precision of the BIC searches
+BIC_ZERO_ABS = 1e-10
 # modal coefficients follow the null vector, which moves with the BIC
 # location; 1e-6 is the benchmark checker's vector tolerance
 COEFF_ABS = 1e-6
@@ -139,6 +144,12 @@ def digest(argv: list[str], main, keep: Path | None = None) -> list[str]:
 
 def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def _bic_rel(a: float, b: float) -> float:
+    """``_rel`` of two BIC coordinates, 0 when both lie within
+    ``BIC_ZERO_ABS`` of zero."""
+    return 0.0 if max(abs(a), abs(b)) <= BIC_ZERO_ABS else _rel(a, b)
 
 
 def _argv_value(argv: list[str], flag: str, default: float) -> float:
@@ -211,7 +222,7 @@ def compare_catalog(sweep, old: Path, new: Path, argv: list[str]) -> list[str]:
         if a["classification"] != b["classification"]:
             out.append(where + "classification differs")
         for key in ("param", "omega_sq"):
-            if _rel(a[key], b[key]) > BIC_REL:
+            if _bic_rel(a[key], b[key]) > BIC_REL:
                 out.append(where + f"{key} differs by {_rel(a[key], b[key]):.2e} relative")
         bic = [r["gamma_res"] <= tol_w and r["residual"] <= tol_n for r in (a, b)]
         if bic[0] != bic[1]:
