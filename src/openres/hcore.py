@@ -39,6 +39,17 @@ _OVERLAP_CONTINUE = 0.5
 _UNITARITY_TOL = 1e-12
 _TIE_BREAK = 1e-3
 _DENSE_EIG_LIMIT = 250
+# warm steps on blocks of at least this many modes run Rayleigh-quotient
+# iteration; below it the dense eig is the cheaper (19 against 160 us at 2
+# modes, 148 against 128 us at 16, one core of a 2-core x86 box), and it
+# gives a decoupled level its exact zero width, where a Rayleigh quotient
+# can leave +-1e-17
+_RQI_MIN_SIZE = 16
+# an eigenpair from RQI or inverse iteration is accepted at this residual,
+# relative to max(1, max|h_ii|): a few hundred rounding units, where RQI
+# has converged (one step more gives 1e-17).  At 1e-11, one RQI step short
+# of that, eigenvalues were off by up to 5e-11 relative
+_EIGPAIR_TOL = 1e-13
 # off-block entries of declared symmetry blocks above this fraction of the
 # largest on-block entry mean a wrong declaration (measured exact blocks:
 # <= 1.1e-16 at the default truncations; see _block_parts)
@@ -533,33 +544,62 @@ def _eig_full(h: np.ndarray):
     return np.linalg.eig(h)
 
 
+def _shifted_lu(h: np.ndarray, lam: complex):
+    """LU factors of h - lam; an exactly singular pivot is left to the solve."""
+    import warnings
+
+    a = h.copy()
+    a.flat[:: a.shape[0] + 1] -= lam
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        return sla.lu_factor(a, overwrite_a=True)
+
+
+def _converged(h: np.ndarray, lam: complex, v: np.ndarray) -> bool:
+    """||h v - lam v|| <= ``_EIGPAIR_TOL`` max(1, max|h_ii|) for a unit v."""
+    scale = max(1.0, float(np.max(np.abs(np.diag(h)))))
+    return bool(np.linalg.norm(h @ v - lam * v) <= _EIGPAIR_TOL * scale)
+
+
 def _rqi(h: np.ndarray, v0: np.ndarray, max_steps: int = 10):
     """Rayleigh-quotient iteration from a known approximate eigenvector.
 
-    Returns (lam, v) or None on stagnation; cost is one LU per step."""
-    import warnings
-
-    n = h.shape[0]
-    v = v0 / np.linalg.norm(v0)
-    scale = max(1.0, float(np.max(np.abs(np.diag(h)))))
+    Returns (lam, v), v of unit norm, at the first step whose residual
+    passes ``_converged``, or None when none does within ``max_steps`` or
+    the solve breaks down; one LU per step."""
+    v = _unit(v0)
     lam = complex(v.conj() @ h @ v)
     for _ in range(max_steps):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            try:
-                lu, piv = sla.lu_factor(h - lam * np.eye(n))
-                w = sla.lu_solve((lu, piv), v)
-            except (sla.LinAlgError, ValueError):
-                return None
+        try:
+            w = sla.lu_solve(_shifted_lu(h, lam), v)
+        except (sla.LinAlgError, ValueError):
+            return None
         nw = np.linalg.norm(w)
         if not np.isfinite(nw) or nw == 0.0:
             return None
         v = w / nw
         lam = complex(v.conj() @ h @ v)
-        res = np.linalg.norm(h @ v - lam * v)
-        if res <= 1e-11 * scale:
+        if _converged(h, lam, v):
             return lam, v
-    return (lam, v) if res <= 1e-8 * scale else None
+    return None
+
+
+def _inverse_vector(h: np.ndarray, lam: complex) -> np.ndarray | None:
+    """The unit eigenvector of h at its eigenvalue ``lam`` by one step of
+    inverse iteration: U x = (1, ..., 1) with U the upper factor of
+    h - lam (LAPACK's zlaein start, generic for any eigenvector).  None
+    when the solve breaks down (an exactly singular pivot) or the residual
+    misses ``_converged``."""
+    lu, _ = _shifted_lu(h, lam)
+    try:
+        x = sla.solve_triangular(lu, np.ones(h.shape[0], dtype=lu.dtype))
+    except (sla.LinAlgError, ValueError):
+        return None
+    nx = np.linalg.norm(x)
+    if not np.isfinite(nx) or nx == 0.0:
+        return None
+    v = x / nx
+    return v if _converged(h, lam, v) else None
 
 
 def _eig_near(h: np.ndarray, sigma: complex, k: int = 8, iters: int = 6):
@@ -621,11 +661,14 @@ def holding_block(blocks: Sequence[SymmetryBlock], vec: np.ndarray | None):
 
 
 def spectrum(heff: EffectiveHamiltonian, vec: np.ndarray | None = None):
-    """Eigenpairs (vals, vecs) of H_eff, vectors in the mode basis.
+    """Every eigenpair (vals, vecs) of H_eff by dense eig, vectors in the
+    mode basis.
 
     Only the symmetry block holding ``vec`` is solved when there is one, and
     every block when ``vec`` is None; a vector spread across blocks, or a
-    model without blocks, gets a dense eig of the full matrix."""
+    model without blocks, gets a dense eig of the full matrix.  The
+    fixed-point loop and the BIC root need one eigenpair and take it from
+    ``_branch_eig`` instead."""
     block = holding_block(heff.blocks, vec)
     if block is not None:
         return block_eig(heff, block)
@@ -654,14 +697,12 @@ def _pick_branch(vals: np.ndarray, vecs: np.ndarray, seed_energy: float,
 
 def _branch_eig(heff: EffectiveHamiltonian, sigma: float, vec: np.ndarray | None,
                 prev_z: complex | None):
-    """One branch eigenpair of H_eff.  A cold start (no ``vec``) solves
-    every symmetry block, or the full matrix, and picks the eigenvalue
-    nearest ``sigma``; a warm start continues ``vec`` inside the block that
-    holds it, or on the full matrix when no block does."""
+    """One branch eigenpair of H_eff, the vector of unit norm in the mode
+    basis.  A warm start continues ``vec`` (``_continue_eig``) inside the
+    block that holds it, or on the full matrix when no block does; a cold
+    start (no ``vec``) is ``_cold_eig``."""
     if vec is None:
-        vals, vecs = spectrum(heff)
-        i = _pick_branch(vals, vecs, sigma, None)
-        return vals[i], _unit(vecs[:, i])
+        return _cold_eig(heff, sigma)
     block = holding_block(heff.blocks, vec)
     if block is None:
         return _continue_eig(heff.matrix, sigma, vec, prev_z)
@@ -669,13 +710,38 @@ def _branch_eig(heff: EffectiveHamiltonian, sigma: float, vec: np.ndarray | None
     return lam, block.lift(y)
 
 
+def _cold_eig(heff: EffectiveHamiltonian, sigma: float):
+    """The eigenpair of H_eff whose eigenvalue has the real part nearest
+    ``sigma``, ties going to the first block, as ``_pick_branch`` picks from
+    ``spectrum(heff)``.  The eigenvalues come from eigvals of every symmetry
+    block (or of the full matrix), the one vector from inverse iteration
+    in its block; where that fails, from the dense eig of the block."""
+    pieces = list(heff.pieces)
+    spectra = [np.linalg.eigvals(part) for _, part in pieces]
+    i = _pick_branch(np.concatenate(spectra), None, sigma, None)
+    for (block, part), vals in zip(pieces, spectra):
+        if i < vals.size:
+            break
+        i -= vals.size
+    lam, y = vals[i], _inverse_vector(part, vals[i])
+    if y is None:
+        vals, vecs = np.linalg.eig(part)
+        j = _pick_branch(vals, vecs, sigma, None)
+        lam, y = vals[j], _unit(vecs[:, j])
+    return lam, (y if block is None else block.lift(y))
+
+
 def _continue_eig(h: np.ndarray, sigma: float, vec: np.ndarray, prev_z: complex | None):
-    """The eigenpair of h that continues ``vec``: dense for small problems,
-    warm Rayleigh-quotient iteration above ``_DENSE_EIG_LIMIT``."""
-    if h.shape[0] > _DENSE_EIG_LIMIT:
+    """The eigenpair of h that continues ``vec``.  On ``_RQI_MIN_SIZE``
+    modes or more, Rayleigh-quotient iteration from ``vec``, kept when it
+    converges (``_converged``) with overlap >= ``_OVERLAP_CONTINUE`` on
+    ``vec``; otherwise, and on smaller h, the eigenpair that
+    ``_pick_branch`` takes from ``_eig`` (dense up to ``_DENSE_EIG_LIMIT``
+    modes, shift-invert above)."""
+    if h.shape[0] >= _RQI_MIN_SIZE:
         got = _rqi(h, vec)
-        if got is not None and abs(vec.conj() @ _unit(got[1])) >= _OVERLAP_CONTINUE:
-            return got[0], _unit(got[1])
+        if got is not None and abs(vec.conj() @ got[1]) >= _OVERLAP_CONTINUE:
+            return got
     vals, vecs = _eig(h, sigma)
     i = _pick_branch(vals, vecs, sigma, vec, prev_z)
     return vals[i], _unit(vecs[:, i])
@@ -933,10 +999,8 @@ def _root_bic(family: ModelFamily, grid: Sequence[ResonanceRecord], width_tol: f
             continue
         _, energy, y, overlap = sigma.evals[root]
         h = family(root)(energy)
-        vals, vecs = spectrum(h, y)
-        j = int(np.argmax(np.abs(y.conj() @ vecs) / np.linalg.norm(vecs, axis=0)))
-        out = bic_record(root, h, energy, vals[j], _unit(vecs[:, j]), width_tol,
-                         null_tol, labels)
+        z, vec = _branch_eig(h, energy, y, None)
+        out = bic_record(root, h, energy, z, vec, width_tol, null_tol, labels)
         out.param_err = err
         if overlap < _OVERLAP_CONTINUE:
             failure = _NoRoot(f"the level at the root p={root} is another level")

@@ -481,6 +481,71 @@ def test_eig_near_matches_dense():
     assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
+def test_rqi_accepts_only_a_converged_residual():
+    rng = np.random.default_rng(11)
+    n = 30
+    h = np.diag(rng.uniform(0, 20, n)) - 0.05j * np.outer(rng.normal(size=n), rng.normal(size=n))
+    vals, vecs = np.linalg.eig(h)
+    v0 = vecs[:, 0] + 1e-3 * rng.normal(size=n)
+    assert hcore._rqi(h, v0, max_steps=0) is None
+    assert hcore._rqi(h, v0, max_steps=1) is None
+    lam, v = hcore._rqi(h, v0)
+    assert abs(lam - vals[0]) <= 1e-12 * abs(vals[0])
+    assert abs(np.vdot(vecs[:, 0], v)) >= 1.0 - 1e-10
+
+
+def _tied_blocks(n=20, seed=3):
+    """Two declared blocks holding bit-identical matrices: modes i and
+    n + i share an energy, and each half couples to its own channel with
+    the same amplitudes."""
+    rng = np.random.default_rng(seed)
+    e = np.sort(rng.uniform(1.0, 20.0, n))
+    basis = hcore.ClosedBasis(labels=tuple(range(2 * n)), energies=np.concatenate([e, e]))
+    channels = hcore.ChannelSet([hcore.Channel("L", ("p", 1), 1.0),
+                                 hcore.Channel("R", ("p", 1), 1.0)])
+    w = np.zeros((2 * n, 2), dtype=complex)
+    w[:n, 0] = w[n:, 1] = rng.normal(0.0, 0.4, n)
+    blocks = [hcore.SymmetryBlock.of(2 * n, [(i, i, 0) for i in range(k, k + n)])
+              for k in (0, n)]
+    return hcore.assemble(basis, channels, hcore.CouplingMatrix(w), 9.0, blocks=blocks)
+
+
+def _no_dense_eig(*args, **kwargs):
+    raise AssertionError("dense eig on a cold start")
+
+
+def test_cold_start_tie_between_blocks_goes_to_the_first(monkeypatch):
+    h = _tied_blocks()
+    assert np.array_equal(h.parts[0], h.parts[1])
+    vals, vecs = hcore.spectrum(h)
+    monkeypatch.setattr(np.linalg, "eig", _no_dense_eig)
+    for sigma in (5.0, 9.0, 12.0):
+        i = hcore._pick_branch(vals, vecs, sigma, None)
+        assert i < len(h.blocks[0])
+        lam, v = hcore._branch_eig(h, sigma, None, None)
+        assert hcore.holding_block(h.blocks, v) is h.blocks[0]
+        assert abs(lam - vals[i]) <= 1e-12 * abs(vals[i])
+        assert abs(np.vdot(vecs[:, i], v)) >= 1.0 - 1e-10
+
+
+def test_cold_start_on_an_exact_eigenvalue_takes_the_dense_eig(monkeypatch):
+    # a diagonal H_eff shifted by one of its own eigenvalues has an exactly
+    # zero pivot: inverse iteration breaks down and the dense eig answers
+    basis = hcore.ClosedBasis(labels=("a", "b"), energies=np.array([1.0, 4.0]))
+    channels = hcore.ChannelSet([hcore.Channel("L", ("p", 1), 0.5)])
+    h = hcore.assemble(basis, channels, hcore.CouplingMatrix(np.zeros((2, 1), dtype=complex)),
+                       2.0)
+    vals, vecs = hcore.spectrum(h)
+    calls, eig = [], np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    for sigma in (1.0, 4.0):
+        assert hcore._inverse_vector(h.parts[0], sigma) is None
+        i = hcore._pick_branch(vals, vecs, sigma, None)
+        lam, v = hcore._branch_eig(h, sigma, None, None)
+        assert lam == vals[i] and np.array_equal(v, vecs[:, i])
+    assert calls == [(2, 2), (2, 2)]
+
+
 # ------------------------------------------------------------------ layout --
 
 def _private(name):

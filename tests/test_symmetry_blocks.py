@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from openres import cyl3d, hcore, planar2d, sph3d
+from openres import cli, cyl3d, hcore, planar2d, sph3d
 
 RECT = planar2d.RectCavity(4.0, 4.6, m_max=8, n_max=8)
 SINAI_CAV = planar2d.RectCavity(4.0, 2.0, "neumann", 8, 8)
@@ -178,3 +178,86 @@ def test_fixed_point_same_with_and_without_blocks():
     warm = hcore.solve_resonance(model, seed, branch_vector=cold.vector)
     assert abs(warm.z - ref.z) <= 1e-10 * abs(ref.z)
     assert hcore.holding_block(model(seed).blocks, warm.vector) is not None
+
+
+# ------------------------------------------- warm and cold branch eigenpairs --
+
+def _default_cavities():
+    """The CLI's default cavity models, as (model, two energies in band,
+    block sizes)."""
+    d = {name: cli.MODELS[name].defaults for name in ("planar", "sinai", "sphere", "cyl")}
+    p = d["planar"]
+    planar = planar2d.planar_model(
+        planar2d.RectCavity(p["lx"], p["ly"], "dirichlet", p["m_max"], p["n_max"]),
+        p["p_max"])
+    p = d["sinai"]
+    sinai = planar2d.sinai_model(
+        planar2d.RectCavity(p["lx"], p["ly"], "neumann", p["m_max"], p["n_max"]),
+        planar2d.SinaiBump(p["vg"], p["radius"], p["x0"], p["y0"]), p["p_max"])
+    p = d["sphere"]
+    sphere = sph3d.sphere_model(
+        sph3d.SphereCavity(p["radius"], p["l_max"], p["n_max"]),
+        (sph3d.WaveguideAttachment("in"), sph3d.WaveguideAttachment("out", beta=p["dtheta"])))
+    p = d["cyl"]
+    cyl = cyl3d.cyl_model(
+        cyl3d.CylCavity(p["radius"], p["length"], p["m_max"], p["n_max"], p["l_max"]),
+        p["dphi"], p["r0"])
+    return {"planar": (planar, (14.0, 18.0), [100] * 4),
+            "sinai": (sinai, (20.0, 26.0), [49, 56, 56, 64]),
+            "sphere": (sphere, (0.3, 1.2), [63, 84]),
+            "cyl": (cyl, (1.0, 1.6), [81, 81])}
+
+
+DEFAULT_CAVITIES = _default_cavities()
+
+
+def _no_dense_eig(*args, **kwargs):
+    raise AssertionError("dense eig on a warm step")
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_CAVITIES))
+def test_warm_continuation_matches_dense_pick(name, monkeypatch):
+    # a fixed-point step: the vector of the previous energy, continued by
+    # RQI, is the eigenpair that the dense eig and _pick_branch give
+    model, energies, sizes = DEFAULT_CAVITIES[name]
+    monkeypatch.setattr(hcore, "_eig", _no_dense_eig)
+    for e in energies:
+        before, h = model(e * (1.0 - 1e-3)), model(e)
+        assert sorted(len(b) for b in h.blocks) == sizes
+        for block in h.blocks:
+            vals0, vecs0 = np.linalg.eig(before.block_matrix(block))
+            vals, vecs = np.linalg.eig(h.block_matrix(block))
+            for j in np.argsort(np.abs(vals0.real - e))[:2]:
+                lam, v = hcore._continue_eig(h.block_matrix(block), e, vecs0[:, j], vals0[j])
+                i = hcore._pick_branch(vals, vecs, e, vecs0[:, j], vals0[j])
+                assert abs(lam - vals[i]) <= 1e-12 * abs(vals[i])
+                assert abs(np.vdot(vecs[:, i], v)) / np.linalg.norm(vecs[:, i]) >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_CAVITIES))
+def test_cold_start_matches_dense_pick(name):
+    model, energies, _ = DEFAULT_CAVITIES[name]
+    for e in energies:
+        h = model(e)
+        vals, vecs = hcore.spectrum(h)
+        for sigma in (e, 0.5 * e, 1.5 * e):
+            i = hcore._pick_branch(vals, vecs, sigma, None)
+            lam, v = hcore._branch_eig(h, sigma, None, None)
+            assert abs(lam - vals[i]) <= 1e-12 * abs(vals[i])
+            assert abs(np.vdot(vecs[:, i], v)) >= 1.0 - 1e-10
+
+
+def test_cavity_fixed_point_runs_no_dense_eig(monkeypatch):
+    # eigvals and one inverse iteration for the cold start, RQI on every
+    # warm step: a silent return to the dense eig fails here
+    model, _, _ = DEFAULT_CAVITIES["planar"]
+    rqi, steps = hcore._rqi, []
+
+    def counted(*args, **kwargs):
+        steps.append(args[0].shape[0])
+        return rqi(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eig", _no_dense_eig)
+    monkeypatch.setattr(hcore, "_rqi", counted)
+    rec = hcore.solve_resonance(model, 11.3)
+    assert rec.converged and rec.iterations > 2
+    assert steps == [100] * (rec.iterations - 1)
