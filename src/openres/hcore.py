@@ -39,12 +39,6 @@ _OVERLAP_CONTINUE = 0.5
 _UNITARITY_TOL = 1e-12
 _TIE_BREAK = 1e-3
 _DENSE_EIG_LIMIT = 250
-# warm steps on blocks of at least this many modes run Rayleigh-quotient
-# iteration; below it the dense eig is the cheaper (19 against 160 us at 2
-# modes, 148 against 128 us at 16, one core of a 2-core x86 box), and it
-# gives a decoupled level its exact zero width, where a Rayleigh quotient
-# can leave +-1e-17
-_RQI_MIN_SIZE = 16
 # an eigenpair from RQI or inverse iteration is accepted at this residual,
 # relative to max(1, max|h_ii|): a few hundred rounding units, where RQI
 # has converged (one step more gives 1e-17).  At 1e-11, one RQI step short
@@ -602,6 +596,45 @@ def _inverse_vector(h: np.ndarray, lam: complex) -> np.ndarray | None:
     return v if _converged(h, lam, v) else None
 
 
+def _left_vector(h: np.ndarray, lam: complex) -> np.ndarray | None:
+    """The unit left eigenvector w (w^dag h = lam w^dag) of h at its
+    eigenvalue ``lam`` by inverse iteration on (h - lam)^dag from
+    (1, ..., 1): one LU, and a second solve when the first leaves the
+    residual just short of ``_converged`` (as one did on a Sinai block,
+    1.8e-13 of the scale).  None when a solve breaks down or two miss."""
+    lu = _shifted_lu(h, lam)
+    w = np.ones(h.shape[0], dtype=complex)
+    for _ in range(2):
+        try:
+            w = sla.lu_solve(lu, w, trans=2)
+        except (sla.LinAlgError, ValueError):
+            return None
+        nw = np.linalg.norm(w)
+        if not np.isfinite(nw) or nw == 0.0:
+            return None
+        w = w / nw
+        if _converged(h.conj().T, np.conj(lam), w):
+            return w
+    return None
+
+
+def _largest_overlap(h: np.ndarray, lam: complex, x: np.ndarray, vec: np.ndarray) -> bool:
+    """Whether the unit eigenvector x of h at ``lam`` overlaps ``vec`` more
+    than any other eigenvector of h does, by over ``_TIE_BREAK``: the pick
+    ``_pick_branch`` makes from the dense eig, outside its prev_z tie
+    window.  The other eigenvectors lie in the hyperplane orthogonal to
+    the left eigenvector w at ``lam``, so none overlaps the unit ``vec``
+    by more than its part in that hyperplane, sqrt(1 - |w^dag vec|^2).
+    For orthonormal eigenvectors w = x and this asks |vec^dag x| >
+    1/sqrt(2) or so."""
+    w = _left_vector(h, lam)
+    if w is None:
+        return False
+    u = vec / np.linalg.norm(vec)
+    rest = np.sqrt(max(0.0, 1.0 - abs(np.vdot(w, u)) ** 2))
+    return bool(abs(np.vdot(u, x)) - rest > _TIE_BREAK)
+
+
 def _eig_near(h: np.ndarray, sigma: complex, k: int = 8, iters: int = 6):
     """A few eigenpairs of h nearest sigma via shifted inverse subspace
     iteration + Rayleigh-Ritz; falls back to dense eig on stagnation."""
@@ -732,16 +765,17 @@ def _cold_eig(heff: EffectiveHamiltonian, sigma: float):
 
 
 def _continue_eig(h: np.ndarray, sigma: float, vec: np.ndarray, prev_z: complex | None):
-    """The eigenpair of h that continues ``vec``.  On ``_RQI_MIN_SIZE``
-    modes or more, Rayleigh-quotient iteration from ``vec``, kept when it
-    converges (``_converged``) with overlap >= ``_OVERLAP_CONTINUE`` on
-    ``vec``; otherwise, and on smaller h, the eigenpair that
-    ``_pick_branch`` takes from ``_eig`` (dense up to ``_DENSE_EIG_LIMIT``
-    modes, shift-invert above)."""
-    if h.shape[0] >= _RQI_MIN_SIZE:
-        got = _rqi(h, vec)
-        if got is not None and abs(vec.conj() @ got[1]) >= _OVERLAP_CONTINUE:
-            return got
+    """The eigenpair of h that continues ``vec``: Rayleigh-quotient
+    iteration from ``vec``, kept when it converges (``_converged``) to the
+    eigenvector of largest overlap on ``vec`` (``_largest_overlap``);
+    otherwise the eigenpair that ``_pick_branch`` takes from ``_eig``
+    (dense up to ``_DENSE_EIG_LIMIT`` modes, shift-invert above).  RQI runs
+    to the level nearest the Rayleigh quotient of ``vec``, which for a
+    vector mixed over levels near an avoided crossing need not be that
+    one."""
+    got = _rqi(h, vec)
+    if got is not None and _largest_overlap(h, *got, vec):
+        return got
     vals, vecs = _eig(h, sigma)
     i = _pick_branch(vals, vecs, sigma, vec, prev_z)
     return vals[i], _unit(vecs[:, i])

@@ -235,6 +235,31 @@ def test_warm_continuation_matches_dense_pick(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_CAVITIES))
+def test_mixed_vector_continues_to_the_dense_pick(name):
+    # near an avoided crossing the branch vector mixes levels; RQI runs to
+    # the level nearest its Rayleigh quotient, which need not be the one of
+    # largest overlap (H_eff is not normal: two of the cylinder's
+    # eigenvectors overlap by 0.75), so its result stands only where no
+    # other eigenvector can overlap the vector more
+    model, energies, _ = DEFAULT_CAVITIES[name]
+    e = energies[0]
+    h = model(e)
+    for block in h.blocks:
+        hb = h.block_matrix(block)
+        vals, vecs = np.linalg.eig(hb)
+        vecs = vecs / np.linalg.norm(vecs, axis=0)
+        near = np.argsort(np.abs(vals.real - e))[:3]
+        for weights in ((0.6, 0.57, 0.56), (0.56, 0.6, 0.57), (0.8, 0.6), (0.72, 0.69), (0.95, 0.3)):
+            v = vecs[:, near[:len(weights)]] @ np.array(weights)
+            v /= np.linalg.norm(v)
+            for prev_z in (None, vals[near[1]]):
+                lam, y = hcore._continue_eig(hb, e, v, prev_z)
+                i = hcore._pick_branch(vals, vecs, e, v, prev_z)
+                assert abs(lam - vals[i]) <= 1e-12 * abs(vals[i])
+                assert abs(np.vdot(vecs[:, i], y)) >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_CAVITIES))
 def test_cold_start_matches_dense_pick(name):
     model, energies, _ = DEFAULT_CAVITIES[name]
     for e in energies:
