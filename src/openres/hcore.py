@@ -285,8 +285,8 @@ class EffectiveHamiltonian:
     model that declares no blocks has one part, the whole matrix.  Built by
     ``assemble``.  ``matrix`` is the mode-basis matrix, formed from the parts
     on first read; the S-matrix, eigensolve and BIC paths read the parts, so
-    only the callers off those paths form it (``particular_solution``, the
-    K-matrix fallback of ``smatrix``, a vector spread over several blocks)."""
+    only the callers off those paths form it (the K-matrix fallback of
+    ``smatrix``, a vector spread over several blocks)."""
 
     basis: ClosedBasis
     channels: ChannelSet
@@ -621,10 +621,10 @@ def _left_vector(h: np.ndarray, lam: complex) -> np.ndarray | None:
 def _largest_overlap(h: np.ndarray, lam: complex, x: np.ndarray, vec: np.ndarray) -> bool:
     """Whether the unit eigenvector x of h at ``lam`` overlaps ``vec`` more
     than any other eigenvector of h does, by over ``_TIE_BREAK``: the pick
-    ``_pick_branch`` makes from the dense eig, outside its prev_z tie
-    window.  The other eigenvectors lie in the hyperplane orthogonal to
-    the left eigenvector w at ``lam``, so none overlaps the unit ``vec``
-    by more than its part in that hyperplane, sqrt(1 - |w^dag vec|^2).
+    ``_pick_branch`` makes from the dense eig, outside its tie window.  The
+    other eigenvectors lie in the hyperplane orthogonal to the left
+    eigenvector w at ``lam``, so none overlaps the unit ``vec`` by more
+    than its part in that hyperplane, sqrt(1 - |w^dag vec|^2).
     For orthonormal eigenvectors w = x and this asks |vec^dag x| >
     1/sqrt(2) or so."""
     w = _left_vector(h, lam)
@@ -681,9 +681,9 @@ def block_eig(heff: EffectiveHamiltonian, block: SymmetryBlock):
     return vals, block.lift(vecs)
 
 
-def holding_block(blocks: Sequence[SymmetryBlock], vec: np.ndarray | None):
+def holding_block(blocks: Sequence[SymmetryBlock], vec: np.ndarray):
     """The block that holds at least 1 - 1e-8 of ``vec``'s weight, or None."""
-    if vec is None or not blocks:
+    if not blocks:
         return None
     floor = (1.0 - _BLOCK_WEIGHT_TOL) * np.vdot(vec, vec).real
     for block in blocks:
@@ -693,39 +693,38 @@ def holding_block(blocks: Sequence[SymmetryBlock], vec: np.ndarray | None):
     return None
 
 
-def spectrum(heff: EffectiveHamiltonian, vec: np.ndarray | None = None):
-    """Every eigenpair (vals, vecs) of H_eff by dense eig, vectors in the
-    mode basis.
-
-    Only the symmetry block holding ``vec`` is solved when there is one, and
-    every block when ``vec`` is None; a vector spread across blocks, or a
-    model without blocks, gets a dense eig of the full matrix.  The
-    fixed-point loop and the BIC root need one eigenpair and take it from
-    ``_branch_eig`` instead."""
-    block = holding_block(heff.blocks, vec)
-    if block is not None:
-        return block_eig(heff, block)
-    if vec is None and heff.blocks:
-        parts = [block_eig(heff, b) for b in heff.blocks]
-        return (np.concatenate([vals for vals, _ in parts]),
-                np.hstack([vecs for _, vecs in parts]))
-    return _eig_full(heff.matrix)
+def spectrum(heff: EffectiveHamiltonian):
+    """Every eigenpair (vals, vecs) of H_eff by the dense eig of every
+    symmetry block (of the full matrix for a model without blocks), vectors
+    in the mode basis.  The fixed-point loop and the BIC root need one
+    eigenpair and take it from ``_branch_eig`` instead."""
+    if not heff.blocks:
+        return _eig_full(heff.matrix)
+    parts = [block_eig(heff, b) for b in heff.blocks]
+    return (np.concatenate([vals for vals, _ in parts]),
+            np.hstack([vecs for _, vecs in parts]))
 
 
 def _pick_branch(vals: np.ndarray, vecs: np.ndarray, seed_energy: float,
                  branch_vector: np.ndarray | None, prev_z: complex | None = None):
     """Branch selection: eigenvector overlap when available, else nearest
-    real part; ties within 1e-3 broken by smallest |z - prev_z|."""
+    real part.  Two overlaps within ``_TIE_BREAK`` tie; the tie goes to the
+    smaller |z - prev_z| when the two distances differ by more than
+    ``_TIE_BREAK`` of the larger, and otherwise to the larger Im z, so that
+    rounding does not decide it (as at an exceptional point, where both
+    eigenvectors overlap the branch equally and lie either side of prev_z)."""
     if branch_vector is None:
-        i = int(np.argmin(np.abs(vals.real - seed_energy)))
-        return i
+        return int(np.argmin(np.abs(vals.real - seed_energy)))
     ov = np.abs(branch_vector.conj() @ vecs) / np.linalg.norm(vecs, axis=0)
     order = np.argsort(-ov)
-    best = order[0]
-    if prev_z is not None and order.size > 1 and ov[order[0]] - ov[order[1]] < _TIE_BREAK:
-        pair = order[:2]
-        best = pair[int(np.argmin(np.abs(vals[pair] - prev_z)))]
-    return int(best)
+    if order.size < 2 or ov[order[0]] - ov[order[1]] >= _TIE_BREAK:
+        return int(order[0])
+    pair = order[:2]
+    if prev_z is not None:
+        d = np.abs(vals[pair] - prev_z)
+        if abs(d[0] - d[1]) > _TIE_BREAK * d.max():
+            return int(pair[np.argmin(d)])
+    return int(pair[np.argmax(vals[pair].imag)])
 
 
 def _branch_eig(heff: EffectiveHamiltonian, sigma: float, vec: np.ndarray | None,
@@ -1070,7 +1069,6 @@ def _brent_root(sigma: _SignedAmplitude, lo: float, hi: float) -> tuple[float, f
 def find_bics(trajectory: Sequence[ResonanceRecord], family: ModelFamily,
               width_tol: float = DEFAULT_WIDTH_TOL, null_tol: float = DEFAULT_NULL_TOL,
               param_tol: float = 1e-10, labels: tuple = (),
-              branch: Callable[[float, ResonanceRecord], ResonanceRecord] | None = None,
               keep: Callable[[ResonanceRecord], bool] | None = None) -> list[BICRecord]:
     """Zero-width points of a sampled branch (records with ``.param``).
 
@@ -1083,17 +1081,11 @@ def find_bics(trajectory: Sequence[ResonanceRecord], family: ModelFamily,
     ``_root_bic``) - the branch width is golden-section minimised instead,
     on the same bracket, to ``param_tol``; minima above
     ``width_tol`` are kept as quasi-BIC records (is_bic False).  In the
-    fallback the branch at p is ``branch(p, grid_record)``, recorded from
-    its own eigenpair, or by default the fixed-point resonance of
-    ``family(p)`` seeded by the grid record, whose null vector is the
-    eigenvector of smallest |Im z| near it.  ``param_err`` is the width of
-    the final bracket of either search.
+    fallback the branch at p is the fixed-point resonance of ``family(p)``
+    seeded by the grid record, recorded by ``bic_record`` from the
+    eigenpair it converged to.  ``param_err`` is the width of the final
+    bracket of either search.
     """
-    own = branch is not None
-    if not own:
-        def branch(p, rec):
-            return solve_resonance(family(p), rec.energy, rec.vector)
-
     recs = [r for r in trajectory if r.converged]
     if len(recs) < 3:
         return []
@@ -1114,18 +1106,18 @@ def find_bics(trajectory: Sequence[ResonanceRecord], family: ModelFamily,
         except _NoRoot:
             pass
 
-        def branch_width(p, seed=recs[i]):
-            r = branch(p, seed)
+        def branch(p, seed=recs[i]):
+            return solve_resonance(family(p), seed.energy, seed.vector)
+
+        def branch_width(p):
+            r = branch(p)
             return r.width if r.converged else np.inf
 
         p_star, err = _golden_minimize(branch_width, recs[i - 1].param,
                                        recs[i + 1].param, param_tol)
-        rec = branch(p_star, recs[i])
-        if own:
-            bic = bic_record(p_star, family(p_star)(rec.energy), rec.energy, rec.z,
-                             rec.vector, width_tol, null_tol, labels)
-        else:
-            bic = _bic_record_from(rec, family, p_star, width_tol, null_tol, labels)
+        rec = branch(p_star)
+        bic = bic_record(p_star, family(p_star)(rec.energy), rec.energy, rec.z,
+                         rec.vector, width_tol, null_tol, labels)
         bic.param_err = err
         out.append(bic)
     return out
@@ -1149,25 +1141,6 @@ def bic_record(p: float, h: EffectiveHamiltonian, energy: float, z: complex,
                      labels=tuple(labels) or tuple(h.basis.labels))
 
 
-def _bic_record_from(rec: ResonanceRecord, family: ModelFamily, p: float,
-                     width_tol: float, null_tol: float, labels: tuple) -> BICRecord:
-    w2 = rec.energy
-    h = family(p)(w2)
-    vals, vecs = spectrum(h, rec.vector)
-    # minimal-|Im| pick restricted to the tracked branch neighborhood: the
-    # spectrum may hold unrelated exactly-real (symmetry-protected)
-    # eigenvalues that must not be grabbed
-    window = max(10.0 * abs(rec.width), 1e-6 * max(1.0, abs(w2)))
-    near = np.where(np.abs(vals.real - w2) <= window)[0]
-    if near.size == 0:
-        near = np.array([int(np.argmin(np.abs(vals - rec.z)))])
-    ov = np.abs(rec.vector.conj() @ vecs[:, near]) / np.linalg.norm(vecs[:, near], axis=0)
-    same_branch = near[ov >= 0.5]
-    pool = same_branch if same_branch.size else near
-    j = pool[int(np.argmin(np.abs(vals.imag[pool])))]
-    return bic_record(p, h, w2, vals[j], _unit(vecs[:, j]), width_tol, null_tol, labels)
-
-
 def bic_mode(record: BICRecord, labels: Sequence) -> list[tuple]:
     """Unit-norm modal expansion of a BIC, sorted by |a_n| descending."""
     a = _unit(np.asarray(record.null_vector))
@@ -1175,9 +1148,3 @@ def bic_mode(record: BICRecord, labels: Sequence) -> list[tuple]:
     lab = list(labels) if len(labels) else list(range(a.size))
     return [(lab[i], complex(a[i])) for i in order]
 
-
-def particular_solution(heff: EffectiveHamiltonian, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm particular solution of (w2 - H_eff) psi = rhs (orthogonal
-    to the null space at a BIC point)."""
-    a = heff.omega_sq * np.eye(heff.matrix.shape[0]) - heff.matrix
-    return np.linalg.lstsq(a, rhs, rcond=1e-10)[0]

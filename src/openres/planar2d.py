@@ -257,13 +257,16 @@ def planar_fw_bic(lx: float = 4.0, pair=((4, 3), (2, 5)), p_max: int = 8,
                   null_tol: float = hcore.DEFAULT_NULL_TOL):
     """Zero-width point of the avoided pair near the mode crossing.
 
-    Scans the width of the dark hybrid (narrowest pair-dominated
-    eigenvector, identified point by point) over Ly around the bare
-    degeneracy and locates its zero with ``hcore.find_bics`` (the Brent
-    root of the signed open-channel amplitude in the pair's parity block).
-    Returns (record, ly_degenerate); the evanescent channels shift the zero
-    away from the bare crossing.  Raises RuntimeError when the scan window
-    holds no interior width minimum.
+    Samples the dark hybrid over Ly around the bare degeneracy, one
+    ``hcore.solve_resonance`` per width seeded by the pair's dark
+    combination W_b e_a - W_a e_b of the first channel, and locates its
+    zero with ``hcore.find_bics`` (the Brent root of the signed
+    open-channel amplitude in the pair's parity block).  Each width is
+    seeded afresh: the hybrid content rotates rapidly through the crossing,
+    defeating long-range continuation.  Returns (record, ly_degenerate);
+    the evanescent channels shift the zero away from the bare crossing.
+    Raises RuntimeError when the scan window holds no interior width
+    minimum.
     """
     ly0 = degeneracy_width(lx, pair)
 
@@ -271,37 +274,19 @@ def planar_fw_bic(lx: float = 4.0, pair=((4, 3), (2, 5)), p_max: int = 8,
         cav = RectCavity(lx=lx, ly=ly, bc="dirichlet", m_max=m_max, n_max=n_max)
         return planar_model(cav, p_max=p_max)
 
-    def dark_state(ly, seed=None):
-        """Self-consistent narrow pair-dominated eigenpair at this width,
-        identified per point (``seed`` unused): the hybrid content rotates
-        rapidly through the crossing, defeating long-range continuation."""
+    def dark_state(ly):
         cav = RectCavity(lx=lx, ly=ly, bc="dirichlet", m_max=m_max, n_max=n_max)
-        labels = cav.basis().labels
-        ia, ib = labels.index(pair[0]), labels.index(pair[1])
-        model = family(ly)
+        _, basis, raw = _cached_plumbing(cav, p_max)
+        ia, ib = basis.labels.index(pair[0]), basis.labels.index(pair[1])
+        seed = np.zeros(len(basis))
+        seed[ia], seed[ib] = raw[ib, 0], -raw[ia, 0]
         e = 0.5 * (cav.energy(*pair[0]) + cav.energy(*pair[1]))
-        # the pair's parity block: the only one with pair weight
-        in_pair = np.zeros(len(labels))
-        in_pair[[ia, ib]] = math.sqrt(0.5)
-        for it in range(1, 61):
-            vals, vecs = hcore.spectrum(model(e), in_pair)
-            weight = (np.abs(vecs[ia]) ** 2 + np.abs(vecs[ib]) ** 2) \
-                / np.linalg.norm(vecs, axis=0) ** 2
-            cand = np.where((weight > 0.4) & (np.abs(vals.real - e) < 1.5))[0]
-            if cand.size == 0:
-                cand = np.array([int(np.argmin(np.abs(vals.real - e)))])
-            j = cand[int(np.argmax(vals.imag[cand]))]
-            z = vals[j]
-            converged = abs(z.real - e) <= 1e-11 * max(1.0, abs(e))
-            if converged:
-                break
-            e = z.real
-        return hcore.ResonanceRecord(z=z, vector=vecs[:, j] / np.linalg.norm(vecs[:, j]),
-                                     param=ly, converged=converged, iterations=it)
+        rec = hcore.solve_resonance(family(ly), e, seed / np.linalg.norm(seed))
+        rec.param = ly
+        return rec
 
     scan = np.linspace(ly0 * (1 - span), ly0 * (1 + span), n_grid)
-    recs = hcore.find_bics([dark_state(ly) for ly in scan], family, width_tol, null_tol,
-                           branch=dark_state)
+    recs = hcore.find_bics([dark_state(ly) for ly in scan], family, width_tol, null_tol)
     if not recs:
         raise RuntimeError("no interior width minimum of the dark state in the scan window")
     best = min(recs, key=lambda r: r.gamma_res)

@@ -2,6 +2,9 @@
 unitarity, fixed-point resonances, branch tracking and BIC extraction."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -279,6 +282,55 @@ def test_find_bics_symmetric_twolevel_null_vector():
     assert hits[0].residual <= 1e-7
 
 
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_pick_branch_settles_an_overlap_tie_by_the_larger_imaginary_part(order):
+    # past an exceptional point both eigenvectors overlap the branch vector
+    # equally (here to 1e-9) and lie either side of prev_z: the narrower
+    # level wins in either column order, while a prev_z nearer one of the
+    # two still settles the tie by distance
+    theta = np.pi / 6
+    pairs = [(-0.0134j, [np.cos(theta), np.sin(theta)]),
+             (-0.1866j, [np.cos(theta + 1e-9), -np.sin(theta + 1e-9)])]
+    vals = np.array([pairs[i][0] for i in order])
+    vecs = np.array([pairs[i][1] for i in order], dtype=complex).T
+    branch = np.array([1.0, 0.0], dtype=complex)
+    ov = np.abs(branch @ vecs)
+    assert 0.0 < abs(ov[0] - ov[1]) <= 1e-9
+    for prev_z in (None, -0.1j):
+        assert vals[hcore._pick_branch(vals, vecs, 0.0, branch, prev_z)] == -0.0134j
+    assert vals[hcore._pick_branch(vals, vecs, 0.0, branch, -0.17j)] == -0.1866j
+
+
+_EXCEPTIONAL_POINT_BICS = """
+import numpy as np
+from openres import hcore
+from openres.toymodels import TwoLevelParams, twolevel_model
+
+def family(eps):
+    return twolevel_model(TwoLevelParams(eps, 0.1, 0.1, 0.0))
+
+traj = hcore.track(family, np.linspace(-0.5, 0.5, 21), seed_energy=0.05)
+for b in hcore.find_bics(traj, family):
+    print(float(b.param), float(b.gamma_res))
+"""
+
+
+def test_exceptional_point_bics_do_not_depend_on_the_blas_thread_count():
+    # the tracked branch passes the exceptional point at eps = -0.1, where
+    # the pick once came down to rounding that the thread count changes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    found = []
+    for threads in ("1", "2"):
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", _EXCEPTIONAL_POINT_BICS], env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        found.append([tuple(map(float, line.split())) for line in run.stdout.splitlines()])
+    # one BIC, at eps = 0 with zero width, under either thread count
+    assert len(found[0]) == len(found[1]) == 1
+    assert np.allclose(found, 0.0, rtol=0.0, atol=1e-12)
+
+
 def _counting_golden(monkeypatch):
     calls = []
     golden = hcore._golden_minimize
@@ -449,13 +501,11 @@ def test_bic_singularity_duality_and_orthogonality():
     model = twolevel_model(p)
     h = model(0.0)
     a = 0.0 * np.eye(2) - h.matrix
-    sv = np.linalg.svd(a, compute_uv=False)
+    _, sv, vh = np.linalg.svd(a)
     assert sv[-1] <= 1e-7 * sv[0]
-    # particular scattering solution is orthogonal to the trapped state
-    rhs = h.coupling.matrix[:, 0]
-    psi_p = hcore.particular_solution(h, rhs)
-    null = np.array([-1.0, 1.0]) / np.sqrt(2.0)
-    assert abs(null.conj() @ psi_p) <= 1e-6 * max(1.0, np.linalg.norm(psi_p))
+    # the trapped state (the singular vector) is orthogonal to the channel
+    null = vh[-1].conj()
+    assert np.linalg.norm(h.coupling.matrix.conj().T @ null) <= 1e-7
 
 
 def test_bic_mode_sorted_unit_norm():

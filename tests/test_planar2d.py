@@ -153,6 +153,16 @@ def test_planar_fw_bic_small_truncation():
     assert strict.param == rec.param
 
 
+def test_planar_fw_bic_runs_no_dense_eig(monkeypatch):
+    # every width is sampled by the fixed point: eigvals and one inverse
+    # iteration for the cold start, RQI on every warm step
+    def no_dense_eig(*args, **kwargs):
+        raise AssertionError("dense eig in the planar BIC search")
+    monkeypatch.setattr(np.linalg, "eig", no_dense_eig)
+    rec, _ = pl.planar_fw_bic(lx=4.0, m_max=10, n_max=10)
+    assert rec.is_bic
+
+
 def _permuted_basis(cls, monkeypatch, seed=3):
     """Patch ``cls.basis`` to list the modes in a random order (the same
     order at every geometry): a change of nothing but rounding."""

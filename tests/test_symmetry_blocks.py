@@ -69,7 +69,6 @@ def test_block_green_matches_dense_solve(heff):
 def test_hot_paths_do_not_form_the_mode_basis_matrix(heff):
     hcore.smatrix(heff, heff.omega_sq)
     vals, vecs = hcore.spectrum(heff)
-    hcore.spectrum(heff, vecs[:, 0])
     j = int(np.argmin(np.abs(vals.imag)))
     rec = hcore.bic_record(0.0, heff, vals[j].real, vals[j], vecs[:, j], 1e-8, 1e-7)
     assert "matrix" not in vars(heff)
