@@ -19,6 +19,7 @@ import configparser
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -49,6 +50,8 @@ class Model:
     resonances: Callable
     field: Callable
     batched: tuple = ()
+    # why the BIC catalog is empty by construction ("": it is not)
+    no_bics: str = ""
 
 
 VERBS = ("map", "resonances", "bics", "field")
@@ -459,9 +462,10 @@ MODELS: dict[str, Model] = {
     "well": Model(
         defaults={"k": 1.0, "q": 2.0, "length": 1.0},
         columns=("T2", "R2", "absdet"), point=_well_point,
-        # control case: the determinant never vanishes
         bics=lambda p, tol_width, tol_null: ([], None),
-        resonances=_well_resonances, field=_well_field),
+        resonances=_well_resonances, field=_well_field,
+        no_bics="empty by construction: well is the no-BIC control, "
+                "its interface determinant never vanishes"),
     "abring": Model(
         defaults={"k": math.pi, "gamma": 0.0},
         columns=("T2", "R2"), point=_abring_point, bics=_abring_bics,
@@ -549,28 +553,31 @@ def _parse_axis(text: str, model: str) -> Axis:
     return axis
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was (``--set`` appends to a copy of its default)."""
     ap = argparse.ArgumentParser(prog="openres",
                                  description="Open-resonator scattering, "
                                              "resonances and trapped states")
     ap.add_argument("--version", action="version", version=__version__)
+    # the options every verb takes, declared once
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", default=None)
+    shared.add_argument("--out", default=".")
+    shared.add_argument("--threads", type=int, default=1)
+    shared.add_argument("--tol-width", type=float, default=hcore.DEFAULT_WIDTH_TOL)
+    shared.add_argument("--tol-null", type=float, default=hcore.DEFAULT_NULL_TOL)
+    shared.add_argument("--pmax", type=int, default=None, help="evanescent channel count")
+    shared.add_argument("--truncation", type=int, default=None,
+                        help="basis truncation override (per index)")
+    shared.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     sub = ap.add_subparsers(dest="model", required=True)
     for model in MODELS:
         mp = sub.add_parser(model)
         vs = mp.add_subparsers(dest="verb", required=True)
         for verb in VERBS:
-            vp = vs.add_parser(verb)
-            vp.add_argument("--config", default=None)
-            vp.add_argument("--out", default=".")
-            vp.add_argument("--threads", type=int, default=1)
-            vp.add_argument("--tol-width", type=float, default=hcore.DEFAULT_WIDTH_TOL)
-            vp.add_argument("--tol-null", type=float, default=hcore.DEFAULT_NULL_TOL)
-            vp.add_argument("--pmax", type=int, default=None,
-                            help="evanescent channel count")
-            vp.add_argument("--truncation", type=int, default=None,
-                            help="basis truncation override (per index)")
-            vp.add_argument("--set", action="append", default=[],
-                            metavar="KEY=VALUE")
+            vp = vs.add_parser(verb, parents=[shared])
             if verb == "map":
                 vp.add_argument("--axis1", required=True,
                                 metavar="NAME:MIN:MAX:COUNT")
@@ -615,7 +622,8 @@ def main(argv=None) -> int:
             sweep.write_map(out, result)
         elif args.verb == "bics":
             recs, labels = model.bics(params, args.tol_width, args.tol_null)
-            sweep.write_catalog(out, args.model, params, recs, label_getter=labels)
+            sweep.write_catalog(out, args.model, params, recs, label_getter=labels,
+                                note=model.no_bics)
         elif args.verb == "resonances":
             recs = model.resonances(params)
             sweep.write_resonances(out, args.model, params, recs)

@@ -174,6 +174,8 @@ class CylModel:
         hcore.read_only(self.basis.energies)
         self._w = hcore.read_only(self._coupling_matrix())
         self.blocks = rotation_blocks(self.basis, dphi)
+        self.frame = hcore.AssemblyFrame(self.basis, self.channels,
+                                         hcore.CouplingMatrix(self._w), blocks=self.blocks)
 
     def _coupling_matrix(self) -> np.ndarray:
         cav = self.cavity
@@ -188,12 +190,8 @@ class CylModel:
                     w[i, j] = (-1.0) ** (l - 1) * np.exp(1j * (p - m) * self.dphi) * base
         return w
 
-    def coupling(self) -> hcore.CouplingMatrix:
-        return hcore.CouplingMatrix(self._w)
-
     def __call__(self, omega_sq: float) -> hcore.EffectiveHamiltonian:
-        return hcore.assemble(self.basis, self.channels, self.coupling(), omega_sq,
-                              blocks=self.blocks)
+        return hcore.assemble(self.frame, omega_sq)
 
 
 def rotation_blocks(basis: hcore.ClosedBasis, dphi: float) -> tuple:

@@ -17,6 +17,8 @@ A model whose H_eff is block-diagonal in a symmetry-adapted basis declares
 that basis as ``SymmetryBlock``s.  ``assemble`` then builds each block on its
 own and checks the declaration; the S-matrix solves and the eigensolves work
 one block at a time, and the full mode-basis matrix is formed only when read.
+Everything in H_eff that does not depend on the energy sits in an
+``AssemblyFrame``, built once per geometry.
 
 Everything here is pure: assembly and eigensolves build fresh arrays from
 immutable inputs, so parameter grid points can be evaluated concurrently.
@@ -46,7 +48,8 @@ _DENSE_EIG_LIMIT = 250
 _EIGPAIR_TOL = 1e-13
 # off-block entries of declared symmetry blocks above this fraction of the
 # largest on-block entry mean a wrong declaration (measured exact blocks:
-# <= 1.1e-16 at the default truncations; see _block_parts)
+# off-block bound and pair gap <= 1.5e-16 of it at the default geometries;
+# see AssemblyFrame.parts)
 _BLOCK_TOL = 1e-12
 # a vector is held by a block that carries at least 1 - this of its weight
 _BLOCK_WEIGHT_TOL = 1e-8
@@ -277,28 +280,168 @@ def _frame_norms(blocks: tuple, n: int) -> tuple[float, float]:
             float(max((np.abs(b._a) + np.abs(b._b)).max() for b in blocks)))
 
 
+def _absmax(a: np.ndarray) -> float:
+    return float(np.abs(a).max(initial=0.0))
+
+
+class AssemblyFrame:
+    """The energy-free parts of H_eff(E) = diag(E_n) + h V - i W k W^dag,
+    built once per geometry and read by ``assemble`` at every energy.
+
+    Per block b of the declared ``blocks`` (the whole space when none), it
+    holds W_b = U_b^dag W restricted to the channels that reach the block,
+    U_b^dag V U_b and the diagonal of U_b^dag diag(E_n) U_b.  At an energy,
+    W may carry a column divisor d and V a height h: W(E) = W / d (the
+    planar Dirichlet weight 1/(sqrt(pi) max(|k_c|, eps))), V(E) = h V (a
+    Sinai bump height).  The divisor must depend on the channel's
+    wavenumber alone, and is applied after the gather: blocks without
+    pairs, where gather and scaling commute exactly.
+
+    The off-block check runs on tables built here.  Channels of one cutoff
+    share k and d at every energy; per pair of blocks (a, b) and such group
+    g the frame keeps max|V_ab| and max|G_ab,g|, G_ab,g = sum_{c in g}
+    W_a,c W_b,c^dag (the sum is what cancels for a right declaration, as
+    for the L and R ports of the planar x-parity blocks).  At an energy,
+    |h| max|V_ab| + sum_g |k_g| max|G_ab,g| / d_g^2 bounds every entry of
+    the tile H_ab = U_a^dag H U_b (see ``parts``).
+    """
+
+    def __init__(self, basis: ClosedBasis, channels: ChannelSet,
+                 coupling: CouplingMatrix | np.ndarray, static: np.ndarray | None = None,
+                 blocks: tuple = ()):
+        if isinstance(coupling, CouplingMatrix):
+            w = coupling.matrix
+        else:
+            # a real W that a divisor scales at each energy, divided in
+            # floats as CouplingMatrix(W / d) divides it
+            w, coupling = np.asarray(coupling, dtype=float), CouplingMatrix(coupling)
+        e, n = basis.energies, len(basis)
+        if w.shape != (n, len(channels)):
+            raise StructuralError(f"coupling shape {w.shape} does not match "
+                                  f"{n} modes x {len(channels)} channels")
+        v = None if static is None else np.asarray(static)
+        if v is not None and v.shape != (n, n):
+            raise StructuralError("static perturbation has wrong shape")
+        self.basis, self.channels, self.static = basis, channels, v
+        self.w, self.coupling = w, coupling
+        self.blocks = tuple(blocks)
+        self.norms = _frame_norms(self.blocks, n) if self.blocks else None
+        whole = self.blocks or (None,)
+        ws = [_project(b, w) for b in whole]
+        # a block's tile needs only the channels that reach it: the others
+        # add exact zeros
+        reach = [np.any(x, axis=0) for x in ws] if self.blocks \
+            else [np.ones(w.shape[1], dtype=bool)]
+        self._cols = [slice(None) if r.all() else r for r in reach]
+        self._w = [x[:, c] for x, c in zip(ws, self._cols)]
+        vb = v if v is None or not self.blocks else _sandwich(self.blocks, v)
+        ends = np.cumsum([x.shape[0] for x in ws])
+        rows = [slice(end - x.shape[0], end) for x, end in zip(ws, ends)]
+        self._v = [None if vb is None else np.ascontiguousarray(vb[r, r]) for r in rows]
+        diag = [(e, 0.0) if b is None else b.energies(e) for b in whole]
+        self._lam = [lam for lam, _ in diag]
+        self._gap = max(gap for _, gap in diag)
+        groups = {}
+        for i, ch in enumerate(channels):
+            groups.setdefault((ch.cutoff_sq, ch.fixed_k), []).append(i)
+        self._rep = np.array([g[0] for g in groups.values()], dtype=int)
+        pairs = [(a, b) for a in range(len(ws)) for b in range(a + 1, len(ws))]
+        self._vmax = np.array([0.0 if vb is None else
+                               max(_absmax(vb[rows[a], rows[b]]), _absmax(vb[rows[b], rows[a]]))
+                               for a, b in pairs])
+        self._gmax = np.zeros((len(pairs), len(groups)))
+        for i, (a, b) in enumerate(pairs):
+            both = reach[a] & reach[b]
+            for j, g in enumerate(groups.values()):
+                g = [c for c in g if both[c]]
+                if g:
+                    self._gmax[i, j] = _absmax(ws[a][:, g] @ ws[b][:, g].conj().T)
+
+    def parts(self, omega_sq: float, divisor: np.ndarray | None = None,
+              height: float = 1.0) -> tuple:
+        """The blocks H_b = U_b^dag (diag E + h V) U_b - i (W_b k) W_b^dag at
+        ``omega_sq``; the n x n mode-basis matrix is never formed.
+
+        With declared blocks, StructuralError when r b > ``_BLOCK_TOL``
+        max|H_bb| / s^2, with b >= max|H_ab| the bound of ``_bound`` and r
+        and s the largest row and column 1-norms of the mode-to-block
+        matrix U.  r b bounds every off-block entry of H U_b in the mode
+        basis, and max|H_bb| / s^2 <= max|H|, so a declaration that leaves
+        off-block entries above ``_BLOCK_TOL`` max|H| in H U_b fails the
+        check.  b comes from tables, so no off-block tile is formed."""
+        k = self.channels.wavenumbers(omega_sq)
+        parts = []
+        for w, c, v, lam in zip(self._w, self._cols, self._v, self._lam):
+            if divisor is not None:
+                w = np.asarray(w / divisor[c], dtype=complex)
+            # evanescent channels have k = i|k|; -i*k W W^dag then becomes
+            # the Hermitian shift +|k| W W^dag.  One GEMM, then in place:
+            # each temporary costs about as much as the GEMM itself
+            h = (w * k[c]) @ w.conj().T
+            h *= -1j
+            if v is not None:
+                h += v if height == 1.0 else height * v
+            h.flat[:: h.shape[0] + 1] += lam
+            parts.append(read_only(h))
+        if self.blocks:
+            r, s = self.norms
+            # _peak is within sqrt(2) below max|.|, and the part of diag(E)
+            # U_b that H_b leaves out (gap) adds at most s * gap to an entry
+            off = r * (np.sqrt(2.0) + s) * max(self._bound(k, divisor, height), self._gap)
+            on = max(_peak(p) for p in parts)
+            if off > _BLOCK_TOL * on / (s * s):
+                raise StructuralError(f"H_eff is not block-diagonal in the declared symmetry "
+                                      f"blocks (off-block {off:.2e}, on-block {on:.2e})")
+        return tuple(parts)
+
+    def _bound(self, k: np.ndarray, divisor: np.ndarray | None, height: float) -> float:
+        """max over block pairs of |h| max|V_ab| + sum_g |k_g| max|G_ab,g| /
+        d_g^2 at the channel wavenumbers k: at least max|H_ab|."""
+        kg = np.abs(k[self._rep])
+        if divisor is not None:
+            kg = kg / divisor[self._rep] ** 2
+        return float(np.max(abs(height) * self._vmax + self._gmax @ kg, initial=0.0))
+
+
 @dataclass(frozen=True, eq=False)
 class EffectiveHamiltonian:
-    """H_eff(omega_sq), held as one matrix per declared symmetry block.
+    """H_eff(omega_sq) of one ``AssemblyFrame``, held as one matrix per
+    declared symmetry block.
 
     ``parts[i]`` is the block H_b = U_b^dag H_eff U_b of ``blocks[i]``; a
     model that declares no blocks has one part, the whole matrix.  Built by
-    ``assemble``.  ``matrix`` is the mode-basis matrix, formed from the parts
+    ``assemble``; ``divisor`` and ``height`` scale the frame's W and V at
+    this energy.  ``matrix`` is the mode-basis matrix, formed from the parts
     on first read; the S-matrix, eigensolve and BIC paths read the parts, so
     only the callers off those paths form it (the K-matrix fallback of
     ``smatrix``, a vector spread over several blocks)."""
 
-    basis: ClosedBasis
-    channels: ChannelSet
-    coupling: CouplingMatrix
+    frame: AssemblyFrame
     omega_sq: float
-    blocks: tuple = ()
-    static: np.ndarray | None = None
+    divisor: np.ndarray | None = None
+    height: float = 1.0
     parts: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(self, "parts", _block_parts(self))
+        object.__setattr__(self, "parts",
+                           self.frame.parts(self.omega_sq, self.divisor, self.height))
+
+    basis = property(lambda self: self.frame.basis)
+    channels = property(lambda self: self.frame.channels)
+    blocks = property(lambda self: self.frame.blocks)
+
+    @cached_property
+    def coupling(self) -> CouplingMatrix:
+        """W / divisor in the mode basis."""
+        if self.divisor is None:
+            return self.frame.coupling
+        return CouplingMatrix(self.frame.w / self.divisor)
+
+    @cached_property
+    def static(self) -> np.ndarray | None:
+        """height V in the mode basis."""
+        v = self.frame.static
+        return v if v is None or self.height == 1.0 else read_only(self.height * v)
 
     @property
     def pieces(self):
@@ -321,80 +464,6 @@ class EffectiveHamiltonian:
         return read_only(h)
 
 
-def _block_parts(heff: EffectiveHamiltonian) -> tuple:
-    """The blocks H_b = U_b^dag (diag E + V) U_b - i (W_b k) W_b^dag, with
-    W_b = U_b^dag W, of ``heff``'s declared blocks (the whole space when it
-    declares none); the n x n mode-basis matrix is never formed.
-
-    Every off-block tile H_ab = U_a^dag H U_b (a != b) is formed too, one at
-    a time, and checked: StructuralError when r max|H_ab| exceeds
-    ``_BLOCK_TOL`` max|H_bb| / s^2, with r and s the largest row and column
-    1-norms of the mode-to-block matrix U.  r max|H_ab| bounds every
-    off-block entry of H U_b in the mode basis, and max|H_bb| / s^2 <=
-    max|H|, so a declaration that leaves off-block entries above
-    ``_BLOCK_TOL`` max|H| in H U_b fails the check."""
-    w, e = heff.coupling.matrix, heff.basis.energies
-    n = len(heff.basis)
-    if w.shape != (n, len(heff.channels)):
-        raise StructuralError(f"coupling shape {w.shape} does not match "
-                              f"{n} modes x {len(heff.channels)} channels")
-    v = None if heff.static is None else np.asarray(heff.static)
-    if v is not None and v.shape != (n, n):
-        raise StructuralError("static perturbation has wrong shape")
-    k = heff.channels.wavenumbers(heff.omega_sq)
-    blocks = heff.blocks or (None,)
-    ws = [_project(b, w) for b in blocks]
-    ends = np.cumsum([x.shape[0] for x in ws])
-    # a coupling tile needs only the channels that reach both of its blocks:
-    # the others add exact zeros.  Blocks that one set of channels reaches
-    # share a key.
-    reach = [np.any(x, axis=0) for x in ws] if heff.blocks \
-        else [np.ones(w.shape[1], dtype=bool)]
-    keys = [r.tobytes() for r in reach]
-    cols = [slice(None) if r.all() else r for r in reach]
-    # evanescent channels have k = i|k|; -i*k W W^dag then becomes the
-    # Hermitian shift +|k| W W^dag
-    wk = [x[:, c] * k[c] for x, c in zip(ws, cols)]
-    wh = [x[:, c].conj().T for x, c in zip(ws, cols)]
-    vb = v if v is None or not heff.blocks else _sandwich(heff.blocks, v)
-    parts, off = [], 0.0
-    for i, a in enumerate(blocks):
-        rows = slice(ends[i] - len(ws[i]), ends[i])
-        for j, wb in enumerate(ws):
-            tile = None if vb is None else vb[rows, ends[j] - len(wb):ends[j]]
-            # one GEMM per tile, then in place: each temporary costs about
-            # as much as the GEMM itself
-            if keys[i] == keys[j]:
-                h = wk[i] @ wh[j]
-            else:
-                both = reach[i] & reach[j]
-                if not both.any():
-                    if tile is not None:
-                        off = max(off, _peak(tile))
-                    continue
-                h = (ws[i][:, both] * k[both]) @ wb[:, both].conj().T
-            h *= -1j
-            if tile is not None:
-                h += tile
-            if i != j:
-                off = max(off, _peak(h))
-                continue
-            lam, gap = (e, 0.0) if a is None else a.energies(e)
-            off = max(off, gap)
-            h.flat[:: h.shape[0] + 1] += lam
-            parts.append(read_only(h))
-    if heff.blocks:
-        r, s = _frame_norms(heff.blocks, n)
-        # _peak is within sqrt(2) below max|.|, and the part of diag(E) U_b
-        # that H_b leaves out (gap) adds at most s * gap to a tile entry
-        off = r * (np.sqrt(2.0) + s) * off
-        on = max(_peak(p) for p in parts)
-        if off > _BLOCK_TOL * on / (s * s):
-            raise StructuralError(f"H_eff is not block-diagonal in the declared symmetry "
-                                  f"blocks (off-block {off:.2e}, on-block {on:.2e})")
-    return tuple(parts)
-
-
 def _peak(h: np.ndarray) -> float:
     """max(|Re h|, |Im h|) over the entries of ``h`` (complex: with
     contiguous rows): between max|h| / sqrt(2) and max|h|, without square
@@ -403,16 +472,28 @@ def _peak(h: np.ndarray) -> float:
     return float(max(x.max(initial=0.0), -x.min(initial=0.0)))
 
 
-def assemble(basis: ClosedBasis, channels: ChannelSet, coupling: CouplingMatrix,
-             omega_sq: float, static: np.ndarray | None = None,
-             blocks: tuple = ()) -> EffectiveHamiltonian:
-    """Build H_eff(omega_sq) = diag(E) + V - i sum_c k_c W_c W_c^dag, one
-    matrix per symmetry block (see ``EffectiveHamiltonian``).
+def assemble(source, *args, **kwargs) -> EffectiveHamiltonian:
+    """H_eff(omega_sq) = diag(E) + V - i sum_c k_c W_c W_c^dag, one matrix
+    per symmetry block (see ``EffectiveHamiltonian``), in one of two forms:
+
+    - ``assemble(frame, omega_sq, divisor=None, height=1.0)`` reads a
+      model's cached ``AssemblyFrame`` and does only the energy's work;
+    - ``assemble(basis, channels, coupling, omega_sq, static=None,
+      blocks=())`` builds the frame of this one matrix first.
 
     ``blocks`` are the model's symmetry blocks (empty: none declared); they
     must together span the mode space, and H_eff must not leave them
-    (StructuralError otherwise, see ``_block_parts``)."""
-    return EffectiveHamiltonian(basis, channels, coupling, omega_sq, tuple(blocks), static)
+    (StructuralError otherwise, see ``AssemblyFrame.parts``)."""
+    if isinstance(source, AssemblyFrame):
+        return EffectiveHamiltonian(source, *args, **kwargs)
+    return _assemble_once(source, *args, **kwargs)
+
+
+def _assemble_once(basis: ClosedBasis, channels: ChannelSet, coupling: CouplingMatrix,
+                   omega_sq: float, static: np.ndarray | None = None,
+                   blocks: tuple = ()) -> EffectiveHamiltonian:
+    return EffectiveHamiltonian(AssemblyFrame(basis, channels, coupling, static, blocks),
+                                omega_sq)
 
 
 def green(heff: EffectiveHamiltonian, energy: float, rhs: np.ndarray) -> np.ndarray:
@@ -710,21 +791,25 @@ def _pick_branch(vals: np.ndarray, vecs: np.ndarray, seed_energy: float,
     """Branch selection: eigenvector overlap when available, else nearest
     real part.  Two overlaps within ``_TIE_BREAK`` tie; the tie goes to the
     smaller |z - prev_z| when the two distances differ by more than
-    ``_TIE_BREAK`` of the larger, and otherwise to the larger Im z, so that
-    rounding does not decide it (as at an exceptional point, where both
-    eigenvectors overlap the branch equally and lie either side of prev_z)."""
+    ``_TIE_BREAK`` of the larger, then to the larger Im z when the two
+    differ by more than ``_TIE_BREAK`` of the larger |z|, and otherwise to
+    the larger Re z, so that rounding does not decide it (as at an
+    exceptional point, where both eigenvectors overlap the branch equally,
+    lie either side of prev_z and share Im z)."""
     if branch_vector is None:
         return int(np.argmin(np.abs(vals.real - seed_energy)))
     ov = np.abs(branch_vector.conj() @ vecs) / np.linalg.norm(vecs, axis=0)
     order = np.argsort(-ov)
     if order.size < 2 or ov[order[0]] - ov[order[1]] >= _TIE_BREAK:
         return int(order[0])
-    pair = order[:2]
+    pair, z = order[:2], vals[order[:2]]
     if prev_z is not None:
-        d = np.abs(vals[pair] - prev_z)
+        d = np.abs(z - prev_z)
         if abs(d[0] - d[1]) > _TIE_BREAK * d.max():
             return int(pair[np.argmin(d)])
-    return int(pair[np.argmax(vals[pair].imag)])
+    if abs(z[0].imag - z[1].imag) > _TIE_BREAK * np.abs(z).max():
+        return int(pair[np.argmax(z.imag)])
+    return int(pair[np.argmax(z.real)])
 
 
 def _branch_eig(heff: EffectiveHamiltonian, sigma: float, vec: np.ndarray | None,

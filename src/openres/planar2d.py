@@ -144,20 +144,28 @@ def raw_coupling(cavity: RectCavity, channels: hcore.ChannelSet) -> np.ndarray:
     return out
 
 
-def coupling_planar(cavity: RectCavity, channels: hcore.ChannelSet,
-                    omega_sq: float, raw: np.ndarray | None = None) -> hcore.CouplingMatrix:
-    """Engine coupling at a given frequency.
-
-    Dirichlet absorbs 1/(sqrt(pi) k_p) into W so open channels reproduce the
-    -i W W^dag normal-derivative form and evanescent shifts decay as 1/|k_p|;
-    Neumann couplings are frequency-free W = I/sqrt(pi).
-    """
-    if raw is None:
-        raw = raw_coupling(cavity, channels)
+def _divisor(cavity: RectCavity, channels: hcore.ChannelSet, omega_sq: float):
+    """The column divisor sqrt(pi) max(|k_p|, eps) of the Dirichlet
+    coupling W = I / divisor at ``omega_sq``: open channels then reproduce
+    the -i W W^dag normal-derivative form, and evanescent shifts decay as
+    1/|k_p|.  None for Neumann, whose W = I / sqrt(pi) is frequency-free."""
     if cavity.bc == "neumann":
-        return hcore.CouplingMatrix(raw / math.sqrt(math.pi))
+        return None
     kmag = np.array([max(abs(ch.wavenumber(omega_sq)), _EPS_K) for ch in channels])
-    return hcore.CouplingMatrix(raw / (math.sqrt(math.pi) * kmag[None, :]))
+    return math.sqrt(math.pi) * kmag
+
+
+def _frame(cavity: RectCavity, p_max: int, static=None, blocks=()) -> hcore.AssemblyFrame:
+    """Assembly frame of one geometry: W is the raw coupling, which
+    ``_divisor`` divides at each energy (Dirichlet), or I / sqrt(pi)."""
+    chans, basis, raw = _cached_plumbing(cavity, p_max)
+    w = raw if cavity.bc == "dirichlet" else hcore.CouplingMatrix(raw / math.sqrt(math.pi))
+    return hcore.AssemblyFrame(basis, chans, w, static, blocks)
+
+
+@lru_cache(maxsize=16)
+def _planar_frame(cavity: RectCavity, p_max: int) -> hcore.AssemblyFrame:
+    return _frame(cavity, p_max, blocks=parity_blocks(cavity))
 
 
 @lru_cache(maxsize=16)
@@ -190,12 +198,10 @@ def parity_blocks(cavity: RectCavity, x_parity: bool = True,
 
 def planar_model(cavity: RectCavity, p_max: int = 8):
     """omega_sq -> H_eff callback for the open rectangle."""
-    chans, basis, raw = _cached_plumbing(cavity, p_max)
-    blocks = parity_blocks(cavity)
+    frame = _planar_frame(cavity, p_max)
 
     def model(omega_sq: float) -> hcore.EffectiveHamiltonian:
-        w = coupling_planar(cavity, chans, omega_sq, raw=raw)
-        return hcore.assemble(basis, chans, w, omega_sq, blocks=blocks)
+        return hcore.assemble(frame, omega_sq, _divisor(cavity, frame.channels, omega_sq))
 
     return model
 
@@ -448,16 +454,24 @@ def sinai_spectrum(cavity: RectCavity, bump: SinaiBump, nodes: int = 96):
 def sinai_model(cavity: RectCavity, bump: SinaiBump, p_max: int = 8,
                 nodes: int = 96):
     """omega_sq -> H_eff for the bumped open cavity."""
-    chans, basis, raw = _cached_plumbing(cavity, p_max)
-    static = sinai_potential_matrix(cavity, bump, nodes=nodes, audit=False)
-    # an off-centre bump breaks the parity of its displaced axis
-    blocks = parity_blocks(cavity, bump.x0 == 0.0, bump.y0 == 0.0)
+    frame = _sinai_frame(cavity, bump.radius, bump.x0, bump.y0, p_max, nodes)
 
     def model(omega_sq: float) -> hcore.EffectiveHamiltonian:
-        w = coupling_planar(cavity, chans, omega_sq, raw=raw)
-        return hcore.assemble(basis, chans, w, omega_sq, static=static, blocks=blocks)
+        return hcore.assemble(frame, omega_sq, _divisor(cavity, frame.channels, omega_sq),
+                              bump.vg)
 
     return model
+
+
+@lru_cache(maxsize=16)
+def _sinai_frame(cavity: RectCavity, radius: float, x0: float, y0: float, p_max: int,
+                 nodes: int) -> hcore.AssemblyFrame:
+    """Assembly frame of one bumped geometry at unit bump height: each
+    model scales its bump part by its height at every energy, so that no
+    cache is keyed on a height."""
+    unit = sinai_potential_matrix(cavity, SinaiBump(1.0, radius, x0, y0), nodes, audit=False)
+    # an off-centre bump breaks the parity of its displaced axis
+    return _frame(cavity, p_max, unit, parity_blocks(cavity, x0 == 0.0, y0 == 0.0))
 
 
 def _first_open_channel(cavity: RectCavity, y_even: bool) -> int:

@@ -212,19 +212,25 @@ class SphereModel:
                     continue
                 col = pole_labels.index(ch.label[1:])
                 w[:, j] = wr[:, col]
-        self._w = w
+        self._w = hcore.read_only(w)
         in_plane = all(att.alpha == 0.0 and att.gamma == 0.0 for att in self.attachments)
         self.blocks = mirror_blocks(cavity) if in_plane else ()
-
-    def coupling(self) -> hcore.CouplingMatrix:
-        return hcore.CouplingMatrix(self._w)
+        self.frame = hcore.AssemblyFrame(self.basis, self.channels,
+                                         hcore.CouplingMatrix(self._w), blocks=self.blocks)
 
     def __call__(self, omega_sq: float) -> hcore.EffectiveHamiltonian:
-        return hcore.assemble(self.basis, self.channels, self.coupling(), omega_sq,
-                              blocks=self.blocks)
+        return hcore.assemble(self.frame, omega_sq)
 
 
 def sphere_model(cavity: SphereCavity, attachments, cutoff_max_sq: float = 16.0):
+    """The model of one geometry, built once per process and shared (its
+    arrays are read-only)."""
+    return _sphere_model(cavity, tuple(attachments), cutoff_max_sq)
+
+
+@lru_cache(maxsize=32)
+def _sphere_model(cavity: SphereCavity, attachments: tuple,
+                  cutoff_max_sq: float) -> SphereModel:
     return SphereModel(cavity, attachments, cutoff_max_sq)
 
 

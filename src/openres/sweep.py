@@ -212,15 +212,16 @@ def _label_token(label) -> str:
 
 
 def write_catalog(path, model: str, params: dict, records,
-                  label_getter=None, top: int = 8) -> None:
+                  label_getter=None, top: int = 8, note: str = "") -> None:
     """BIC catalog sorted by frequency; one line per record with the top
-    modal coefficients appended as label |a| Re(a) Im(a) groups."""
+    modal coefficients appended as label |a| Re(a) Im(a) groups.  A
+    ``note`` goes into the header."""
     path = Path(path)
     recs = sorted(records, key=lambda r: r.omega_sq)
     lines = _header_lines("bic-catalog", model, params, [
         "columns: index classification param omega_sq gamma_res residual "
         "[label abs_a re_a im_a] x" + str(top),
-    ])
+    ] + ([f"note: {note}"] if note else []))
     for i, rec in enumerate(recs):
         expansion = rec.modal_expansion() if label_getter is None \
             else label_getter(rec)

@@ -103,11 +103,11 @@ def twolevel_model(p: TwoLevelParams):
     basis = hcore.ClosedBasis(labels=("+", "-"), energies=np.array([p.eps, -p.eps]))
     channels = hcore.ChannelSet([hcore.Channel("L", ("lead",), 0.0, fixed_k=1.0),
                                  hcore.Channel("R", ("lead",), 0.0, fixed_k=1.0)])
-    coupling = hcore.CouplingMatrix(_leads_coupling(p))
-    static = np.array([[0.0, p.u], [p.u, 0.0]])
+    frame = hcore.AssemblyFrame(basis, channels, hcore.CouplingMatrix(_leads_coupling(p)),
+                                np.array([[0.0, p.u], [p.u, 0.0]]))
 
     def model(_omega_sq: float) -> hcore.EffectiveHamiltonian:
-        return hcore.assemble(basis, channels, coupling, _omega_sq, static=static)
+        return hcore.assemble(frame, _omega_sq)
 
     return model
 
@@ -208,10 +208,10 @@ def fp_chain_model(p: FPChainParams):
     w = np.zeros((5, 2), dtype=complex)
     w[[0, 1], 0] = p.v0   # left cavity sites feed the left lead
     w[[3, 4], 1] = p.v0
-    coupling = hcore.CouplingMatrix(w)
+    frame = hcore.AssemblyFrame(basis, channels, hcore.CouplingMatrix(w), static)
 
     def model(omega_sq: float) -> hcore.EffectiveHamiltonian:
-        return hcore.assemble(basis, channels, coupling, omega_sq, static=static)
+        return hcore.assemble(frame, omega_sq)
 
     return model
 

@@ -301,6 +301,22 @@ def test_pick_branch_settles_an_overlap_tie_by_the_larger_imaginary_part(order):
     assert vals[hcore._pick_branch(vals, vecs, 0.0, branch, -0.17j)] == -0.1866j
 
 
+@pytest.mark.parametrize("toward", [np.inf, -np.inf])
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_pick_branch_settles_an_im_z_tie_by_the_larger_real_part(order, toward):
+    # the twolevel pair at eps = -0.4 with g1 = g2 = 0.3, u = 0: the two
+    # eigenvectors overlap the branch equally, lie at one distance from
+    # prev_z, and share Im z = -0.3 but for one ulp either way; rounding
+    # must not decide, so the larger Re z wins in either column order
+    pairs = [(-0.2646 - 0.3j, [1.0, 1.0]),
+             (0.2646 + 1j * np.nextafter(-0.3, toward), [1.0, -1.0])]
+    vals = np.array([pairs[i][0] for i in order])
+    vecs = np.array([pairs[i][1] for i in order], dtype=complex).T / np.sqrt(2.0)
+    branch = np.array([1.0, 0.0], dtype=complex)
+    for prev_z in (None, -0.3j):
+        assert vals[hcore._pick_branch(vals, vecs, 0.0, branch, prev_z)] == pairs[1][0]
+
+
 _EXCEPTIONAL_POINT_BICS = """
 import numpy as np
 from openres import hcore

@@ -57,6 +57,17 @@ def test_rounding_level_change_and_swapped_partners_pass(tmp_path):
     assert ok, lines
 
 
+def test_passing_map_line_gives_the_largest_difference(tmp_path):
+    old = _tree(tmp_path, "old")
+    lines, ok = digest.compare_trees(old, _tree(tmp_path, "new", shift=1e-13))
+    assert ok, lines
+    assert lines[0] == "00: ok exit=0 planar map (largest map difference 1.00e-13)"
+    # a command without a map file prints no difference
+    assert lines[1] == "01: ok exit=0 sphere bics"
+    lines, _ = digest.compare_trees(old, old)
+    assert lines[0].endswith("(largest map difference 0.00e+00)")
+
+
 @pytest.mark.parametrize("kw,message", [
     ({"shift": 1e-9}, "map values differ"),
     ({"param": 4.61686131 * (1 + 1e-5)}, "param differs"),

@@ -182,6 +182,7 @@ def test_planar_fw_bic_invariant_under_basis_permutation(monkeypatch):
     rec, _ = pl.planar_fw_bic(**kw)
     pl._cached_plumbing.cache_clear()
     pl.parity_blocks.cache_clear()
+    pl._planar_frame.cache_clear()
     try:
         with monkeypatch.context() as patch:
             _permuted_basis(pl.RectCavity, patch)
@@ -189,6 +190,7 @@ def test_planar_fw_bic_invariant_under_basis_permutation(monkeypatch):
     finally:
         pl._cached_plumbing.cache_clear()
         pl.parity_blocks.cache_clear()
+        pl._planar_frame.cache_clear()
     assert rec.is_bic and moved.is_bic
     assert moved.labels != rec.labels
     assert moved.param == pytest.approx(rec.param, rel=1e-10, abs=0.0)

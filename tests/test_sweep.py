@@ -1,6 +1,7 @@
 """Sweep engine and CLI surface: determinism, file round-trips, exit codes,
 config/override precedence, catalog structure."""
 
+import argparse
 import math
 import sys
 from pathlib import Path
@@ -402,6 +403,54 @@ def test_catalog_round_trip_and_classification(tmp_path):
     header_w, rows_w = sweep.read_catalog(tmp_path / "well_bics.dat")
     assert header_w["model"] == "well"
     assert rows_w == []
+
+
+def test_well_catalog_is_marked_empty_by_construction(tmp_path):
+    out = str(tmp_path)
+    assert main(["well", "bics", "--out", out]) == 0
+    header, rows = sweep.read_catalog(tmp_path / "well_bics.dat")
+    assert rows == []
+    assert header["note"].startswith("empty by construction")
+    assert "no-BIC control" in header["note"]
+    # a model that can have BICs writes no such note
+    assert main(["abring", "bics", "--out", out]) == 0
+    assert "note" not in sweep.read_catalog(tmp_path / "abring_bics.dat")[0]
+
+
+def _verb_parsers():
+    def choices(parser):
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for model, mp in choices(cli.build_parser()).items():
+        for verb, vp in choices(mp).items():
+            yield model, verb, vp
+
+
+def test_parser_is_built_once_with_every_verb_option():
+    assert cli.build_parser() is cli.build_parser()
+    shared = {"-h", "--help", "--config", "--out", "--threads", "--tol-width", "--tol-null",
+              "--pmax", "--truncation", "--set"}
+    extra = {"map": {"--axis1", "--axis2"}, "field": {"--grid"}}
+    seen = set()
+    for model, verb, vp in _verb_parsers():
+        options = {s for a in vp._actions for s in a.option_strings}
+        assert options == shared | extra.get(verb, set()), (model, verb)
+        seen.add((model, verb))
+    assert seen == {(m, v) for m in MODELS for v in cli.VERBS}
+
+
+def test_shared_parser_does_not_leak_overrides(tmp_path):
+    # one parser serves every call of a process: an override of one call
+    # must not reach the next
+    argv = ["planar", "map", "--axis1", "ly:4:4.2:2", "--axis2", "energy:14:15:2",
+            "--truncation", "6", "--pmax", "2"]
+    params = []
+    for extra in (["--set", "lx=3"], []):
+        out = tmp_path / str(len(params))
+        assert main(argv + extra + ["--out", str(out)]) == 0
+        params.append(sweep.read_map(out / "planar_map.dat")[0]["params"])
+    assert "lx=3.0000000000000000e+00" in params[0]
+    assert "lx=4.0000000000000000e+00" in params[1]
 
 
 def test_field_round_trip(tmp_path):

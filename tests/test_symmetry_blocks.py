@@ -5,7 +5,6 @@ wrong declaration raises at assembly, the hot paths never form the
 mode-basis matrix, and the fixed-point solve gives the same pole with and
 without blocks."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -167,7 +166,8 @@ def test_fixed_point_same_with_and_without_blocks():
     model = planar2d.planar_model(RECT, p_max=4)
 
     def dense(omega_sq):
-        return dataclasses.replace(model(omega_sq), blocks=())
+        h = model(omega_sq)
+        return hcore.assemble(h.basis, h.channels, h.coupling, omega_sq)
 
     seed = RECT.energy(2, 3)
     cold = hcore.solve_resonance(model, seed)
@@ -285,3 +285,111 @@ def test_cavity_fixed_point_runs_no_dense_eig(monkeypatch):
     rec = hcore.solve_resonance(model, 11.3)
     assert rec.converged and rec.iterations > 2
     assert steps == [100] * (rec.iterations - 1)
+
+
+# ------------------------------------------------------- assembly frames --
+
+def _isometry(block):
+    return block.lift(np.eye(len(block), dtype=complex))
+
+
+FRAME_MODELS = {
+    # model, energies below and above a channel cutoff
+    "planar": (lambda: planar2d.planar_model(RECT, p_max=4), (35.0, 45.0)),
+    "sinai_vg5": (MODELS["sinai"][0], (8.0, 12.0)),
+    "sinai_vg0": (lambda: planar2d.sinai_model(SINAI_CAV, planar2d.SinaiBump(0.0), p_max=4),
+                  (8.0, 12.0)),
+    "cyl": (MODELS["cyl_quarter"][0], (1.0, 4.0)),
+    "sphere": (MODELS["sphere"][0], (1.9, 4.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_MODELS))
+def test_frame_parts_equal_the_dense_blocks(name):
+    make, energies = FRAME_MODELS[name]
+    model = make()
+    for e in energies:
+        h = model(e)
+        dense = _dense(h)
+        assert h.blocks
+        for block, part in h.pieces:
+            u = _isometry(block)
+            ref = u.conj().T @ dense @ u
+            assert np.abs(part - ref).max() <= 1e-14 * np.abs(dense).max()
+
+
+def _planar_with_one_port_evanescent():
+    """The planar frame with the R port of its highest channel cut: the L
+    and R columns of that cutoff no longer cancel between the x-parity
+    classes, so an evanescent channel alone couples those blocks."""
+    frame = planar2d._planar_frame(RECT, 4)
+    raw = frame.w.copy()
+    raw[:, [i for i, c in enumerate(frame.channels) if c.port == "R" and c.label == ("p", 4)]] = 0
+    return hcore.AssemblyFrame(frame.basis, frame.channels, raw, blocks=frame.blocks)
+
+
+def _declared(name):
+    h = FRAME_MODELS[name][0]()(20.0)
+    return h.frame, h.divisor is not None, h.height
+
+
+def _off_centre_bump_with_planar_blocks():
+    h = planar2d.sinai_model(SINAI_CAV, planar2d.SinaiBump(5.0, x0=0.3), p_max=4)(20.0)
+    return (hcore.AssemblyFrame(h.basis, h.channels, h.coupling, h.frame.static,
+                                planar2d.parity_blocks(SINAI_CAV)), False, 5.0)
+
+
+# name: (frame, whether the planar divisor scales W, bump height), the
+# energy range, and whether the declaration is wrong
+DECLARATIONS = {
+    "planar": (lambda: _declared("planar"), 150.0, False),
+    "sinai_vg5": (lambda: _declared("sinai_vg5"), 150.0, False),
+    "sinai_vg0": (lambda: _declared("sinai_vg0"), 150.0, False),
+    "cyl": (lambda: _declared("cyl"), 5.0, False),
+    "sphere": (lambda: _declared("sphere"), 5.0, False),
+    "evanescent_port": (lambda: (_planar_with_one_port_evanescent(), True, 1.0), 150.0, True),
+    "off_centre_bump": (_off_centre_bump_with_planar_blocks, 150.0, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECLARATIONS))
+def test_grouped_bound_covers_the_off_block_peak(name):
+    # the check's bound is at least the off-block peak of the dense matrix
+    # (to its rounding), so a wrong declaration fails at every energy
+    make, e_max, wrong = DECLARATIONS[name]
+    frame, scaled, height = make()
+    us = [_isometry(b) for b in frame.blocks]
+    for e in np.random.default_rng(7).uniform(0.5, e_max, 50):
+        k = frame.channels.wavenumbers(e)
+        d = planar2d._divisor(RECT, frame.channels, e) if scaled else None
+        w = frame.w if d is None else frame.w / d
+        dense = np.diag(frame.basis.energies) - 1j * (w * k) @ w.conj().T
+        if frame.static is not None:
+            dense = dense + height * frame.static
+        peak = max(np.abs(us[a].conj().T @ dense @ us[b]).max()
+                   for a in range(len(us)) for b in range(len(us)) if a != b)
+        assert frame._bound(k, d, height) >= peak - 1e-14 * np.abs(dense).max()
+        if wrong:
+            assert peak > 1e-8 * np.abs(dense).max()
+            with pytest.raises(hcore.StructuralError, match="not block-diagonal"):
+                hcore.assemble(frame, e, d, height)
+        else:
+            hcore.assemble(frame, e, d, height)
+
+
+def test_planar_map_builds_one_frame_per_geometry(tmp_path, monkeypatch):
+    built = []
+    build = planar2d._frame
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return build(*args, **kwargs)
+    monkeypatch.setattr(planar2d, "_frame", counted)
+    planar2d._planar_frame.cache_clear()
+    try:
+        assert cli.main(["planar", "map", "--axis1", "ly:3.8:4.2:2", "--axis2",
+                         "energy:12:16:3", "--truncation", "6", "--pmax", "3",
+                         "--out", str(tmp_path)]) == 0
+    finally:
+        planar2d._planar_frame.cache_clear()
+    assert sorted(c.ly for c in built) == [3.8, 4.2]

@@ -18,7 +18,8 @@ and the package; the whole list takes about a minute on one core of a
 ``--keep DIR`` also keeps every file in ``DIR/<NN>/`` (NN: the command's
 place in the list) beside an ``exit`` file holding the printed exit line.
 ``--compare OLD NEW`` compares two such trees value by value, against the
-tolerances below, and prints one line per command; it exits 1 if any
+tolerances below, and prints one line per command (a map command's line
+also gives its largest value difference, passed or not); it exits 1 if any
 command differs.  This is the gate for a change that moves numbers on
 purpose (the byte digest stays the gate for pure refactors).  Field files
 are compared on ``abs2_field`` only: ``re_field`` carries the arbitrary
@@ -65,6 +66,10 @@ MAPS = (
      "--threads", "2"),
     ("sinai", "ly:2:2.4:2", "energy:12:20:3", "--truncation", "8", "--pmax", "3",
      "--set", "vg=5", "--threads", "2"),
+    # the benchmark's bump-height axis, through vg = 0: one frame at unit
+    # height, scaled per point
+    ("sinai", "vg:-20:20:5", "energy:12:20:3", "--truncation", "8", "--pmax", "3",
+     "--threads", "2"),
     ("cyl", "length:3:4:2", "energy:0.5:2.5:3", "--threads", "2"),
     ("sphere", "dtheta:1:2:2", "energy:0.5:2:3", "--set", "radius=4.2", "--threads", "2"),
     ("sphere", "dtheta:1:2:2", "energy:0.5:2:3", "--set", "radius=4.2", "--threads", "2"),
@@ -156,17 +161,19 @@ def _argv_value(argv: list[str], flag: str, default: float) -> float:
     return float(argv[argv.index(flag) + 1]) if flag in argv else default
 
 
-def compare_map(sweep, old: Path, new: Path) -> list[str]:
+def map_difference(sweep, old: Path, new: Path) -> tuple[list[str], float | None]:
+    """(messages, largest value difference) of two map files; the
+    difference is None where the maps do not line up."""
     (h1, a), (h2, b) = sweep.read_map(old), sweep.read_map(new)
     if h1 != h2:
-        return ["headers differ"]
+        return ["headers differ"], None
     if a.shape != b.shape:
-        return [f"{len(a)} rows against {len(b)}"]
+        return [f"{len(a)} rows against {len(b)}"], None
     nan = np.isnan(a)
     if not np.array_equal(nan, np.isnan(b)):
-        return ["NaN entries differ"]
+        return ["NaN entries differ"], None
     diff = float(np.abs(a[~nan] - b[~nan]).max(initial=0.0))
-    return [f"map values differ by {diff:.2e}"] if diff > MAP_ABS else []
+    return ([f"map values differ by {diff:.2e}"] if diff > MAP_ABS else []), diff
 
 
 def _same_label(t1: str, t2: str, tol: float) -> bool:
@@ -270,21 +277,24 @@ def compare_field(sweep, old: Path, new: Path) -> list[str]:
     return out
 
 
-def compare_command(sweep, old: Path, new: Path) -> list[str]:
+def compare_command(sweep, old: Path, new: Path) -> tuple[list[str], float | None]:
+    """(messages, largest map value difference or None) of one command."""
     e1 = (old / "exit").read_text() if (old / "exit").exists() else "missing"
     e2 = (new / "exit").read_text() if (new / "exit").exists() else "missing"
     if e1 != e2:
-        return [f"exit lines differ: {e1.strip()!r} against {e2.strip()!r}"]
+        return [f"exit lines differ: {e1.strip()!r} against {e2.strip()!r}"], None
     argv = e1.split()[1:]
     f1 = sorted(p.name for p in old.iterdir() if p.name != "exit")
     f2 = sorted(p.name for p in new.iterdir() if p.name != "exit")
     if f1 != f2:
-        return [f"file sets differ: {f1} against {f2}"]
-    out = []
+        return [f"file sets differ: {f1} against {f2}"], None
+    out, largest = [], None
     for name in f1:
         a, b = old / name, new / name
         if name.endswith("_map.dat"):
-            msgs = compare_map(sweep, a, b)
+            msgs, diff = map_difference(sweep, a, b)
+            if diff is not None:
+                largest = max(diff, largest or 0.0)
         elif name.endswith("_bics.dat"):
             msgs = compare_catalog(sweep, a, b, argv)
         elif name.endswith("_resonances.dat"):
@@ -294,7 +304,7 @@ def compare_command(sweep, old: Path, new: Path) -> list[str]:
         else:
             msgs = [] if a.read_bytes() == b.read_bytes() else ["bytes differ"]
         out += [f"{name}: {m}" for m in msgs]
-    return out
+    return out, largest
 
 
 def compare_trees(old: Path, new: Path, src: str = str(SRC)) -> tuple[list[str], bool]:
@@ -309,10 +319,11 @@ def compare_trees(old: Path, new: Path, src: str = str(SRC)) -> tuple[list[str],
             lines.append(f"{name}: kept by one tree only")
             ok = False
             continue
-        msgs = compare_command(sweep, old / name, new / name)
+        msgs, diff = compare_command(sweep, old / name, new / name)
         exit_line = (old / name / "exit").read_text().strip() \
             if (old / name / "exit").exists() else ""
-        lines.append(f"{name}: {'ok' if not msgs else 'DIFFERS'} {exit_line}")
+        largest = "" if diff is None else f" (largest map difference {diff:.2e})"
+        lines.append(f"{name}: {'ok' if not msgs else 'DIFFERS'} {exit_line}{largest}")
         lines += [f"  {m}" for m in msgs]
         ok = ok and not msgs
     return lines, ok
