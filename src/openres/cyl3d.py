@@ -22,7 +22,6 @@ from functools import lru_cache, partial
 from types import MappingProxyType
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import hcore, specfun
 
@@ -410,7 +409,7 @@ def cmt_bic_length(tc: TruncatedCMT, dphi: float,
         e1, e2, _ = cmt_levels(tc, length, dphi, w2)
         return e1 - e2
 
-    lc = brentq(gap, bracket[0], bracket[1], xtol=1e-12)
+    lc = hcore.brentq(gap, bracket[0], bracket[1], xtol=1e-12)
     return lc, (math.pi / lc) ** 2
 
 

@@ -26,13 +26,14 @@ immutable inputs, so parameter grid points can be evaluated concurrently.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import brentq
 
 DEFAULT_WIDTH_TOL = 1e-8
 DEFAULT_NULL_TOL = 1e-7
@@ -60,6 +61,8 @@ _ROOT_FP_TOL = 1e-14
 _ROOT_FP_ITER = 50
 _ROOT_XTOL = 1e-13
 _ROOT_IMAG_TOL = 1e-8
+# brentq's relative tolerance (scipy's default and smallest)
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)
 
 
 class StructuralError(ValueError):
@@ -966,6 +969,76 @@ def _golden_minimize(fun, a: float, b: float, tol: float):
             d = a + invphi * (b - a)
             fd = fun(d)
     return (c if fc < fd else d), abs(b - a)
+
+
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
+           maxiter: int = 100) -> float:
+    """Root of ``f`` on [a, b] by Brent's method (R. P. Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 4).
+
+    The loop is scipy.optimize.brentq's C loop step for step, with its
+    defaults, so it evaluates ``f`` at the same points and returns the same
+    float.  The bracket shrinks to within xtol + 4 eps |x|; an end whose
+    value is exactly 0 is returned as it is.  Raises ValueError when
+    xtol <= 0 or maxiter < 0, when f(a) and f(b) have the same sign, or when
+    a value is NaN; RuntimeError when ``maxiter`` steps do not converge.
+    """
+    maxiter = operator.index(maxiter)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+    xtol = float(xtol)
+
+    def value(x):
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return float(fx)
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets inf or nan here, and bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 class _NoRoot(Exception):

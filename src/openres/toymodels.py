@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import hcore
 
@@ -259,7 +258,7 @@ def fp_chain_bic(p: FPChainParams, probe_energy: float = 0.5, width_tol: float =
     span = max(0.5, abs(p.eps1 - p.eps2))
     a, b = eps_b - 0.3 * span, eps_b + 0.3 * span
     if amp(a) * amp(b) < 0:
-        x = brentq(amp, a, b, xtol=1e-14)
+        x = hcore.brentq(amp, a, b, xtol=1e-14)
         rec = fp_chain_middle_branch(replace(p, eps_w=x), probe_energy)
         h = fp_chain_model(replace(p, eps_w=x))(probe_energy)
         out = hcore.bic_record(x, h, rec.energy, rec.z, rec.vector, width_tol, null_tol)

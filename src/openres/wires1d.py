@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+
+from . import hcore
 
 
 class SingularPoint(RuntimeError):
@@ -428,7 +429,7 @@ def zeeman_bic_points(theta: float, b_field: float, phi: float, u0: float,
                 va, vb = vals[a], vals[a + 1]
                 if np.isnan(va) or np.isnan(vb) or va * vb > 0:
                     continue
-                e_star = brentq(gap, es[a], es[a + 1], xtol=1e-13)
+                e_star = hcore.brentq(gap, es[a], es[a + 1], xtol=1e-13)
                 l_star = curves(e_star)[0][i]
                 if not (l_range[0] <= l_star <= l_range[1]):
                     continue
@@ -480,7 +481,7 @@ def zeeman_printed_roots(p_base: ZeemanParams, parity: str,
             continue
         fa, fb = f(a), f(b)
         if fa * fb < 0:
-            roots.append(brentq(f, a, b, xtol=1e-10))
+            roots.append(hcore.brentq(f, a, b, xtol=1e-10))
     return roots
 
 

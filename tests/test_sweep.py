@@ -107,6 +107,24 @@ def test_map_round_trip_exact(tmp_path):
     assert (tmp_path / "rewrite.dat").read_text() == path.read_text()
 
 
+def test_map_body_equals_per_row_formatting(tmp_path):
+    # the map body is every row formatted whole with %.16e: NaN rows, a NaN
+    # and an inf on an axis, and -0.0 next to 0.0 on an axis included
+    a1, a2 = np.linspace(-1.0, 1.0, 9), np.linspace(-0.0, 3.0, 6)
+    values = np.column_stack([np.repeat(a1, a2.size), np.tile(a2, a1.size),
+                              np.random.default_rng(3).normal(size=(a1.size * a2.size, 2))])
+    values[::7, 2:] = np.nan
+    values[4, 0], values[5, 1], values[8, 1], values[9, 1] = np.nan, np.inf, 0.0, -0.0
+    path = tmp_path / "map.dat"
+    sweep.write_map(path, sweep.MapResult(
+        model="twolevel", params={}, axis1=Axis("eps", -1.0, 1.0, 9),
+        axis2=Axis("energy", -0.0, 3.0, 6), columns=("T2", "absT"), values=values))
+    body = path.read_text().splitlines()[-values.shape[0]:]
+    assert body == [" ".join(["%.16e"] * 4) % tuple(row) for row in values.tolist()]
+    assert body[8].split()[1] == "0.0000000000000000e+00"
+    assert body[9].split()[1] == "-0.0000000000000000e+00"
+
+
 def test_degenerate_axis_two_identical_rows(tmp_path):
     spec = SweepSpec(model="well", fixed={"k": 1.0, "q": 2.0, "length": 1.0},
                      axis1=Axis("k", 1.5, 1.5, 2),
