@@ -90,12 +90,17 @@ def _null_vector_field(bics):
     return field
 
 
-def _cavity_resonances(model, band, energy: float):
-    """Fixed-point poles seeded from the first 12 basis energies in band.
-    A degenerate energy is solved once: bit-identical seeds give identical
-    cold solves."""
-    seeds = [e for e in model(energy).basis.energies if band[0] < e < band[1]][:12]
+def _heff_resonances(model, seeds):
+    """Fixed-point poles of an H_eff model from real seeds.  A repeated seed
+    is solved once (bit-identical seeds give identical cold solves; 0.0 and
+    -0.0 count as one), and ``_distinct_poles`` keeps each pole once."""
     return _distinct_poles(hcore.resonances(model, list(dict.fromkeys(seeds))))
+
+
+def _cavity_resonances(model, band, energy: float):
+    """Fixed-point poles seeded from the first 12 basis energies in band."""
+    return _heff_resonances(
+        model, [e for e in model(energy).basis.energies if band[0] < e < band[1]][:12])
 
 
 def _distinct_poles(records):
@@ -174,7 +179,7 @@ def _fpchain_bics(p, tol_width, tol_null):
 def _fpchain_resonances(p):
     pp = _fpchain_params(p)
     vals, _ = toymodels.fp_chain_spectrum(pp)
-    return hcore.resonances(toymodels.fp_chain_model(pp), [v for v in vals if v > 0.05])
+    return _heff_resonances(toymodels.fp_chain_model(pp), [v for v in vals if v > 0.05])
 
 
 def _well_point(p):
@@ -428,7 +433,7 @@ def _sphere_model(p):
 
 
 def _sphere_point(p):
-    s, chans = sph3d.sphere_transmittance(_sphere_model(p), p["energy"])
+    s, chans = hcore.smatrix(_sphere_model(p)(p["energy"]), p["energy"])
     idx = {c.port: i for i, c in enumerate(chans)}
     return [abs(s[idx["out"], idx["in"]]) ** 2]
 
@@ -451,7 +456,7 @@ MODELS: dict[str, Model] = {
     "twolevel": Model(
         defaults={"eps": 0.0, "gamma1": 0.1, "gamma2": 0.1, "u": 0.0, "energy": 0.5},
         columns=("T2", "absT"), point=_twolevel_point, bics=_twolevel_bics,
-        resonances=lambda p: hcore.resonances(
+        resonances=lambda p: _heff_resonances(
             toymodels.twolevel_model(_twolevel_params(p, p["eps"])), [p["eps"], -p["eps"]]),
         field=_null_vector_field(_twolevel_bics), batched=("eps", "energy")),
     "fpchain": Model(

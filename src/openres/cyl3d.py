@@ -152,47 +152,6 @@ def disk_overlaps(cavity: CylCavity, r0: float, pq_list) -> MappingProxyType:
     return _disk_overlaps(cavity.radius, cavity.m_max, cavity.n_max, r0, tuple(pq_list))
 
 
-class CylModel:
-    """Open cylindrical resonator with ports at z=0 (unrotated, 'R') and
-    z=L (rotated by dphi, 'L').  The modes are sorted by energy, or held in
-    the order ``labels`` when given."""
-
-    def __init__(self, cavity: CylCavity, dphi: float, r0: float = 1.5,
-                 cutoff_max_sq: float = 16.0, labels: tuple | None = None):
-        self.cavity = cavity
-        self.dphi = dphi
-        self.r0 = r0
-        self.channels = duct_channels(cutoff_max_sq)
-        pq = sorted({ch.label[1:] for ch in self.channels})
-        self.overlaps = disk_overlaps(cavity, r0, pq)
-        self.basis = cavity.basis()
-        if labels is not None:
-            pos = {lab: i for i, lab in enumerate(self.basis.labels)}
-            self.basis = hcore.ClosedBasis(
-                labels, self.basis.energies[[pos[lab] for lab in labels]])
-        hcore.read_only(self.basis.energies)
-        self._w = hcore.read_only(self._coupling_matrix())
-        self.blocks = rotation_blocks(self.basis, dphi)
-        self.frame = hcore.AssemblyFrame(self.basis, self.channels,
-                                         hcore.CouplingMatrix(self._w), blocks=self.blocks)
-
-    def _coupling_matrix(self) -> np.ndarray:
-        cav = self.cavity
-        w = np.zeros((len(self.basis), len(self.channels)), dtype=complex)
-        for j, ch in enumerate(self.channels):
-            _, p, q = ch.label[0], ch.label[1], ch.label[2]
-            for i, (m, n, l) in enumerate(self.basis.labels):
-                base = self.overlaps[(m, n, p, q)] * cav.z_factor(l, 0.0)
-                if ch.port == "R":
-                    w[i, j] = base
-                else:
-                    w[i, j] = (-1.0) ** (l - 1) * np.exp(1j * (p - m) * self.dphi) * base
-        return w
-
-    def __call__(self, omega_sq: float) -> hcore.EffectiveHamiltonian:
-        return hcore.assemble(self.frame, omega_sq)
-
-
 def rotation_blocks(basis: hcore.ClosedBasis, dphi: float) -> tuple:
     """(even, odd) symmetry blocks of the half-turn about the transverse
     axis through the cavity centre that swaps the two ports.  It maps
@@ -215,13 +174,33 @@ def rotation_blocks(basis: hcore.ClosedBasis, dphi: float) -> tuple:
 
 @lru_cache(maxsize=32)
 def cyl_model(cavity: CylCavity, dphi: float, r0: float = 1.5,
-              cutoff_max_sq: float = 16.0, labels: tuple | None = None) -> CylModel:
-    """The model of one geometry, built once per process and shared (its
-    arrays are read-only)."""
-    return CylModel(cavity, dphi, r0, cutoff_max_sq, labels)
+              cutoff_max_sq: float = 16.0, labels: tuple | None = None) -> hcore.AssemblyFrame:
+    """Open cylindrical resonator with ports at z=0 (unrotated, 'R') and
+    z=L (rotated by dphi, 'L'), in the symmetry blocks of
+    ``rotation_blocks``.  The modes are sorted by energy, or held in the
+    order ``labels`` when given.  Built once per geometry and process and
+    shared (its arrays are read-only)."""
+    channels = duct_channels(cutoff_max_sq)
+    overlaps = disk_overlaps(cavity, r0, sorted({ch.label[1:] for ch in channels}))
+    basis = cavity.basis()
+    if labels is not None:
+        pos = {lab: i for i, lab in enumerate(basis.labels)}
+        basis = hcore.ClosedBasis(labels, basis.energies[[pos[lab] for lab in labels]])
+    hcore.read_only(basis.energies)
+    w = np.zeros((len(basis), len(channels)), dtype=complex)
+    for j, ch in enumerate(channels):
+        p, q = ch.label[1], ch.label[2]
+        for i, (m, n, l) in enumerate(basis.labels):
+            base = overlaps[(m, n, p, q)] * cavity.z_factor(l, 0.0)
+            if ch.port == "R":
+                w[i, j] = base
+            else:
+                w[i, j] = (-1.0) ** (l - 1) * np.exp(1j * (p - m) * dphi) * base
+    return hcore.AssemblyFrame(basis, channels, hcore.CouplingMatrix(hcore.read_only(w)),
+                               blocks=rotation_blocks(basis, dphi))
 
 
-def cyl_transmittance(model: CylModel, omega_sq: float):
+def cyl_transmittance(model: hcore.AssemblyFrame, omega_sq: float):
     """S over open channels and the (0,1)->(0,1) L->R transmittance."""
     s, chans = hcore.smatrix(model(omega_sq), omega_sq)
     idx = {(c.port,) + tuple(c.label[1:]): i for i, c in enumerate(chans)}
@@ -321,7 +300,7 @@ def surface_field(record: hcore.BICRecord, cavity: CylCavity,
     return field
 
 
-def port_channel_projection(record: hcore.BICRecord, model: CylModel) -> dict:
+def port_channel_projection(record: hcore.BICRecord, model: hcore.AssemblyFrame) -> dict:
     """Overlap of the BIC boundary field with the open (0,1) duct mode over
     each port disk; vanishes at a converged zero-width point."""
     pos = {lab: i for i, lab in enumerate(record.labels)}
@@ -330,7 +309,7 @@ def port_channel_projection(record: hcore.BICRecord, model: CylModel) -> dict:
     for j, ch in enumerate(model.channels):
         if ch.label[1:] != (0, 1):
             continue
-        out[ch.port] = complex(np.dot(np.conj(model._w[:, j]), vec))
+        out[ch.port] = complex(np.dot(np.conj(model.w[:, j]), vec))
     return out
 
 
@@ -390,13 +369,7 @@ def cmt_heff(tc: TruncatedCMT, length: float, dphi: float,
             w[:, j] = base
         else:
             w[:, j] = (-1.0) ** np.array([1, 0, 0]) * np.exp(1j * (p - ms) * dphi) * base
-    return hcore.assemble(basis, channels, hcore.CouplingMatrix(w), omega_sq)
-
-
-def cmt_hamiltonian(tc: TruncatedCMT, length: float, dphi: float,
-                    omega_sq: float) -> np.ndarray:
-    """Matrix of the truncated H_eff (see ``cmt_heff``)."""
-    return cmt_heff(tc, length, dphi, omega_sq).matrix
+    return hcore.AssemblyFrame(basis, channels, hcore.CouplingMatrix(w))(omega_sq)
 
 
 def cmt_bic_length(tc: TruncatedCMT, dphi: float,

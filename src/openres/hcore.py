@@ -1,7 +1,9 @@
 """Model-agnostic effective non-Hermitian Hamiltonian engine.
 
-A model is a callable ``omega_sq -> EffectiveHamiltonian``.  The engine
-assembles
+A model is a callable ``omega_sq -> EffectiveHamiltonian``: an
+``AssemblyFrame``, which holds everything in H_eff that does not depend on
+the energy and is built once per geometry, or a closure that calls one with
+a per-energy scaling of W or V.  The engine assembles
 
     H_eff(w2) = diag(E_n) + V_static - i * sum_c k_c(w2) W_c W_c^dag,
 
@@ -14,11 +16,10 @@ eigenvector-overlap branch continuation, and zero-width (BIC) detection
 with null-vector extraction.
 
 A model whose H_eff is block-diagonal in a symmetry-adapted basis declares
-that basis as ``SymmetryBlock``s.  ``assemble`` then builds each block on its
-own and checks the declaration; the S-matrix solves and the eigensolves work
-one block at a time, and the full mode-basis matrix is formed only when read.
-Everything in H_eff that does not depend on the energy sits in an
-``AssemblyFrame``, built once per geometry.
+that basis as ``SymmetryBlock``s; a model that declares none has one block,
+the whole mode space.  ``assemble`` builds each block on its own and checks
+the declaration; the S-matrix solves and the eigensolves work one block at a
+time, and the full mode-basis matrix is formed only when read.
 
 Everything here is pure: assembly and eigensolves build fresh arrays from
 immutable inputs, so parameter grid points can be evaluated concurrently.
@@ -129,13 +130,6 @@ class ChannelSet:
     def open_indices(self, omega_sq: float) -> np.ndarray:
         return np.array([i for i, c in enumerate(self.channels) if c.is_open(omega_sq)],
                         dtype=int)
-
-    def ports(self) -> tuple:
-        seen = []
-        for c in self.channels:
-            if c.port not in seen:
-                seen.append(c.port)
-        return tuple(seen)
 
 
 @dataclass(frozen=True)
@@ -248,9 +242,11 @@ class SymmetryBlock:
         return lam, float(left.max(initial=0.0))
 
 
-def _project(block: SymmetryBlock | None, v: np.ndarray) -> np.ndarray:
-    """U_b^dag v, with None the whole mode space (U = 1)."""
-    return v if block is None else block.project(v)
+@lru_cache(maxsize=64)
+def _whole_space(n: int) -> SymmetryBlock:
+    """The one block of a model that declares none: every mode, unpaired."""
+    index = np.arange(n)
+    return SymmetryBlock(index, index, np.zeros(n), n)
 
 
 def _sandwich(blocks: Sequence[SymmetryBlock], v: np.ndarray) -> np.ndarray:
@@ -291,12 +287,12 @@ class AssemblyFrame:
     """The energy-free parts of H_eff(E) = diag(E_n) + h V - i W k W^dag,
     built once per geometry and read by ``assemble`` at every energy.
 
-    Per block b of the declared ``blocks`` (the whole space when none), it
-    holds W_b = U_b^dag W restricted to the channels that reach the block,
-    U_b^dag V U_b and the diagonal of U_b^dag diag(E_n) U_b.  At an energy,
-    W may carry a column divisor d and V a height h: W(E) = W / d (the
-    planar Dirichlet weight 1/(sqrt(pi) max(|k_c|, eps))), V(E) = h V (a
-    Sinai bump height).  The divisor must depend on the channel's
+    Per block b of the declared ``blocks`` (one whole-space block when none
+    is declared), it holds W_b = U_b^dag W restricted to the channels that
+    reach the block, U_b^dag V U_b and the diagonal of U_b^dag diag(E_n)
+    U_b.  At an energy, W may carry a column divisor d and V a height h:
+    W(E) = W / d (the planar Dirichlet weight 1/(sqrt(pi) max(|k_c|,
+    eps))), V(E) = h V (a Sinai bump height).  The divisor must depend on the channel's
     wavenumber alone, and is applied after the gather: blocks without
     pairs, where gather and scaling commute exactly.
 
@@ -307,6 +303,9 @@ class AssemblyFrame:
     for the L and R ports of the planar x-parity blocks).  At an energy,
     |h| max|V_ab| + sum_g |k_g| max|G_ab,g| / d_g^2 bounds every entry of
     the tile H_ab = U_a^dag H U_b (see ``parts``).
+
+    A frame is a model: ``frame(omega_sq, divisor, height)`` is
+    ``assemble(frame, omega_sq, divisor, height)``.
     """
 
     def __init__(self, basis: ClosedBasis, channels: ChannelSet,
@@ -327,21 +326,19 @@ class AssemblyFrame:
             raise StructuralError("static perturbation has wrong shape")
         self.basis, self.channels, self.static = basis, channels, v
         self.w, self.coupling = w, coupling
-        self.blocks = tuple(blocks)
-        self.norms = _frame_norms(self.blocks, n) if self.blocks else None
-        whole = self.blocks or (None,)
-        ws = [_project(b, w) for b in whole]
+        self.blocks = tuple(blocks) or (_whole_space(n),)
+        self.norms = _frame_norms(self.blocks, n)
+        ws = [b.project(w) for b in self.blocks]
         # a block's tile needs only the channels that reach it: the others
         # add exact zeros
-        reach = [np.any(x, axis=0) for x in ws] if self.blocks \
-            else [np.ones(w.shape[1], dtype=bool)]
+        reach = [np.any(x, axis=0) for x in ws]
         self._cols = [slice(None) if r.all() else r for r in reach]
         self._w = [x[:, c] for x, c in zip(ws, self._cols)]
-        vb = v if v is None or not self.blocks else _sandwich(self.blocks, v)
+        vb = None if v is None else _sandwich(self.blocks, v)
         ends = np.cumsum([x.shape[0] for x in ws])
         rows = [slice(end - x.shape[0], end) for x, end in zip(ws, ends)]
         self._v = [None if vb is None else np.ascontiguousarray(vb[r, r]) for r in rows]
-        diag = [(e, 0.0) if b is None else b.energies(e) for b in whole]
+        diag = [b.energies(e) for b in self.blocks]
         self._lam = [lam for lam, _ in diag]
         self._gap = max(gap for _, gap in diag)
         groups = {}
@@ -360,12 +357,16 @@ class AssemblyFrame:
                 if g:
                     self._gmax[i, j] = _absmax(ws[a][:, g] @ ws[b][:, g].conj().T)
 
+    def __call__(self, omega_sq: float, divisor: np.ndarray | None = None,
+                 height: float = 1.0) -> EffectiveHamiltonian:
+        return assemble(self, omega_sq, divisor, height)
+
     def parts(self, omega_sq: float, divisor: np.ndarray | None = None,
               height: float = 1.0) -> tuple:
         """The blocks H_b = U_b^dag (diag E + h V) U_b - i (W_b k) W_b^dag at
         ``omega_sq``; the n x n mode-basis matrix is never formed.
 
-        With declared blocks, StructuralError when r b > ``_BLOCK_TOL``
+        StructuralError when r b > ``_BLOCK_TOL``
         max|H_bb| / s^2, with b >= max|H_ab| the bound of ``_bound`` and r
         and s the largest row and column 1-norms of the mode-to-block
         matrix U.  r b bounds every off-block entry of H U_b in the mode
@@ -386,15 +387,14 @@ class AssemblyFrame:
                 h += v if height == 1.0 else height * v
             h.flat[:: h.shape[0] + 1] += lam
             parts.append(read_only(h))
-        if self.blocks:
-            r, s = self.norms
-            # _peak is within sqrt(2) below max|.|, and the part of diag(E)
-            # U_b that H_b leaves out (gap) adds at most s * gap to an entry
-            off = r * (np.sqrt(2.0) + s) * max(self._bound(k, divisor, height), self._gap)
-            on = max(_peak(p) for p in parts)
-            if off > _BLOCK_TOL * on / (s * s):
-                raise StructuralError(f"H_eff is not block-diagonal in the declared symmetry "
-                                      f"blocks (off-block {off:.2e}, on-block {on:.2e})")
+        r, s = self.norms
+        # _peak is within sqrt(2) below max|.|, and the part of diag(E) U_b
+        # that H_b leaves out (gap) adds at most s * gap to an entry
+        off = r * (np.sqrt(2.0) + s) * max(self._bound(k, divisor, height), self._gap)
+        on = max(_peak(p) for p in parts)
+        if off > _BLOCK_TOL * on / (s * s):
+            raise StructuralError(f"H_eff is not block-diagonal in the declared symmetry "
+                                  f"blocks (off-block {off:.2e}, on-block {on:.2e})")
         return tuple(parts)
 
     def _bound(self, k: np.ndarray, divisor: np.ndarray | None, height: float) -> float:
@@ -409,7 +409,7 @@ class AssemblyFrame:
 @dataclass(frozen=True, eq=False)
 class EffectiveHamiltonian:
     """H_eff(omega_sq) of one ``AssemblyFrame``, held as one matrix per
-    declared symmetry block.
+    symmetry block of the frame.
 
     ``parts[i]`` is the block H_b = U_b^dag H_eff U_b of ``blocks[i]``; a
     model that declares no blocks has one part, the whole matrix.  Built by
@@ -448,23 +448,19 @@ class EffectiveHamiltonian:
 
     @property
     def pieces(self):
-        """(block, part) pairs; the block is None for a model without blocks."""
-        return zip(self.blocks or (None,), self.parts)
+        """(block, part) pairs."""
+        return zip(self.blocks, self.parts)
 
     def block_matrix(self, block: SymmetryBlock) -> np.ndarray:
-        """The part of one of the declared ``blocks``."""
+        """The part of one of the ``blocks``."""
         return next(part for b, part in self.pieces if b is block)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The mode-basis matrix, sum of U_b H_b U_b^dag over the blocks."""
-        if not self.blocks:
-            return self.parts[0]
-        n = len(self.basis)
-        h = np.zeros((n, n), dtype=complex)
-        for block, part in self.pieces:
-            h += block.lift(block.lift(part).conj().T).conj().T
-        return read_only(h)
+        """The mode-basis matrix, sum of U_b H_b U_b^dag over the blocks
+        (one whole-space block gives its part, bit for bit)."""
+        terms = [block.lift(block.lift(part).conj().T).conj().T for block, part in self.pieces]
+        return read_only(np.ascontiguousarray(sum(terms[1:], terms[0])))
 
 
 def _peak(h: np.ndarray) -> float:
@@ -475,28 +471,15 @@ def _peak(h: np.ndarray) -> float:
     return float(max(x.max(initial=0.0), -x.min(initial=0.0)))
 
 
-def assemble(source, *args, **kwargs) -> EffectiveHamiltonian:
-    """H_eff(omega_sq) = diag(E) + V - i sum_c k_c W_c W_c^dag, one matrix
-    per symmetry block (see ``EffectiveHamiltonian``), in one of two forms:
-
-    - ``assemble(frame, omega_sq, divisor=None, height=1.0)`` reads a
-      model's cached ``AssemblyFrame`` and does only the energy's work;
-    - ``assemble(basis, channels, coupling, omega_sq, static=None,
-      blocks=())`` builds the frame of this one matrix first.
-
-    ``blocks`` are the model's symmetry blocks (empty: none declared); they
-    must together span the mode space, and H_eff must not leave them
-    (StructuralError otherwise, see ``AssemblyFrame.parts``)."""
-    if isinstance(source, AssemblyFrame):
-        return EffectiveHamiltonian(source, *args, **kwargs)
-    return _assemble_once(source, *args, **kwargs)
-
-
-def _assemble_once(basis: ClosedBasis, channels: ChannelSet, coupling: CouplingMatrix,
-                   omega_sq: float, static: np.ndarray | None = None,
-                   blocks: tuple = ()) -> EffectiveHamiltonian:
-    return EffectiveHamiltonian(AssemblyFrame(basis, channels, coupling, static, blocks),
-                                omega_sq)
+def assemble(frame: AssemblyFrame, omega_sq: float, divisor: np.ndarray | None = None,
+             height: float = 1.0) -> EffectiveHamiltonian:
+    """H_eff(omega_sq) = diag(E) + h V - i sum_c k_c W_c W_c^dag / d_c^2 of
+    a model's ``AssemblyFrame``, one matrix per symmetry block of the frame
+    (see ``EffectiveHamiltonian``): the frame holds the energy-free parts,
+    so only the energy's work is done here.  ``divisor`` d and ``height`` h
+    scale the frame's W and V at this energy.  StructuralError when H_eff
+    leaves the frame's blocks (see ``AssemblyFrame.parts``)."""
+    return EffectiveHamiltonian(frame, omega_sq, divisor, height)
 
 
 def green(heff: EffectiveHamiltonian, energy: float, rhs: np.ndarray) -> np.ndarray:
@@ -519,12 +502,9 @@ def green(heff: EffectiveHamiltonian, energy: float, rhs: np.ndarray) -> np.ndar
     rcond = lo / max(hi, 1e-300)
     if rcond < 1e-14:
         raise SingularScattering(energy, rcond)
-    if not heff.blocks:
-        return sla.lu_solve(factors[0], rhs)
-    out = 0.0
-    for block, lu in zip(heff.blocks, factors):
-        out = out + block.lift(sla.lu_solve(lu, block.project(rhs)))
-    return out
+    out = [block.lift(sla.lu_solve(lu, block.project(rhs)))
+           for block, lu in zip(heff.blocks, factors)]
+    return sum(out[1:], out[0])
 
 
 def smatrix(heff: EffectiveHamiltonian, energy: float | None = None):
@@ -759,16 +739,14 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def block_eig(heff: EffectiveHamiltonian, block: SymmetryBlock):
-    """Eigenpairs of H_eff inside one of its declared blocks, vectors in the
-    mode basis."""
+    """Eigenpairs of H_eff inside one of its blocks, vectors in the mode
+    basis."""
     vals, vecs = np.linalg.eig(heff.block_matrix(block))
     return vals, block.lift(vecs)
 
 
 def holding_block(blocks: Sequence[SymmetryBlock], vec: np.ndarray):
     """The block that holds at least 1 - 1e-8 of ``vec``'s weight, or None."""
-    if not blocks:
-        return None
     floor = (1.0 - _BLOCK_WEIGHT_TOL) * np.vdot(vec, vec).real
     for block in blocks:
         y = block.project(vec)
@@ -779,11 +757,8 @@ def holding_block(blocks: Sequence[SymmetryBlock], vec: np.ndarray):
 
 def spectrum(heff: EffectiveHamiltonian):
     """Every eigenpair (vals, vecs) of H_eff by the dense eig of every
-    symmetry block (of the full matrix for a model without blocks), vectors
-    in the mode basis.  The fixed-point loop and the BIC root need one
-    eigenpair and take it from ``_branch_eig`` instead."""
-    if not heff.blocks:
-        return _eig_full(heff.matrix)
+    symmetry block, vectors in the mode basis.  The fixed-point loop and the
+    BIC root need one eigenpair and take it from ``_branch_eig`` instead."""
     parts = [block_eig(heff, b) for b in heff.blocks]
     return (np.concatenate([vals for vals, _ in parts]),
             np.hstack([vecs for _, vecs in parts]))
@@ -834,8 +809,8 @@ def _cold_eig(heff: EffectiveHamiltonian, sigma: float):
     """The eigenpair of H_eff whose eigenvalue has the real part nearest
     ``sigma``, ties going to the first block, as ``_pick_branch`` picks from
     ``spectrum(heff)``.  The eigenvalues come from eigvals of every symmetry
-    block (or of the full matrix), the one vector from inverse iteration
-    in its block; where that fails, from the dense eig of the block."""
+    block, the one vector from inverse iteration in its block; where that
+    fails, from the dense eig of the block."""
     pieces = list(heff.pieces)
     spectra = [np.linalg.eigvals(part) for _, part in pieces]
     i = _pick_branch(np.concatenate(spectra), None, sigma, None)
@@ -848,7 +823,7 @@ def _cold_eig(heff: EffectiveHamiltonian, sigma: float):
         vals, vecs = np.linalg.eig(part)
         j = _pick_branch(vals, vecs, sigma, None)
         lam, y = vals[j], _unit(vecs[:, j])
-    return lam, (y if block is None else block.lift(y))
+    return lam, block.lift(y)
 
 
 def _continue_eig(h: np.ndarray, sigma: float, vec: np.ndarray, prev_z: complex | None):
@@ -1290,7 +1265,7 @@ def bic_record(p: float, h: EffectiveHamiltonian, energy: float, z: complex,
     is summed over the symmetry blocks, so the mode-basis matrix is not
     formed."""
     residual = float(np.linalg.norm(np.concatenate(
-        [(energy * np.eye(part.shape[0]) - part) @ _project(block, vector)
+        [(energy * np.eye(part.shape[0]) - part) @ block.project(vector)
          for block, part in h.pieces])))
     gamma = -2.0 * z.imag
     return BICRecord(param=p, omega_sq=energy, null_vector=vector, gamma_res=gamma,

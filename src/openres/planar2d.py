@@ -434,19 +434,31 @@ def sinai_parity_blocks(cavity: RectCavity) -> dict:
     return blocks
 
 
+def _sinai_blocks(cavity: RectCavity, radius: float, x0: float, y0: float,
+                  nodes: int) -> dict:
+    """{block: (diagonal, unit bump, basis_indices)}: the closed rectangle's
+    energies and the bump at unit height, each restricted to one parity
+    block.  The bumped block at height vg is diagonal + vg * unit bump."""
+    diag = np.diag(cavity.basis().energies)
+    unit = sinai_potential_matrix(cavity, SinaiBump(1.0, radius, x0, y0), nodes=nodes,
+                                  audit=False)
+    out = {}
+    for key, idx in sinai_parity_blocks(cavity).items():
+        idx = np.array(idx)
+        sub = np.ix_(idx, idx)
+        out[key] = (diag[sub], unit[sub], idx)
+    return out
+
+
 def sinai_spectrum(cavity: RectCavity, bump: SinaiBump, nodes: int = 96):
     """Eigenpairs of the bumped closed cavity per irreducible parity block.
 
     Returns {block: (values, vectors, basis_indices)} with vectors expressed
     in the rectangle eigenbasis (columns)."""
-    basis = cavity.basis()
-    v = sinai_potential_matrix(cavity, bump, nodes=nodes, audit=False)
-    h = np.diag(basis.energies) + v
     out = {}
-    for key, idx in sinai_parity_blocks(cavity).items():
-        idx = np.array(idx)
-        sub = h[np.ix_(idx, idx)]
-        vals, vecs = np.linalg.eigh(sub)
+    for key, (diag, unit, idx) in _sinai_blocks(cavity, bump.radius, bump.x0, bump.y0,
+                                                nodes).items():
+        vals, vecs = np.linalg.eigh(diag + bump.vg * unit)
         out[key] = (vals, vecs, idx)
     return out
 
@@ -498,12 +510,11 @@ def sinai_coupling_trace(cavity: RectCavity, vg_grid: np.ndarray, y_even: bool,
     raw = raw_coupling(cavity, chans)
     jcol = [j for j, ch in enumerate(chans)
             if ch.port == "L" and ch.label[1] == _first_open_channel(cavity, y_even)][0]
-    key = (x_even, y_even)
+    diag, unit, idx = _sinai_blocks(cavity, radius, x0, y0, nodes)[(x_even, y_even)]
     prev = None
     couplings, energies = [], []
     for vg in vg_grid:
-        vals, vecs, idx = sinai_spectrum(cavity, SinaiBump(vg, radius, x0, y0),
-                                         nodes=nodes)[key]
+        vals, vecs = np.linalg.eigh(diag + vg * unit)
         if prev is not None:
             # continuity: permute to maximize overlap with the previous step
             ov = np.abs(prev.T @ vecs)

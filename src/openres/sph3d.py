@@ -190,53 +190,27 @@ def mirror_blocks(cavity: SphereCavity) -> tuple:
     return tuple(hcore.SymmetryBlock.of(len(labels), vecs) for vecs in (even, odd))
 
 
-class SphereModel:
-    """Open spherical cavity with an arbitrary number of rotated ports;
-    ports that all lie in the xz-plane (alpha = gamma = 0) keep the mirror
-    symmetry of ``mirror_blocks``."""
-
-    def __init__(self, cavity: SphereCavity, attachments,
-                 cutoff_max_sq: float = 16.0):
-        self.cavity = cavity
-        self.attachments = tuple(attachments)
-        ports = tuple(att.port for att in self.attachments)
-        if len(set(ports)) != len(ports):
-            raise ValueError("port names must be distinct")
-        self.channels = duct_channels(cutoff_max_sq, ports=ports)
-        _, pole_labels, self.basis = _pole_block(cavity, cutoff_max_sq)
-        w = np.zeros((len(self.basis), len(self.channels)), dtype=complex)
-        for att in self.attachments:
-            wr = _port_columns(cavity, att, cutoff_max_sq)
-            for j, ch in enumerate(self.channels):
-                if ch.port != att.port:
-                    continue
-                col = pole_labels.index(ch.label[1:])
-                w[:, j] = wr[:, col]
-        self._w = hcore.read_only(w)
-        in_plane = all(att.alpha == 0.0 and att.gamma == 0.0 for att in self.attachments)
-        self.blocks = mirror_blocks(cavity) if in_plane else ()
-        self.frame = hcore.AssemblyFrame(self.basis, self.channels,
-                                         hcore.CouplingMatrix(self._w), blocks=self.blocks)
-
-    def __call__(self, omega_sq: float) -> hcore.EffectiveHamiltonian:
-        return hcore.assemble(self.frame, omega_sq)
-
-
-def sphere_model(cavity: SphereCavity, attachments, cutoff_max_sq: float = 16.0):
-    """The model of one geometry, built once per process and shared (its
-    arrays are read-only)."""
-    return _sphere_model(cavity, tuple(attachments), cutoff_max_sq)
-
-
 @lru_cache(maxsize=32)
-def _sphere_model(cavity: SphereCavity, attachments: tuple,
-                  cutoff_max_sq: float) -> SphereModel:
-    return SphereModel(cavity, attachments, cutoff_max_sq)
-
-
-def sphere_transmittance(model: SphereModel, omega_sq: float):
-    s, chans = hcore.smatrix(model(omega_sq), omega_sq)
-    return s, chans
+def sphere_model(cavity: SphereCavity, attachments: tuple,
+                 cutoff_max_sq: float = 16.0) -> hcore.AssemblyFrame:
+    """Open spherical cavity with a tuple of rotated ports (``attachments``);
+    ports that all lie in the xz-plane (alpha = gamma = 0) keep the mirror
+    symmetry of ``mirror_blocks``.  Built once per geometry and process and
+    shared (its arrays are read-only)."""
+    ports = tuple(att.port for att in attachments)
+    if len(set(ports)) != len(ports):
+        raise ValueError("port names must be distinct")
+    channels = duct_channels(cutoff_max_sq, ports=ports)
+    _, pole_labels, basis = _pole_block(cavity, cutoff_max_sq)
+    w = np.zeros((len(basis), len(channels)), dtype=complex)
+    for att in attachments:
+        wr = _port_columns(cavity, att, cutoff_max_sq)
+        for j, ch in enumerate(channels):
+            if ch.port == att.port:
+                w[:, j] = wr[:, pole_labels.index(ch.label[1:])]
+    in_plane = all(att.alpha == 0.0 and att.gamma == 0.0 for att in attachments)
+    return hcore.AssemblyFrame(basis, channels, hcore.CouplingMatrix(hcore.read_only(w)),
+                               blocks=mirror_blocks(cavity) if in_plane else ())
 
 
 def l_block_weights(record: hcore.BICRecord) -> dict:

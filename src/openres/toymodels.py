@@ -8,7 +8,7 @@ mode through each of two identical leads (per-lead couplings w_n with
 
 Five-site Fabry-Perot chain: two two-level side cavities bridged by a single
 wire site, open to two leads with v(k) = v0 sqrt(k/2pi), E = k^2.  Both are
-exposed analytically and as hcore model callbacks.
+exposed analytically and as hcore models (``hcore.AssemblyFrame``).
 """
 
 from __future__ import annotations
@@ -97,18 +97,13 @@ def _leads_coupling(p: TwoLevelParams) -> np.ndarray:
     return np.column_stack([w, w]).astype(complex)
 
 
-def twolevel_model(p: TwoLevelParams):
-    """hcore model callback (energy-frozen couplings, k = 1)."""
+def twolevel_model(p: TwoLevelParams) -> hcore.AssemblyFrame:
+    """hcore model (energy-frozen couplings, k = 1)."""
     basis = hcore.ClosedBasis(labels=("+", "-"), energies=np.array([p.eps, -p.eps]))
     channels = hcore.ChannelSet([hcore.Channel("L", ("lead",), 0.0, fixed_k=1.0),
                                  hcore.Channel("R", ("lead",), 0.0, fixed_k=1.0)])
-    frame = hcore.AssemblyFrame(basis, channels, hcore.CouplingMatrix(_leads_coupling(p)),
-                                np.array([[0.0, p.u], [p.u, 0.0]]))
-
-    def model(_omega_sq: float) -> hcore.EffectiveHamiltonian:
-        return hcore.assemble(frame, _omega_sq)
-
-    return model
+    return hcore.AssemblyFrame(basis, channels, hcore.CouplingMatrix(_leads_coupling(p)),
+                               np.array([[0.0, p.u], [p.u, 0.0]]))
 
 
 def twolevel_transmission(energy: float, p: TwoLevelParams,
@@ -197,7 +192,7 @@ def fp_chain_spectrum(p: FPChainParams):
     return vals, vecs
 
 
-def fp_chain_model(p: FPChainParams):
+def fp_chain_model(p: FPChainParams) -> hcore.AssemblyFrame:
     """hcore model over E = omega_sq with k = sqrt(E); site-basis assembly."""
     hb = fp_chain_hamiltonian(p)
     basis = hcore.ClosedBasis(labels=tuple(range(1, 6)), energies=np.diag(hb))
@@ -207,12 +202,7 @@ def fp_chain_model(p: FPChainParams):
     w = np.zeros((5, 2), dtype=complex)
     w[[0, 1], 0] = p.v0   # left cavity sites feed the left lead
     w[[3, 4], 1] = p.v0
-    frame = hcore.AssemblyFrame(basis, channels, hcore.CouplingMatrix(w), static)
-
-    def model(omega_sq: float) -> hcore.EffectiveHamiltonian:
-        return hcore.assemble(frame, omega_sq)
-
-    return model
+    return hcore.AssemblyFrame(basis, channels, hcore.CouplingMatrix(w), static)
 
 
 def fp_chain_middle_branch(p: FPChainParams,

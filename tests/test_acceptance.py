@@ -383,7 +383,7 @@ def test_criterion_8_sphere_properties_and_trapping():
     model = sph3d.sphere_model(cav, (sph3d.WaveguideAttachment("in"),
                                      sph3d.WaveguideAttachment("out", beta=2.0)))
     for w2 in (0.1, 0.25, 0.4):
-        s, ch = sph3d.sphere_transmittance(model, w2)
+        s, ch = hcore.smatrix(model(w2), w2)
         s_ok &= np.max(np.abs(s.conj().T @ s - np.eye(len(ch)))) < 1e-9
 
     # (ii) geometry scan for the interference trapping point mixing l=1/l=4
@@ -509,7 +509,7 @@ def test_criterion_10_global_property_suites():
     channels = hcore.ChannelSet([hcore.Channel("L", ("c",), 0.0, fixed_k=1.0),
                                  hcore.Channel("R", ("c",), 0.0, fixed_k=1.0)])
     wmat = hcore.CouplingMatrix(rng.normal(0, 0.4, (6, 2)).astype(complex))
-    h = hcore.assemble(basis, channels, wmat, 5.0).matrix
+    h = hcore.AssemblyFrame(basis, channels, wmat)(5.0).matrix
     for z in np.linalg.eigvals(h):
         e = z + 1e-4 * (1 + 1j)
         for _ in range(60):

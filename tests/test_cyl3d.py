@@ -134,8 +134,8 @@ def test_left_port_face_factor():
     jl = [j for j, ch in enumerate(model.channels)
           if ch.port == "L" and ch.label[1:] == (0, 1)][0]
     for i, (m, n, l) in enumerate(model.basis.labels):
-        assert model._w[i, jl] == pytest.approx(
-            (-1.0) ** (l - 1) * model._w[i, jr], abs=1e-14)
+        assert model.w[i, jl] == pytest.approx(
+            (-1.0) ** (l - 1) * model.w[i, jr], abs=1e-14)
 
 
 def test_smatrix_unitary_single_channel_band():
@@ -272,7 +272,7 @@ def test_cmt_hamiltonian_matches_printed_structure():
     tc = cyl3d.TruncatedCMT()
     length, dphi = 5.0, 0.6
     w2 = 0.36
-    h = cyl3d.cmt_hamiltonian(tc, length, dphi, w2)
+    h = cyl3d.cmt_heff(tc, length, dphi, w2).matrix
     q11 = math.sqrt(cyl3d.MU_11**2 - w2)
     v1, v2 = tc.v1_coef / math.sqrt(length), tc.v2_coef / math.sqrt(length)
     w0, w1 = tc.w0_coef / math.sqrt(length), tc.w1_coef / math.sqrt(length)

@@ -36,7 +36,7 @@ def test_assemble_zero_coupling_is_diagonal():
     basis = hcore.ClosedBasis(labels=("a", "b", "c"), energies=np.array([1.0, 4.0, 9.0]))
     channels = hcore.ChannelSet([hcore.Channel("L", ("p", 1), 0.5)])
     w = hcore.CouplingMatrix(np.zeros((3, 1), dtype=complex))
-    h = hcore.assemble(basis, channels, w, omega_sq=2.0)
+    h = hcore.AssemblyFrame(basis, channels, w)(2.0)
     assert np.array_equal(h.matrix, np.diag([1.0, 4.0, 9.0]).astype(complex))
 
 
@@ -51,7 +51,7 @@ def test_assemble_evanescent_channel_gives_hermitian_shift():
     channels = hcore.ChannelSet([hcore.Channel("L", ("p", 1), cutoff_sq=25.0)])
     w = hcore.CouplingMatrix(np.array([[0.3], [0.7]], dtype=complex))
     omega_sq = 9.0  # below cutoff: k = 4i, contribution +4 W W^dag
-    h = hcore.assemble(basis, channels, w, omega_sq)
+    h = hcore.AssemblyFrame(basis, channels, w)(omega_sq)
     expect = np.diag([1.0, 2.0]) + 4.0 * np.outer([0.3, 0.7], [0.3, 0.7])
     assert np.allclose(h.matrix, expect, atol=1e-14)
     assert np.allclose(h.matrix.imag, 0.0, atol=1e-14)
@@ -76,7 +76,7 @@ def test_assemble_matches_einsum_formula():
                                                               w.matrix.conj())
             if static is not None:
                 expect = expect + static
-            h = hcore.assemble(basis, channels, w, e, static=static).matrix
+            h = hcore.AssemblyFrame(basis, channels, w, static)(e).matrix
             assert np.max(np.abs(h - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
@@ -84,7 +84,7 @@ def test_assemble_dimension_mismatch():
     basis = hcore.ClosedBasis(labels=(0, 1), energies=np.array([1.0, 2.0]))
     channels = hcore.ChannelSet([hcore.Channel("L", ("p", 1), 0.0)])
     with pytest.raises(hcore.StructuralError):
-        hcore.assemble(basis, channels, hcore.CouplingMatrix(np.zeros((3, 1))), 1.0)
+        hcore.AssemblyFrame(basis, channels, hcore.CouplingMatrix(np.zeros((3, 1))))
 
 
 def test_channelset_sorted_and_wavenumber_law():
@@ -106,7 +106,7 @@ def test_smatrix_identity_for_decoupled_cavity():
     channels = hcore.ChannelSet([hcore.Channel("L", ("p", 1), 0.0),
                                  hcore.Channel("R", ("p", 1), 0.0)])
     w = hcore.CouplingMatrix(np.zeros((1, 2), dtype=complex))
-    h = hcore.assemble(basis, channels, w, 3.0)
+    h = hcore.AssemblyFrame(basis, channels, w)(3.0)
     s, _ = hcore.smatrix(h, 3.0)
     assert np.allclose(s, np.eye(2), atol=1e-14)
 
@@ -114,7 +114,7 @@ def test_smatrix_identity_for_decoupled_cavity():
 def test_smatrix_unitary_random_lossless():
     basis, channels, w = _random_lossless(seed=3)
     for e in (5.0, 9.0, 18.0):
-        h = hcore.assemble(basis, channels, w, e)
+        h = hcore.AssemblyFrame(basis, channels, w)(e)
         s, _ = hcore.smatrix(h, e)
         assert np.max(np.abs(s.conj().T @ s - np.eye(s.shape[0]))) < 1e-10
 
@@ -122,7 +122,7 @@ def test_smatrix_unitary_random_lossless():
 def test_smatrix_unitary_with_evanescent_channels():
     # channels above the energy are evanescent; S stays unitary over open ones
     basis, channels, w = _random_lossless(n_chan=2, seed=11)
-    h = hcore.assemble(basis, channels, w, 9.0)  # 16.0-cutoff channels closed
+    h = hcore.AssemblyFrame(basis, channels, w)(9.0)  # 16.0-cutoff channels closed
     s, open_chans = hcore.smatrix(h, 9.0)
     assert len(open_chans) == 2
     assert np.max(np.abs(s.conj().T @ s - np.eye(2))) < 1e-10
@@ -130,7 +130,7 @@ def test_smatrix_unitary_with_evanescent_channels():
 
 def test_green_solves_for_the_given_columns():
     basis, channels, w, v = _complex_lossless(5)
-    h = hcore.assemble(basis, channels, w, 9.0, static=v)
+    h = hcore.AssemblyFrame(basis, channels, w, v)(9.0)
     expect = np.linalg.solve(9.0 * np.eye(len(basis)) - h.matrix, w.matrix)
     got = hcore.green(h, 9.0, w.matrix)
     assert got.shape == w.matrix.shape
@@ -172,7 +172,7 @@ def test_smatrix_matches_high_precision_green_function():
     for seed in range(4):
         basis, channels, w, v = _complex_lossless(seed)
         for static in (None, v):
-            h = hcore.assemble(basis, channels, w, 9.0, static=static)
+            h = hcore.AssemblyFrame(basis, channels, w, static)(9.0)
             s, open_chans = hcore.smatrix(h, 9.0)
             assert len(open_chans) == 2
             ref = _mp_smatrix(basis, channels, w.matrix, static, 9.0)
@@ -184,7 +184,7 @@ def test_smatrix_singularity_reported_as_candidate_bic():
     channels = hcore.ChannelSet([hcore.Channel("L", ("p", 1), 0.0, fixed_k=1.0)])
     # antisymmetric mode fully decoupled: E - H_eff singular at its energy
     w = hcore.CouplingMatrix(np.array([[0.5], [0.5]], dtype=complex))
-    h = hcore.assemble(basis, channels, w, 1.0)
+    h = hcore.AssemblyFrame(basis, channels, w)(1.0)
     with pytest.raises(hcore.SingularScattering):
         hcore.smatrix(h, 1.0)
 
@@ -219,7 +219,7 @@ def test_twolevel_symmetric_zero_width_pair():
 def test_width_positivity_random_models():
     for seed in range(5):
         basis, channels, w = _random_lossless(seed=seed)
-        h = hcore.assemble(basis, channels, w, 9.0)
+        h = hcore.AssemblyFrame(basis, channels, w)(9.0)
         assert np.all(np.linalg.eigvals(h.matrix).imag <= 1e-12)
 
 
@@ -227,7 +227,7 @@ def test_pole_equivalence_via_determinant_newton():
     # with frozen couplings the S-matrix poles (det(E - H_eff) zeros, found
     # by Newton on the determinant) coincide with the eigenvalues
     basis, channels, w = _random_lossless(seed=9)
-    h = hcore.assemble(basis, channels, w, 9.0).matrix
+    h = hcore.AssemblyFrame(basis, channels, w)(9.0).matrix
     n = h.shape[0]
     for z in np.linalg.eigvals(h):
         e = z + 1e-4 * (1 + 1j)
@@ -437,7 +437,7 @@ def _split_levels_family(g1, g2, dark=None):
     def family(eps):
         energies = [1.0 + eps, 1.0 - eps] + ([dark(eps)] if dark else [])
         basis = hcore.ClosedBasis(("+", "-", "dark")[:len(energies)], np.array(energies))
-        return lambda _w2: hcore.assemble(basis, channels, coupling, _w2)
+        return hcore.AssemblyFrame(basis, channels, coupling)
     return family
 
 
@@ -499,9 +499,7 @@ def test_quasi_bic_reported_not_dropped(monkeypatch):
 
     def family(eps):
         basis = hcore.ClosedBasis(labels=("+", "-"), energies=np.array([eps, -eps]))
-        def model(_w2):
-            return hcore.assemble(basis, channels, w, _w2)
-        return model
+        return hcore.AssemblyFrame(basis, channels, w)
 
     traj = hcore.track(family, np.linspace(-1.0, 1.0, 41), seed_energy=-1.0)
     recs = hcore.find_bics(traj, family)
@@ -573,7 +571,7 @@ def _tied_blocks(n=20, seed=3):
     w[:n, 0] = w[n:, 1] = rng.normal(0.0, 0.4, n)
     blocks = [hcore.SymmetryBlock.of(2 * n, [(i, i, 0) for i in range(k, k + n)])
               for k in (0, n)]
-    return hcore.assemble(basis, channels, hcore.CouplingMatrix(w), 9.0, blocks=blocks)
+    return hcore.AssemblyFrame(basis, channels, hcore.CouplingMatrix(w), blocks=blocks)(9.0)
 
 
 def _no_dense_eig(*args, **kwargs):
@@ -599,8 +597,8 @@ def test_cold_start_on_an_exact_eigenvalue_takes_the_dense_eig(monkeypatch):
     # zero pivot: inverse iteration breaks down and the dense eig answers
     basis = hcore.ClosedBasis(labels=("a", "b"), energies=np.array([1.0, 4.0]))
     channels = hcore.ChannelSet([hcore.Channel("L", ("p", 1), 0.5)])
-    h = hcore.assemble(basis, channels, hcore.CouplingMatrix(np.zeros((2, 1), dtype=complex)),
-                       2.0)
+    h = hcore.AssemblyFrame(basis, channels,
+                            hcore.CouplingMatrix(np.zeros((2, 1), dtype=complex)))(2.0)
     vals, vecs = hcore.spectrum(h)
     calls, eig = [], np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))

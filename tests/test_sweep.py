@@ -80,15 +80,17 @@ def test_cached_couplings_are_read_only():
     sphere = sph3d.SphereCavity(4.2, 3, 2)
     pole, _, sphere_basis = sph3d._pole_block(sphere, 16.0)
     port = sph3d._port_columns(sphere, sph3d.WaveguideAttachment("in"), 16.0)
-    for shared in (raw, rect_basis.energies, bump_x, bump_y, bump, cyl._w, cyl.basis.energies,
+    for shared in (raw, rect_basis.energies, bump_x, bump_y, bump, cyl.w, cyl.basis.energies,
                    pole, port, sphere_basis.energies):
         with pytest.raises(ValueError):
             shared[0] = 1.0
     # the port-disk overlaps are one mapping shared by every model of a
     # radius and r0
-    assert cyl.overlaps is cyl3d.cyl_model(cyl3d.CylCavity(3.0, 5.0, 2, 2, 2), 0.1).overlaps
+    pq = sorted({ch.label[1:] for ch in cyl.channels})
+    overlaps = cyl3d.disk_overlaps(cyl3d.CylCavity(3.0, 4.0, 2, 2, 2), 1.5, pq)
+    assert overlaps is cyl3d.disk_overlaps(cyl3d.CylCavity(3.0, 5.0, 2, 2, 2), 1.5, pq)
     with pytest.raises(TypeError):
-        cyl.overlaps[(0, 1, 0, 1)] = 1.0
+        overlaps[(0, 1, 0, 1)] = 1.0
 
 
 def test_map_round_trip_exact(tmp_path):
@@ -321,6 +323,19 @@ def test_cavity_resonance_catalog_has_no_repeated_pole(tmp_path, model, truncati
     gaps = np.abs(z[:, None] - z[None, :]) + np.eye(len(z))
     assert gaps.min() > 1e-9 * max(1.0, np.abs(z).max())
     assert all(r["converged"] for r in rows)
+
+
+@pytest.mark.parametrize("model,extra,count", [("twolevel", [], 1),
+                                                ("twolevel", ["--set", "eps=0.3"], 2),
+                                                ("fpchain", [], 2)])
+def test_toy_resonance_catalog_has_no_repeated_pole(tmp_path, model, extra, count):
+    # at eps = 0 the twolevel seeds +eps and -eps are one seed
+    assert main([model, "resonances", *extra, "--out", str(tmp_path)]) == 0
+    _, rows = sweep.read_resonances(tmp_path / f"{model}_resonances.dat")
+    z = np.array([r["z"] for r in rows])
+    assert len(rows) == count and all(r["converged"] for r in rows)
+    gaps = np.abs(z[:, None] - z[None, :]) + np.eye(len(z))
+    assert gaps.min() > 1e-9 * max(1.0, np.abs(z).max())
 
 
 def test_cavity_resonances_solve_each_degenerate_seed_once(monkeypatch):

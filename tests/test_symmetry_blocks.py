@@ -3,15 +3,17 @@
 spectrum, vectors stay in their block, block solves = dense solves), a
 wrong declaration raises at assembly, the hot paths never form the
 mode-basis matrix, and the fixed-point solve gives the same pole with and
-without blocks."""
+without blocks.  A model that declares no blocks is one whole-space block,
+and every model is its ``AssemblyFrame``."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
-from openres import cli, cyl3d, hcore, planar2d, sph3d
+from openres import cli, cyl3d, hcore, planar2d, sph3d, toymodels
 
 RECT = planar2d.RectCavity(4.0, 4.6, m_max=8, n_max=8)
 SINAI_CAV = planar2d.RectCavity(4.0, 2.0, "neumann", 8, 8)
@@ -81,16 +83,14 @@ def test_off_block_perturbation_raises(name):
     h = make()(omega_sq)
     i, j = h.blocks[0].first[0], h.blocks[1].first[1]
     base = np.zeros((len(h.basis), len(h.basis))) if h.static is None else h.static
-    exact = hcore.assemble(h.basis, h.channels, h.coupling, omega_sq, static=base,
-                           blocks=h.blocks)
+    exact = hcore.AssemblyFrame(h.basis, h.channels, h.coupling, base, h.blocks)(omega_sq)
     assert np.array_equal(exact.parts[0], h.parts[0])
     eps = 1e-10 * np.abs(_dense(h)).max()
     bump = base.copy()
     bump[i, j] += eps
     bump[j, i] += eps
     with pytest.raises(hcore.StructuralError, match="not block-diagonal"):
-        hcore.assemble(h.basis, h.channels, h.coupling, omega_sq, static=bump,
-                       blocks=h.blocks)
+        hcore.AssemblyFrame(h.basis, h.channels, h.coupling, bump, h.blocks)(omega_sq)
 
 
 def test_pair_of_split_modes_raises():
@@ -100,8 +100,8 @@ def test_pair_of_split_modes_raises():
     energies = h.basis.energies.copy()
     energies[h.blocks[0].first[pair]] *= 1.0 + 1e-9
     with pytest.raises(hcore.StructuralError, match="not block-diagonal"):
-        hcore.assemble(hcore.ClosedBasis(h.basis.labels, energies), h.channels, h.coupling,
-                       1.0, blocks=h.blocks)
+        hcore.AssemblyFrame(hcore.ClosedBasis(h.basis.labels, energies), h.channels,
+                            h.coupling, blocks=h.blocks)(1.0)
 
 
 def test_block_spectra_equal_dense_spectrum(heff):
@@ -136,8 +136,10 @@ def test_off_centre_sinai_declares_no_x_parity():
     cost = np.abs(np.linalg.eigvals(h.matrix)[:, None] - vals[None, :])
     rows, cols = linear_sum_assignment(cost)
     assert cost[rows, cols].max() <= 1e-12 * np.linalg.norm(h.matrix, 2)
+    # with no parity left, the frame holds one block: every mode, unpaired
     centred_y = planar2d.sinai_model(SINAI_CAV, planar2d.SinaiBump(5.0, x0=0.3, y0=0.2))
-    assert centred_y(20.0).blocks == ()
+    (whole,) = centred_y(20.0).blocks
+    assert np.array_equal(whole.first, np.arange(len(labels))) and not np.any(whole.phase)
 
 
 def test_wrong_block_declaration_raises():
@@ -145,11 +147,11 @@ def test_wrong_block_declaration_raises():
     # spans the modes, but the bump couples its x-parity classes
     h = planar2d.sinai_model(SINAI_CAV, planar2d.SinaiBump(5.0, x0=0.3), p_max=4)(20.0)
     with pytest.raises(hcore.StructuralError, match="not block-diagonal"):
-        hcore.assemble(h.basis, h.channels, h.coupling, 20.0, static=h.static,
-                       blocks=planar2d.parity_blocks(SINAI_CAV))
+        hcore.AssemblyFrame(h.basis, h.channels, h.coupling, h.static,
+                            planar2d.parity_blocks(SINAI_CAV))(20.0)
     with pytest.raises(hcore.StructuralError):
-        hcore.assemble(h.basis, h.channels, h.coupling, 20.0,
-                       blocks=planar2d.parity_blocks(SINAI_CAV)[:2])
+        hcore.AssemblyFrame(h.basis, h.channels, h.coupling,
+                            blocks=planar2d.parity_blocks(SINAI_CAV)[:2])(20.0)
 
 
 def test_holding_block_needs_one_block():
@@ -167,7 +169,7 @@ def test_fixed_point_same_with_and_without_blocks():
 
     def dense(omega_sq):
         h = model(omega_sq)
-        return hcore.assemble(h.basis, h.channels, h.coupling, omega_sq)
+        return hcore.AssemblyFrame(h.basis, h.channels, h.coupling)(omega_sq)
 
     seed = RECT.energy(2, 3)
     cold = hcore.solve_resonance(model, seed)
@@ -393,3 +395,58 @@ def test_planar_map_builds_one_frame_per_geometry(tmp_path, monkeypatch):
     finally:
         planar2d._planar_frame.cache_clear()
     assert sorted(c.ly for c in built) == [3.8, 4.2]
+
+
+BLOCKLESS = {
+    # model, energy
+    "twolevel": (lambda: toymodels.twolevel_model(toymodels.TwoLevelParams(0.3, 0.1, 0.2, 0.05)),
+                 0.5),
+    "fpchain": (lambda: toymodels.fp_chain_model(
+        toymodels.FPChainParams(-0.5, 0.5, 0.1, 0.25, 0.5)), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKLESS))
+def test_a_model_without_blocks_is_one_whole_space_block(name):
+    make, energy = BLOCKLESS[name]
+    h = make()(energy)
+    n = len(h.basis)
+    (whole,) = h.blocks
+    assert np.array_equal(whole.first, np.arange(n))
+    assert np.array_equal(whole.second, np.arange(n)) and not np.any(whole.phase)
+    (part,) = h.parts
+    assert h.matrix.tobytes() == part.tobytes()
+    # the one-block paths give the bits of the dense ones
+    a = -h.matrix
+    a.flat[:: n + 1] += energy
+    rhs = h.coupling.matrix
+    assert hcore.green(h, energy, rhs).tobytes() == \
+        sla.lu_solve(sla.lu_factor(a), rhs).tobytes()
+    vals, vecs = hcore.spectrum(h)
+    dense_vals, dense_vecs = np.linalg.eig(h.matrix)
+    assert vals.tobytes() == dense_vals.tobytes()
+    assert vecs.tobytes() == dense_vecs.tobytes()
+
+
+# model, whether the builder hands out one cached frame per geometry
+MODEL_FRAMES = {
+    "cyl": (MODELS["cyl_0.3"][0], True),
+    "sphere": (_two_port_sphere, True),
+    "twolevel": (BLOCKLESS["twolevel"][0], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_FRAMES))
+def test_a_model_is_its_frame(name, monkeypatch):
+    make, cached = MODEL_FRAMES[name]
+    frame = make()
+    assert isinstance(frame, hcore.AssemblyFrame)
+    assert (make() is frame) == cached
+    # a call goes through the module's assemble, where tracers count it
+    assemble, calls = hcore.assemble, []
+    monkeypatch.setattr(hcore, "assemble", lambda *args: calls.append(args) or assemble(*args))
+    for e in (0.5, 1.9):
+        called, direct = frame(e), assemble(frame, e)
+        assert called.frame is frame
+        assert [p.tobytes() for p in called.parts] == [p.tobytes() for p in direct.parts]
+    assert [args[1] for args in calls] == [0.5, 1.9]

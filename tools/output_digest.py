@@ -126,6 +126,9 @@ def commands() -> list[list[str]]:
     cmds += [["twolevel", "bics", "--set", "bogus=1"],
              ["twolevel", "map", "--axis1", "eps:-1:1", "--axis2", "energy:-1:1:5"],
              ["abring", "field", "--grid", "3x3"]]
+    # two distinct twolevel seeds (at the default eps = 0 they are one);
+    # last, so that the earlier commands keep their --keep numbers
+    cmds.append(["twolevel", "resonances", "--set", "eps=0.3"])
     return cmds
 
 
