@@ -52,9 +52,10 @@ class CylCavity:
     def _energy(self, mu: float, l: int) -> float:
         return (mu / self.radius) ** 2 + (math.pi * (l - 1) / self.length) ** 2
 
+    @lru_cache(maxsize=16)
     def basis(self) -> hcore.ClosedBasis:
         """The modes sorted by energy (stable in ``mode_labels`` order); one
-        root table per |m|."""
+        root table per |m|.  One per cavity, energies read-only."""
         tables = [specfun.neumann_roots(m, self.n_max) for m in range(self.m_max + 1)]
         energy = {(m, n, l): self._energy(tables[abs(m)][n], l)
                   for m, n, l in self.mode_labels()}
@@ -186,16 +187,17 @@ def cyl_model(cavity: CylCavity, dphi: float, r0: float = 1.5,
     if labels is not None:
         pos = {lab: i for i, lab in enumerate(basis.labels)}
         basis = hcore.ClosedBasis(labels, basis.energies[[pos[lab] for lab in labels]])
-    hcore.read_only(basis.energies)
+    # per channel: overlap * z factor, on the rotated port * (-1)^(l-1) e^{i(p-m) dphi}
+    z0 = np.array([cavity.z_factor(l, 0.0) for _, _, l in basis.labels])
+    face = np.array([(-1.0) ** (l - 1) for _, _, l in basis.labels])
+    m_all = range(-cavity.m_max, cavity.m_max + 1)
+    m_at = np.array([m for m, _, _ in basis.labels]) + cavity.m_max
     w = np.zeros((len(basis), len(channels)), dtype=complex)
     for j, ch in enumerate(channels):
         p, q = ch.label[1], ch.label[2]
-        for i, (m, n, l) in enumerate(basis.labels):
-            base = overlaps[(m, n, p, q)] * cavity.z_factor(l, 0.0)
-            if ch.port == "R":
-                w[i, j] = base
-            else:
-                w[i, j] = (-1.0) ** (l - 1) * np.exp(1j * (p - m) * dphi) * base
+        base = np.array([overlaps[(m, n, p, q)] for m, n, _ in basis.labels]) * z0
+        rot = np.array([np.exp(1j * (p - m) * dphi) for m in m_all])
+        w[:, j] = base if ch.port == "R" else face * rot[m_at] * base
     return hcore.AssemblyFrame(basis, channels, hcore.CouplingMatrix(hcore.read_only(w)),
                                blocks=rotation_blocks(basis, dphi))
 

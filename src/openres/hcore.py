@@ -134,13 +134,14 @@ class ChannelSet:
 
 @dataclass(frozen=True)
 class ClosedBasis:
-    """Truncated eigenbasis of the closed cavity (E = omega^2 convention)."""
+    """Truncated eigenbasis of the closed cavity (E = omega^2 convention);
+    the energies are a read-only copy, as the cavities share their bases."""
 
     labels: tuple
     energies: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
+        e = read_only(np.array(self.energies, dtype=float))
         object.__setattr__(self, "energies", e)
         if len(self.labels) != e.size:
             raise StructuralError("labels and energies differ in length")
@@ -333,6 +334,9 @@ class AssemblyFrame:
         # add exact zeros
         reach = [np.any(x, axis=0) for x in ws]
         self._cols = [slice(None) if r.all() else r for r in reach]
+        self._reach = reach
+        # the Sinai unit bump is symmetric only to rounding
+        self._hermitian_v = v is None or _absmax(v - v.conj().T) <= _BLOCK_TOL * _absmax(v)
         self._w = [x[:, c] for x, c in zip(ws, self._cols)]
         vb = None if v is None else _sandwich(self.blocks, v)
         ends = np.cumsum([x.shape[0] for x in ws])
@@ -396,6 +400,12 @@ class AssemblyFrame:
             raise StructuralError(f"H_eff is not block-diagonal in the declared symmetry "
                                   f"blocks (off-block {off:.2e}, on-block {on:.2e})")
         return tuple(parts)
+
+    def hermitian(self, omega_sq: float) -> list[bool]:
+        """Per block, whether H_b is Hermitian at ``omega_sq``: V is, and no
+        open channel reaches the block (an evanescent one adds |k| W W^dag)."""
+        is_open = np.array([c.is_open(omega_sq) for c in self.channels], dtype=bool)
+        return [self._hermitian_v and not np.any(r & is_open) for r in self._reach]
 
     def _bound(self, k: np.ndarray, divisor: np.ndarray | None, height: float) -> float:
         """max over block pairs of |h| max|V_ab| + sum_g |k_g| max|G_ab,g| /
@@ -809,10 +819,12 @@ def _cold_eig(heff: EffectiveHamiltonian, sigma: float):
     """The eigenpair of H_eff whose eigenvalue has the real part nearest
     ``sigma``, ties going to the first block, as ``_pick_branch`` picks from
     ``spectrum(heff)``.  The eigenvalues come from eigvals of every symmetry
-    block, the one vector from inverse iteration in its block; where that
-    fails, from the dense eig of the block."""
+    block (eigvalsh where ``AssemblyFrame.hermitian``), the one vector from
+    inverse iteration in its block; where that fails, from the dense eig of
+    the block."""
     pieces = list(heff.pieces)
-    spectra = [np.linalg.eigvals(part) for _, part in pieces]
+    spectra = [np.linalg.eigvalsh(part).astype(complex) if herm else np.linalg.eigvals(part)
+               for (_, part), herm in zip(pieces, heff.frame.hermitian(heff.omega_sq))]
     i = _pick_branch(np.concatenate(spectra), None, sigma, None)
     for (block, part), vals in zip(pieces, spectra):
         if i < vals.size:

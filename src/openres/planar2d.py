@@ -56,6 +56,7 @@ class RectCavity:
     def energy(self, m: int, n: int) -> float:
         return math.pi**2 * (m * m / self.lx**2 + n * n / self.ly**2)
 
+    @lru_cache(maxsize=16)
     def basis(self) -> hcore.ClosedBasis:
         labels = sorted(self.mode_labels, key=lambda mn: self.energy(*mn))
         return hcore.ClosedBasis(labels=tuple(labels),
@@ -121,26 +122,23 @@ def raw_coupling(cavity: RectCavity, channels: hcore.ChannelSet) -> np.ndarray:
 
     Dirichlet: I = int phi_p d_x psi_mn |_wall; Neumann: I = int phi_p psi_mn.
     Right-port entries carry the (-1)^m (Dirichlet) / (-1)^m (Neumann)
-    x-factor of the mode at x = +Lx/2.
+    x-factor of the mode at x = +Lx/2.  Parity zeros of the overlap stay +0.
     """
-    basis = cavity.basis()
-    out = np.zeros((len(basis), len(channels)))
-    mouth = {(p, n): _channel_y_integral(cavity, p, n)
-             for p in {ch.label[1] for ch in channels}
-             for n in {n for _, n in basis.labels}}
+    labels = cavity.basis().labels
+    area = cavity.lx * cavity.ly
+    if cavity.bc == "dirichlet":
+        xfac = np.array([(math.pi * m / cavity.lx) * 2.0 / math.sqrt(area) for m, _ in labels])
+    else:
+        xfac = np.array([math.sqrt((2 - (m == 0)) * (2 - (n == 0)) / area) for m, n in labels])
+    right = np.array([math.cos(math.pi * m) for m, _ in labels]) * xfac
+    ns = np.array([n for _, n in labels])
+    mouth = {p: np.array([_channel_y_integral(cavity, p, n)
+                          for n in range(cavity.n_max + 1)])[ns]
+             for p in {ch.label[1] for ch in channels}}
+    out = np.zeros((len(labels), len(channels)))
     for j, ch in enumerate(channels):
-        p = ch.label[1]
-        for i, (m, n) in enumerate(basis.labels):
-            ov = mouth[(p, n)]
-            if ov == 0.0:
-                continue
-            if cavity.bc == "dirichlet":
-                xfac = (math.pi * m / cavity.lx) * 2.0 / math.sqrt(cavity.lx * cavity.ly)
-                sign = 1.0 if ch.port == "L" else math.cos(math.pi * m)
-            else:
-                xfac = math.sqrt((2 - (m == 0)) * (2 - (n == 0)) / (cavity.lx * cavity.ly))
-                sign = 1.0 if ch.port == "L" else math.cos(math.pi * m)
-            out[i, j] = sign * xfac * ov
+        ov = mouth[ch.label[1]]
+        out[:, j] = np.where(ov == 0.0, 0.0, (xfac if ch.port == "L" else right) * ov)
     return out
 
 
@@ -173,9 +171,7 @@ def _cached_plumbing(cavity: RectCavity, p_max: int):
     """Channels, basis and frequency-free couplings of one geometry, shared
     by every model of it in the process (read-only arrays)."""
     chans = planar_channels(cavity.bc, p_max)
-    basis = cavity.basis()
-    hcore.read_only(basis.energies)
-    return chans, basis, hcore.read_only(raw_coupling(cavity, chans))
+    return chans, cavity.basis(), hcore.read_only(raw_coupling(cavity, chans))
 
 
 @lru_cache(maxsize=32)

@@ -434,6 +434,33 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     return complex(val) if val.ndim == 0 else val
 
 
+@lru_cache(maxsize=None)
+def _wigner_terms(l: int, m: int, k: int) -> tuple:
+    """The prefactor of d^l_{mk} and its (sign * binomials, cos power, sin
+    power) terms, in summation order."""
+    pref = math.sqrt(math.factorial(l - m) * math.factorial(l + m)
+                     / (math.factorial(l - k) * math.factorial(l + k)))
+    return pref, tuple(((-1.0) ** (m - k + t) * math.comb(l + k, t)
+                        * math.comb(l - k, m - k + t), 2 * l - m + k - 2 * t, m - k + 2 * t)
+                       for t in range(max(0, k - m), min(l + k, l - m) + 1))
+
+
+def _wigner_sum(l: int, m: int, k: int, c, s):
+    """d^l_{mk} from c = cos(beta/2) and s = sin(beta/2), the terms summed in
+    order: on Python floats for one angle, elementwise for arrays."""
+    pref, terms = _wigner_terms(l, m, k)
+    total = 0.0
+    for coef, a, b in terms:
+        total = total + coef * c ** a * s ** b
+    return pref * total
+
+
+def _half_angle(beta) -> tuple:
+    beta = np.asarray(beta, dtype=float)
+    c, s = np.cos(0.5 * beta), np.sin(0.5 * beta)
+    return (float(c), float(s)) if beta.ndim == 0 else (c, s)
+
+
 def wigner_small_d(l: int, m: int, k: int, beta) -> float | np.ndarray:
     """Small Wigner rotation matrix element d^l_{mk}(beta).
 
@@ -442,21 +469,12 @@ def wigner_small_d(l: int, m: int, k: int, beta) -> float | np.ndarray:
     """
     if abs(m) > l or abs(k) > l:
         raise ValueError(f"need |m|,|k| <= l, got l={l}, m={m}, k={k}")
-    beta = np.asarray(beta, dtype=float)
-    c = np.cos(0.5 * beta)
-    s = np.sin(0.5 * beta)
-    pref = math.sqrt(math.factorial(l - m) * math.factorial(l + m)
-                     / (math.factorial(l - k) * math.factorial(l + k)))
-    total = np.zeros_like(beta)
-    for sterm in range(max(0, k - m), min(l + k, l - m) + 1):
-        coef = ((-1.0) ** (m - k + sterm)
-                * math.comb(l + k, sterm) * math.comb(l - k, m - k + sterm))
-        total = total + coef * c ** (2 * l - m + k - 2 * sterm) * s ** (m - k + 2 * sterm)
-    out = pref * total
-    return float(out) if out.ndim == 0 else out
+    return _wigner_sum(l, m, k, *_half_angle(beta))
 
 
 def wigner_d_matrix(l: int, beta: float) -> np.ndarray:
-    """Full d^l(beta) matrix, rows/columns ordered m, k = -l..l."""
+    """Full d^l(beta) matrix, rows/columns ordered m, k = -l..l: the
+    entries of ``wigner_small_d``, bit for bit, from one cos and sin."""
+    c, s = _half_angle(beta)
     idx = range(-l, l + 1)
-    return np.array([[wigner_small_d(l, m, k, beta) for k in idx] for m in idx])
+    return np.array([[_wigner_sum(l, m, k, c, s) for k in idx] for m in idx])

@@ -57,6 +57,7 @@ class SphereCavity:
     def energy(self, l: int, n: int) -> float:
         return (self.kappa(l, n) / self.radius) ** 2
 
+    @lru_cache(maxsize=16)
     def basis(self) -> hcore.ClosedBasis:
         labels = sorted(self.mode_labels(),
                         key=lambda lmn: (self.energy(lmn[0], lmn[2]), lmn[1]))
@@ -114,40 +115,37 @@ def sphere_pole_coupling(cavity: SphereCavity,
                          channels: hcore.ChannelSet) -> np.ndarray:
     """Coupling rows (l, m, n) x channels for a waveguide at the pole:
     nonzero only for m = p."""
-    basis = cavity.basis()
-    pq_list = sorted({ch.label[1:] for ch in channels})
-    rad = _pole_radial_integrals(cavity, pq_list)
-    w = np.zeros((len(basis), len(channels)), dtype=complex)
+    labels = cavity.basis().labels
+    rad = _pole_radial_integrals(cavity, sorted({ch.label[1:] for ch in channels}))
+    amp = np.array([cavity.radial_surface_amplitude(l, n) * math.sqrt(2.0 * math.pi)
+                    * math.sqrt((2 * l + 1) * math.factorial(l - m)
+                                / (4.0 * math.pi * math.factorial(l + m)))
+                    for l, m, n in labels])
+    ms = np.array([m for _, m, _ in labels])
+    w = np.zeros((len(labels), len(channels)), dtype=complex)
     for j, ch in enumerate(channels):
         p, q = ch.label[1], ch.label[2]
-        for i, (l, m, n) in enumerate(basis.labels):
-            if m != p or l < abs(p):
-                continue
-            norm = math.sqrt((2 * l + 1) * math.factorial(l - m)
-                             / (4.0 * math.pi * math.factorial(l + m)))
-            w[i, j] = (cavity.radial_surface_amplitude(l, n)
-                       * math.sqrt(2.0 * math.pi) * norm * rad[(l, p, q)])
+        rows = np.flatnonzero(ms == p)
+        w[rows, j] = amp[rows] * np.array([rad[(labels[i][0], p, q)] for i in rows])
     return w
 
 
 def rotate_coupling(w_pole: np.ndarray, cavity: SphereCavity,
                     attachment: WaveguideAttachment) -> np.ndarray:
-    """Wigner rotation of the pole coupling block to an attachment; each
-    d^l_{mk}(beta) is evaluated once and shared by every radial index n."""
-    basis = cavity.basis()
-    idx = {lab: i for i, lab in enumerate(basis.labels)}
+    """Wigner rotation of the pole coupling block to an attachment, one d^l
+    matrix and (m, n) row array per l, summed over k in increasing order (a
+    term with d = 0 adds a signed zero to a sum that starts at +0)."""
+    idx = {lab: i for i, lab in enumerate(cavity.basis().labels)}
     out = np.zeros_like(w_pole)
     a, b, g = attachment.alpha, attachment.beta, attachment.gamma
-    terms = {}
-    for (l, m, n), i in idx.items():
-        if (l, m) not in terms:
-            terms[(l, m)] = [(k, d) for k in range(-l, l + 1)
-                             if (d := specfun.wigner_small_d(l, m, k, b)) != 0.0]
-        phase = np.exp(-1j * m * g)
-        acc = np.zeros(w_pole.shape[1], dtype=complex)
-        for k, d in terms[(l, m)]:
-            acc += np.exp(-1j * k * a) * d * w_pole[idx[(l, k, n)]]
-        out[i] = phase * acc
+    for l in range(cavity.l_max + 1):
+        ms = range(-l, l + 1)
+        rows = np.array([[idx[(l, m, n)] for n in range(1, cavity.n_max + 1)] for m in ms])
+        d = specfun.wigner_d_matrix(l, b)
+        acc = np.zeros(rows.shape + w_pole.shape[1:], dtype=complex)
+        for j, k in enumerate(ms):
+            acc += (np.exp(-1j * k * a) * d[:, j])[:, None, None] * w_pole[rows[j]]
+        out[rows] = np.array([np.exp(-1j * m * g) for m in ms])[:, None, None] * acc
     return out
 
 
@@ -156,10 +154,8 @@ def _pole_block(cavity: SphereCavity, cutoff_max_sq: float):
     """Pole coupling block, its channel labels and the basis, once per
     geometry and process (read-only arrays)."""
     pole_chans = duct_channels(cutoff_max_sq, ports=("X",))
-    basis = cavity.basis()
-    hcore.read_only(basis.energies)
     return (hcore.read_only(sphere_pole_coupling(cavity, pole_chans)),
-            tuple(ch.label[1:] for ch in pole_chans), basis)
+            tuple(ch.label[1:] for ch in pole_chans), cavity.basis())
 
 
 @lru_cache(maxsize=32)
@@ -297,10 +293,6 @@ def coupling_norm_sq(cavity: SphereCavity, l: int, n: int,
     scales as R^-3 at fixed channel."""
     chans = duct_channels(16.0, ports=("X",))
     w = sphere_pole_coupling(cavity, chans)
-    basis = cavity.basis()
     j = [k for k, ch in enumerate(chans) if ch.label[1:] == pq][0]
-    tot = 0.0
-    for i, (ll, m, nn) in enumerate(basis.labels):
-        if ll == l and nn == n:
-            tot += abs(w[i, j]) ** 2
-    return tot
+    return sum(abs(w[i, j]) ** 2 for i, (ll, _, nn) in enumerate(cavity.basis().labels)
+               if (ll, nn) == (l, n))

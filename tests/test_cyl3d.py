@@ -138,6 +138,33 @@ def test_left_port_face_factor():
             (-1.0) ** (l - 1) * model.w[i, jr], abs=1e-14)
 
 
+def _cyl_coupling_per_entry(cavity, dphi, r0=1.5, cutoff_max_sq=16.0):
+    """The W of ``cyl_model`` as written before it was built by columns:
+    one overlap, z factor and port phase per (mode, channel)."""
+    channels = cyl3d.duct_channels(cutoff_max_sq)
+    overlaps = cyl3d.disk_overlaps(cavity, r0, sorted({ch.label[1:] for ch in channels}))
+    basis = cavity.basis()
+    w = np.zeros((len(basis), len(channels)), dtype=complex)
+    for j, ch in enumerate(channels):
+        p, q = ch.label[1], ch.label[2]
+        for i, (m, n, l) in enumerate(basis.labels):
+            base = overlaps[(m, n, p, q)] * cavity.z_factor(l, 0.0)
+            if ch.port == "R":
+                w[i, j] = base
+            else:
+                w[i, j] = (-1.0) ** (l - 1) * np.exp(1j * (p - m) * dphi) * base
+    return w
+
+
+@pytest.mark.parametrize("cav, dphi, r0", [
+    (CAV, 0.7, 1.5), (CAV, -2.9, 1.2), (cyl3d.CylCavity(), 0.5 * math.pi, 1.5)])
+def test_coupling_bit_equal_to_per_entry_loop(cav, dphi, r0):
+    w = cyl3d.cyl_model(cav, dphi, r0).w
+    old = _cyl_coupling_per_entry(cav, dphi, r0)
+    assert np.array_equal(w, old)
+    assert np.array_equal(np.signbit(w.view(float)), np.signbit(old.view(float)))
+
+
 def test_smatrix_unitary_single_channel_band():
     model = cyl3d.cyl_model(CAV, dphi=np.pi / 4)
     for w2 in (0.4, 1.0, 2.5):

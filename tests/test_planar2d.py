@@ -2,13 +2,14 @@
 avoided-pair zero-width point, field tails, bump spectra and accidental
 decouplings."""
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from openres import hcore
+from openres import cyl3d, hcore, sph3d
 from openres import planar2d as pl
 
 LY_DEG = 8.0 / math.sqrt(3.0)
@@ -161,6 +162,16 @@ def test_planar_fw_bic_runs_no_dense_eig(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", no_dense_eig)
     rec, _ = pl.planar_fw_bic(lx=4.0, m_max=10, n_max=10)
     assert rec.is_bic
+
+
+@pytest.mark.parametrize("cav", [pl.RectCavity(4.0, 4.6, m_max=6, n_max=6),
+                                 cyl3d.CylCavity(), sph3d.SphereCavity(radius=4.2)])
+def test_basis_is_cached_per_cavity_and_read_only(cav):
+    b = cav.basis()
+    assert cav.basis() is b
+    assert dataclasses.replace(cav).basis() is b
+    with pytest.raises(ValueError):
+        b.energies[0] = 0.0
 
 
 def _permuted_basis(cls, monkeypatch, seed=3):
@@ -385,5 +396,6 @@ def _raw_coupling_per_entry(cavity, channels):
 def test_raw_coupling_bit_equal_to_per_entry_loop(bc, lx, ly, m_max, n_max, p_max):
     cav = pl.RectCavity(lx=lx, ly=ly, bc=bc, m_max=m_max, n_max=n_max)
     chans = pl.planar_channels(bc, p_max)
-    assert np.array_equal(pl.raw_coupling(cav, chans),
-                          _raw_coupling_per_entry(cav, chans))
+    w, old = pl.raw_coupling(cav, chans), _raw_coupling_per_entry(cav, chans)
+    assert np.array_equal(w, old)
+    assert np.array_equal(np.signbit(w), np.signbit(old))

@@ -284,3 +284,45 @@ def test_wigner_sympy_oracle():
         b = 0.77
         ref = float(sp.N(Rotation.d(l, m, k, b).doit()))
         assert specfun.wigner_small_d(l, m, k, b) == pytest.approx(ref, abs=1e-12)
+
+
+def _wigner_small_d_per_call(l, m, k, beta):
+    """d^l_mk(beta) as written before the terms were cached: the prefactor
+    and every binomial recomputed, the sum on numpy floats."""
+    beta = np.asarray(beta, dtype=float)
+    c = np.cos(0.5 * beta)
+    s = np.sin(0.5 * beta)
+    pref = math.sqrt(math.factorial(l - m) * math.factorial(l + m)
+                     / (math.factorial(l - k) * math.factorial(l + k)))
+    total = np.zeros_like(beta)
+    for sterm in range(max(0, k - m), min(l + k, l - m) + 1):
+        coef = ((-1.0) ** (m - k + sterm)
+                * math.comb(l + k, sterm) * math.comb(l - k, m - k + sterm))
+        total = total + coef * c ** (2 * l - m + k - 2 * sterm) * s ** (m - k + 2 * sterm)
+    out = pref * total
+    return float(out) if out.ndim == 0 else out
+
+
+WIGNER_BETAS = [0.0, math.pi / 2, math.pi, -0.7, 1e-9, 0.3, 1.1, 2.0, 2.9, -2.3,
+                0.55 * math.pi, 0.85 * math.pi, 2 * math.pi]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("l", range(9))
+def test_wigner_bit_equal_to_per_call_sum(l):
+    idx = range(-l, l + 1)
+    for b in WIGNER_BETAS:
+        old = np.array([[_wigner_small_d_per_call(l, m, k, b) for k in idx] for m in idx])
+        new = np.array([[specfun.wigner_small_d(l, m, k, b) for k in idx] for m in idx])
+        assert isinstance(new.flat[0].item(), float)
+        assert _same_bits(new, old)
+        assert _same_bits(specfun.wigner_d_matrix(l, b), old)
+    betas = np.array(WIGNER_BETAS)
+    for m in idx:
+        for k in idx:
+            assert _same_bits(specfun.wigner_small_d(l, m, k, betas),
+                              _wigner_small_d_per_call(l, m, k, betas))

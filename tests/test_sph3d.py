@@ -175,6 +175,32 @@ def test_surface_field_grid():
     assert np.max(np.abs(f)) > 0
 
 
+def _pole_coupling_per_entry(cavity, channels):
+    """The pole coupling as written before it was built by columns: one
+    amplitude, Y_lm norm and radial integral per (mode, channel)."""
+    basis = cavity.basis()
+    rad = sph3d._pole_radial_integrals(cavity, sorted({ch.label[1:] for ch in channels}))
+    w = np.zeros((len(basis), len(channels)), dtype=complex)
+    for j, ch in enumerate(channels):
+        p, q = ch.label[1], ch.label[2]
+        for i, (l, m, n) in enumerate(basis.labels):
+            if m != p or l < abs(p):
+                continue
+            norm = math.sqrt((2 * l + 1) * math.factorial(l - m)
+                             / (4.0 * math.pi * math.factorial(l + m)))
+            w[i, j] = (cavity.radial_surface_amplitude(l, n)
+                       * math.sqrt(2.0 * math.pi) * norm * rad[(l, p, q)])
+    return w
+
+
+@pytest.mark.parametrize("cav", [CAV, sph3d.SphereCavity(radius=4.2, root_kind="spherical")])
+def test_pole_coupling_bit_equal_to_per_entry_loop(cav):
+    chans = sph3d.duct_channels(16.0, ports=("X",))
+    w, old = sph3d.sphere_pole_coupling(cav, chans), _pole_coupling_per_entry(cav, chans)
+    assert np.array_equal(w, old)
+    assert np.array_equal(np.signbit(w.view(float)), np.signbit(old.view(float)))
+
+
 def _rotate_coupling_per_n(w_pole, cavity, attachment):
     """The rotation as written before each d^l_mk was shared across n: one
     Wigner evaluation per (l, m, n, k)."""

@@ -273,6 +273,42 @@ def test_cold_start_matches_dense_pick(name):
             assert abs(np.vdot(vecs[:, i], v)) >= 1.0 - 1e-10
 
 
+@pytest.mark.parametrize("name, e, hermitian", [
+    ("planar", 14.0, 2), ("sinai", 8.0, 2), ("sphere", 0.3, 1), ("cyl", 1.0, 0)])
+def test_cold_start_takes_eigvalsh_on_closed_blocks(name, e, hermitian, monkeypatch):
+    # a block that no open channel reaches is Hermitian (so is the static
+    # V, the Sinai bump to rounding): its cold-start eigenvalues come from
+    # eigvalsh, the other blocks' from eigvals, and the pick is unchanged
+    model, _, _ = DEFAULT_CAVITIES[name]
+    h = model(e)
+    is_open = [c.is_open(e) for c in h.channels]
+    expect = [("eigvals" if np.any(b.project(h.coupling.matrix)[:, is_open]) else "eigvalsh",
+               len(b)) for b in h.blocks]
+    assert sum(r == "eigvalsh" for r, _ in expect) == hermitian
+    vals, vecs = hcore.spectrum(h)
+    calls = []
+    for routine in ("eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, routine, lambda a, f=getattr(np.linalg, routine),
+                            r=routine: calls.append((r, a.shape[0])) or f(a))
+    for sigma in (e, 0.5 * e, 1.5 * e):
+        calls.clear()
+        i = hcore._pick_branch(vals, vecs, sigma, None)
+        lam, v = hcore._branch_eig(h, sigma, None, None)
+        assert calls == expect
+        assert abs(lam - vals[i]) <= 1e-12 * abs(vals[i])
+        assert abs(np.vdot(vecs[:, i], v)) >= 1.0 - 1e-10
+
+
+def test_non_hermitian_static_keeps_eigvals():
+    # an absorbing V (complex symmetric, not Hermitian) makes no block
+    # Hermitian, closed or not
+    h = DEFAULT_CAVITIES["planar"][0](14.0)
+    n = len(h.basis)
+    frame = hcore.AssemblyFrame(h.basis, h.channels, h.frame.w, -0.1j * np.eye(n), h.blocks)
+    assert frame.hermitian(14.0) == [False] * 4
+    assert h.frame.hermitian(14.0) == [False, True, False, True]
+
+
 def test_cavity_fixed_point_runs_no_dense_eig(monkeypatch):
     # eigvals and one inverse iteration for the cold start, RQI on every
     # warm step: a silent return to the dense eig fails here

@@ -129,6 +129,9 @@ def commands() -> list[list[str]]:
     # two distinct twolevel seeds (at the default eps = 0 they are one);
     # last, so that the earlier commands keep their --keep numbers
     cmds.append(["twolevel", "resonances", "--set", "eps=0.3"])
+    # a cold start on a frame with a static V (the Sinai bump), whose blocks
+    # that no open channel reaches take the Hermitian eigensolver
+    cmds.append(["sinai", "resonances", "--set", "vg=5"])
     return cmds
 
 
