@@ -153,8 +153,7 @@ def _twolevel_bics(p, tol_width, tol_null):
                        branch_vector=vecs[:, j])[::-1]
     traj += hcore.track(family, half, seed_energy=float(vals[j].real),
                         branch_vector=vecs[:, j])[1:]
-    recs = [r for r in hcore.find_bics(traj, family, width_tol=tol_width,
-                                       null_tol=tol_null, labels=("+", "-"))
+    recs = [r for r in hcore.find_bics(traj, family, width_tol=tol_width, null_tol=tol_null)
             if r.is_bic]
     for r in recs:
         r.classification = "friedrich-wintgen"
@@ -352,13 +351,15 @@ def _sinai_model(p):
 
 
 def _sinai_point(p):
-    s, chans = hcore.smatrix(_sinai_model(p)(p["energy"]), p["energy"])
+    s, chans = hcore.smatrix(_sinai_model(p)(p["energy"]))
     il = [i for i, c in enumerate(chans) if c.port == "L"]
     ir = [i for i, c in enumerate(chans) if c.port == "R"]
     return [sum(abs(s[i, j]) ** 2 for i in ir for j in il[:1])]
 
 
 def _sinai_search(p, x_even, tol_width, tol_null):
+    if p["y0"] != 0.0:
+        raise UsageError("the sinai BIC search needs y0 = 0 (the bump must keep y-parity)")
     return planar2d.sinai_accidental_bics(
         _rect(p, "neumann"), vg_range=(-50.0, 50.0), x_even=x_even,
         radius=p["radius"], x0=p["x0"], y0=p["y0"], p_max=int(p["p_max"]),
@@ -376,7 +377,8 @@ def _sinai_bics(p, tol_width, tol_null):
 
 
 def _sinai_field(p, n1, n2, tol_width, tol_null):
-    recs = _sinai_search(p, True, tol_width, tol_null)
+    # off centre in x, the one x class is keyed x-odd (planar2d.parity_classes)
+    recs = _sinai_search(p, p["x0"] == 0.0, tol_width, tol_null)
     if not recs:
         raise sweep.NumericalFailure("no accidental zero-width point found")
     rec = recs[0]
@@ -433,7 +435,7 @@ def _sphere_model(p):
 
 
 def _sphere_point(p):
-    s, chans = hcore.smatrix(_sphere_model(p)(p["energy"]), p["energy"])
+    s, chans = hcore.smatrix(_sphere_model(p)(p["energy"]))
     idx = {c.port: i for i, c in enumerate(chans)}
     return [abs(s[idx["out"], idx["in"]]) ** 2]
 

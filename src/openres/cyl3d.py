@@ -26,6 +26,9 @@ import numpy as np
 from . import hcore, specfun
 
 MU_11 = 1.84118378134067  # first root of J_1'
+# the BIC search band: the (0,1) duct channel alone is open, clear of its
+# cutoff 0 and of the (+-1,1) cutoff MU_11^2
+_BAND = (0.05, MU_11**2 * 0.999)
 
 
 @dataclass(frozen=True)
@@ -90,13 +93,13 @@ def radial_profile(m: int, n: int, radius: float, r: np.ndarray) -> np.ndarray:
     return norm * jr
 
 
-def duct_channels(cutoff_max_sq: float = 16.0, ports=("R", "L"),
-                  q_max: int = 2, p_max: int = 4) -> hcore.ChannelSet:
-    """Circular-duct channels (p, q) with cutoffs mu_pq^2 below the cap."""
+def duct_channels(cutoff_max_sq: float = 16.0, ports=("R", "L")) -> hcore.ChannelSet:
+    """Circular-duct channels (p, q) with cutoffs mu_pq^2 below the cap;
+    |p| <= 4 and q <= 2 hold every channel below the largest cap, 16."""
     chans = []
-    for p in range(-p_max, p_max + 1):
-        table = specfun.neumann_roots(abs(p), q_max)
-        for q in range(1, q_max + 1):
+    for p in range(-4, 5):
+        table = specfun.neumann_roots(abs(p), 2)
+        for q in range(1, 3):
             mu = table[q]
             if mu * mu <= cutoff_max_sq:
                 for port in ports:
@@ -175,13 +178,14 @@ def rotation_blocks(basis: hcore.ClosedBasis, dphi: float) -> tuple:
 
 @lru_cache(maxsize=32)
 def cyl_model(cavity: CylCavity, dphi: float, r0: float = 1.5,
-              cutoff_max_sq: float = 16.0, labels: tuple | None = None) -> hcore.AssemblyFrame:
+              labels: tuple | None = None) -> hcore.AssemblyFrame:
     """Open cylindrical resonator with ports at z=0 (unrotated, 'R') and
     z=L (rotated by dphi, 'L'), in the symmetry blocks of
-    ``rotation_blocks``.  The modes are sorted by energy, or held in the
-    order ``labels`` when given.  Built once per geometry and process and
-    shared (its arrays are read-only)."""
-    channels = duct_channels(cutoff_max_sq)
+    ``rotation_blocks``, with the ``duct_channels`` of cutoff up to 16.
+    The modes are sorted by energy, or held in the order ``labels`` when
+    given.  Built once per geometry and process and shared (its arrays are
+    read-only)."""
+    channels = duct_channels()
     overlaps = disk_overlaps(cavity, r0, sorted({ch.label[1:] for ch in channels}))
     basis = cavity.basis()
     if labels is not None:
@@ -204,7 +208,7 @@ def cyl_model(cavity: CylCavity, dphi: float, r0: float = 1.5,
 
 def cyl_transmittance(model: hcore.AssemblyFrame, omega_sq: float):
     """S over open channels and the (0,1)->(0,1) L->R transmittance."""
-    s, chans = hcore.smatrix(model(omega_sq), omega_sq)
+    s, chans = hcore.smatrix(model(omega_sq))
     idx = {(c.port,) + tuple(c.label[1:]): i for i, c in enumerate(chans)}
     t01 = None
     if ("L", 0, 1) in idx and ("R", 0, 1) in idx:
@@ -212,14 +216,14 @@ def cyl_transmittance(model: hcore.AssemblyFrame, omega_sq: float):
     return s, chans, t01
 
 
-def _stitched_spectra(models, band):
+def _stitched_spectra(models):
     """Eigen-spectra along a model sequence with branches matched by
-    eigenvector overlap; each model is solved once, at the band-midpoint
-    probe energy, so every branch's width carries k(omega) of that probe."""
+    eigenvector overlap; each model is solved once, at the midpoint of
+    ``_BAND``, so every branch's width carries k(omega) of that probe."""
     spectra = []
     prev = None
     for model in models:
-        probe = 0.5 * (band[0] + band[1])
+        probe = 0.5 * (_BAND[0] + _BAND[1])
         vals, vecs = hcore.spectrum(model(probe))
         order = np.argsort(vals.real)
         vals, vecs = vals[order], vecs[:, order]
@@ -234,11 +238,12 @@ def _stitched_spectra(models, band):
 
 
 def cyl_find_bics(cavity_template: CylCavity, dphi: float, scan: str,
-                  grid: np.ndarray, r0: float = 1.5, cutoff_max_sq: float = 16.0,
-                  band=(0.05, None), width_tol: float = hcore.DEFAULT_WIDTH_TOL,
+                  grid: np.ndarray, r0: float = 1.5,
+                  width_tol: float = hcore.DEFAULT_WIDTH_TOL,
                   null_tol: float = hcore.DEFAULT_NULL_TOL) -> list[hcore.BICRecord]:
     """Zero-width points along an L sweep (scan='length') or a rotation sweep
-    (scan='angle', grid in radians) in the single-open-channel band.
+    (scan='angle', grid in radians) in the single-open-channel band
+    ``_BAND``.
 
     Branch widths are stitched along the grid by eigenvector overlap (robust
     through avoided crossings); each local width minimum is located by
@@ -247,8 +252,6 @@ def cyl_find_bics(cavity_template: CylCavity, dphi: float, scan: str,
     on the locally identified branch where the root cannot work."""
     if scan not in ("length", "angle"):
         raise ValueError("scan must be 'length' or 'angle'")
-    hi = band[1] if band[1] is not None else MU_11**2 * 0.999
-    band = (band[0], hi)
 
     def cavity(length):
         return CylCavity(cavity_template.radius, float(length), cavity_template.m_max,
@@ -261,21 +264,20 @@ def cyl_find_bics(cavity_template: CylCavity, dphi: float, scan: str,
 
     def family(x):
         if scan == "length":
-            return cyl_model(cavity(x), dphi, r0, cutoff_max_sq, order)
-        return cyl_model(cavity_template, float(x), r0, cutoff_max_sq)
+            return cyl_model(cavity(x), dphi, r0, order)
+        return cyl_model(cavity_template, float(x), r0)
 
     def keep(rec):
-        return rec.width < 1e-2 and band[0] < rec.energy < band[1]
+        return rec.width < 1e-2 and _BAND[0] < rec.energy < _BAND[1]
 
     models = [family(x) for x in grid]
-    spectra = _stitched_spectra(models, band)
+    spectra = _stitched_spectra(models)
     out, seen = [], []
     for b in range(len(models[0].basis)):
         traj = [hcore.ResonanceRecord(z=vals[b], vector=vecs[:, b], param=x)
                 for x, (vals, vecs) in zip(grid, spectra)]
-        for bic in hcore.find_bics(traj, family, width_tol, null_tol,
-                                   labels=models[0].basis.labels, keep=keep):
-            if not bic.is_bic or not (band[0] < bic.omega_sq < band[1]):
+        for bic in hcore.find_bics(traj, family, width_tol, null_tol, keep=keep):
+            if not bic.is_bic or not (_BAND[0] < bic.omega_sq < _BAND[1]):
                 continue
             if any(abs(bic.param - p) < 1e-4 and abs(bic.omega_sq - q) < 1e-4
                    for p, q in seen):

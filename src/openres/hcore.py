@@ -62,6 +62,13 @@ _ROOT_FP_TOL = 1e-14
 _ROOT_FP_ITER = 50
 _ROOT_XTOL = 1e-13
 _ROOT_IMAG_TOL = 1e-8
+# the fixed point E = Re z(E) of ``solve_resonance``: at most this many
+# eigensolves, damped steps of this factor, stop at this relative residual
+_FP_MAX_ITER = 200
+_FP_DAMPING = 0.7
+_FP_TOL = 1e-10
+# the golden-section fallback of ``find_bics`` stops at this bracket width
+_PARAM_TOL = 1e-10
 # brentq's relative tolerance (scipy's default and smallest)
 _BRENT_RTOL = 4 * float(np.finfo(float).eps)
 
@@ -305,8 +312,8 @@ class AssemblyFrame:
     |h| max|V_ab| + sum_g |k_g| max|G_ab,g| / d_g^2 bounds every entry of
     the tile H_ab = U_a^dag H U_b (see ``parts``).
 
-    A frame is a model: ``frame(omega_sq, divisor, height)`` is
-    ``assemble(frame, omega_sq, divisor, height)``.
+    A frame is a model: ``frame(omega_sq)`` is ``assemble(frame,
+    omega_sq)``.
     """
 
     def __init__(self, basis: ClosedBasis, channels: ChannelSet,
@@ -361,9 +368,8 @@ class AssemblyFrame:
                 if g:
                     self._gmax[i, j] = _absmax(ws[a][:, g] @ ws[b][:, g].conj().T)
 
-    def __call__(self, omega_sq: float, divisor: np.ndarray | None = None,
-                 height: float = 1.0) -> EffectiveHamiltonian:
-        return assemble(self, omega_sq, divisor, height)
+    def __call__(self, omega_sq: float) -> EffectiveHamiltonian:
+        return assemble(self, omega_sq)
 
     def parts(self, omega_sq: float, divisor: np.ndarray | None = None,
               height: float = 1.0) -> tuple:
@@ -492,13 +498,15 @@ def assemble(frame: AssemblyFrame, omega_sq: float, divisor: np.ndarray | None =
     return EffectiveHamiltonian(frame, omega_sq, divisor, height)
 
 
-def green(heff: EffectiveHamiltonian, energy: float, rhs: np.ndarray) -> np.ndarray:
-    """(E - H_eff)^(-1) rhs by one LU per symmetry block, with singularity
-    detection: solving for the columns of ``rhs`` alone costs O(n_b^2)
-    each, where the inverse would cost O(n_b^3).  The pivot ratio is taken
-    over all the blocks, as one LU of the whole matrix would see it."""
+def green(heff: EffectiveHamiltonian, rhs: np.ndarray) -> np.ndarray:
+    """(E - H_eff)^(-1) rhs at the energy E = ``heff.omega_sq`` of the
+    assembly, by one LU per symmetry block, with singularity detection:
+    solving for the columns of ``rhs`` alone costs O(n_b^2) each, where the
+    inverse would cost O(n_b^3).  The pivot ratio is taken over all the
+    blocks, as one LU of the whole matrix would see it."""
     import warnings
 
+    energy = heff.omega_sq
     factors, lo, hi = [], np.inf, 0.0
     for part in heff.parts:
         a = -part
@@ -517,8 +525,9 @@ def green(heff: EffectiveHamiltonian, energy: float, rhs: np.ndarray) -> np.ndar
     return sum(out[1:], out[0])
 
 
-def smatrix(heff: EffectiveHamiltonian, energy: float | None = None):
-    """Scattering matrix over the open channels at ``energy``.
+def smatrix(heff: EffectiveHamiltonian):
+    """Scattering matrix over the open channels at the energy E =
+    ``heff.omega_sq`` of the assembly.
 
     S_cc' = delta_cc' - 2i sqrt(k_c k_c') W_c^dag G W_c' with
     G = (E - H_eff)^(-1); unitary for lossless (real-parameter) models.
@@ -526,27 +535,26 @@ def smatrix(heff: EffectiveHamiltonian, energy: float | None = None):
     than ``_UNITARITY_TOL`` (near a BIC), S is rebuilt in the K-matrix form.
     Returns (S, open_channels).
     """
-    if energy is None:
-        energy = heff.omega_sq
-    idx, k = _open_channels(heff, energy)
+    idx, k = _open_channels(heff)
     if idx.size == 0:
-        raise ValueError(f"no open channel at E={energy}")
+        raise ValueError(f"no open channel at E={heff.omega_sq}")
     w = heff.coupling.matrix[:, idx]
-    core = w.conj().T @ green(heff, energy, w)
+    core = w.conj().T @ green(heff, w)
     flux = np.sqrt(k)
     s = np.eye(idx.size, dtype=complex) - 2j * (flux[:, None] * core * flux[None, :])
     if np.max(np.abs(s.conj().T @ s - np.eye(idx.size))) > _UNITARITY_TOL:
-        s = _kmatrix_smatrix(heff, energy, w * flux[None, :], s)
+        s = _kmatrix_smatrix(heff, w * flux[None, :], s)
     return s, [heff.channels[i] for i in idx]
 
 
-def _open_channels(heff: EffectiveHamiltonian, energy: float):
-    """Indices and (real) wavenumbers of the channels open at ``energy``."""
+def _open_channels(heff: EffectiveHamiltonian):
+    """Indices and (real) wavenumbers of the channels open at heff.omega_sq."""
+    energy = heff.omega_sq
     idx = heff.channels.open_indices(energy)
     return idx, np.array([heff.channels[i].wavenumber(energy).real for i in idx])
 
 
-def _kmatrix_smatrix(heff: EffectiveHamiltonian, energy: float, v: np.ndarray,
+def _kmatrix_smatrix(heff: EffectiveHamiltonian, v: np.ndarray,
                      s_green: np.ndarray) -> np.ndarray:
     """S = (1 - iK)(1 + iK)^(-1) with the Hermitian K = V^dag (E - A)^(-1) V.
 
@@ -561,9 +569,9 @@ def _kmatrix_smatrix(heff: EffectiveHamiltonian, energy: float, v: np.ndarray,
     if np.max(np.abs(a - a.conj().T)) > _UNITARITY_TOL * max(np.max(np.abs(a)), 1.0):
         return s_green
     lam, q = np.linalg.eigh(0.5 * (a + a.conj().T))
-    detuning = energy - lam
+    detuning = heff.omega_sq - lam
     if not np.all(detuning):
-        raise SingularScattering(energy, 0.0)
+        raise SingularScattering(heff.omega_sq, 0.0)
     vq = q.conj().T @ v
     kmat = (vq.conj().T / detuning) @ vq
     kappa, u = np.linalg.eigh(0.5 * (kmat + kmat.conj().T))
@@ -856,28 +864,27 @@ def _continue_eig(h: np.ndarray, sigma: float, vec: np.ndarray, prev_z: complex 
 
 
 def solve_resonance(model: Callable[[float], EffectiveHamiltonian], seed: float,
-                    branch_vector: np.ndarray | None = None,
-                    max_iter: int = 200, alpha: float = 0.7,
-                    tol: float = 1e-10) -> ResonanceRecord:
+                    branch_vector: np.ndarray | None = None) -> ResonanceRecord:
     """Fixed point E = Re z(E) for one branch, eigenvector-continued.
 
     First update takes the full step (frequency-frozen couplings then
-    converge in one iteration); later steps damp by ``alpha``, with a
-    guarded secant acceleration on the residual g(E) = Re z(E) - E.
+    converge in one iteration); later steps damp by ``_FP_DAMPING``, with
+    a guarded secant acceleration on the residual g(E) = Re z(E) - E, up
+    to |g| <= ``_FP_TOL`` max(1, |E|) or ``_FP_MAX_ITER`` eigensolves.
     """
     e = float(seed)
     vec = branch_vector
     z = None
     e_prev = g_prev = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, _FP_MAX_ITER + 1):
         z, vec = _branch_eig(model(e), e, vec, z)
         g = z.real - e
-        if abs(g) <= tol * max(1.0, abs(e)):
+        if abs(g) <= _FP_TOL * max(1.0, abs(e)):
             return ResonanceRecord(z=z, vector=vec, converged=True, iterations=it)
         if it == 1:
             e_next = z.real
         else:
-            e_next = e + alpha * g
+            e_next = e + _FP_DAMPING * g
             if g_prev is not None and g != g_prev:
                 e_sec = e - g * (e - e_prev) / (g - g_prev)
                 # secant step accepted only while it stays comparable with
@@ -886,58 +893,41 @@ def solve_resonance(model: Callable[[float], EffectiveHamiltonian], seed: float,
                     e_next = e_sec
         e_prev, g_prev = e, g
         e = e_next
-    return ResonanceRecord(z=z, vector=vec, converged=False, iterations=max_iter)
+    return ResonanceRecord(z=z, vector=vec, converged=False, iterations=_FP_MAX_ITER)
 
 
 def resonances(model: Callable[[float], EffectiveHamiltonian],
-               seeds: Sequence[float], **kw) -> list[ResonanceRecord]:
+               seeds: Sequence[float]) -> list[ResonanceRecord]:
     """Fixed-point resonances for several seeds; non-convergence is flagged
     on the record, never dropped."""
-    return [solve_resonance(model, s, **kw) for s in seeds]
+    return [solve_resonance(model, s) for s in seeds]
 
 
 ModelFamily = Callable[[float], Callable[[float], EffectiveHamiltonian]]
 
 
 def track(family: ModelFamily, grid: Sequence[float], seed_energy: float,
-          branch_vector: np.ndarray | None = None, max_refine: int = 8,
-          **kw) -> list[ResonanceRecord]:
+          branch_vector: np.ndarray | None = None) -> list[ResonanceRecord]:
     """Follow one resonance branch across a monotone parameter grid.
 
-    Adjacent-point eigenvector overlap below 0.5 triggers grid bisection up
-    to ``max_refine`` levels; a branch that stays lost truncates the
-    trajectory (diagnostic record flagged unconverged).
+    The first point is solved from ``seed_energy`` (and ``branch_vector``),
+    each later one from the record before it.  The trajectory ends before
+    the first point whose vector overlaps the previous one by less than
+    1/2: the branch is lost there, and the records up to it are returned.
     """
     grid = list(grid)
     if len(grid) < 2 or not (np.all(np.diff(grid) > 0) or np.all(np.diff(grid) < 0)):
         raise ValueError("parameter grid must be monotone with >= 2 points")
-    first = solve_resonance(family(grid[0]), seed_energy, branch_vector, **kw)
-    first.param = grid[0]
-    out = [first]
-    for p in grid[1:]:
-        rec = _continue_branch(family, out[-1], p, max_refine, **kw)
-        if rec is None:
+    out = []
+    energy, vector = seed_energy, branch_vector
+    for p in grid:
+        rec = solve_resonance(family(p), energy, vector)
+        if out and abs(vector.conj() @ rec.vector) < _OVERLAP_CONTINUE:
             break
-        out.append(rec)
-    return out
-
-
-def _continue_branch(family, prev: ResonanceRecord, p: float, depth: int,
-                     **kw) -> ResonanceRecord | None:
-    rec = solve_resonance(family(p), prev.energy, prev.vector, **kw)
-    overlap = abs(prev.vector.conj() @ rec.vector)
-    if overlap >= _OVERLAP_CONTINUE:
         rec.param = p
-        return rec
-    if depth <= 0:
-        return None
-    mid = 0.5 * (prev.param + p)
-    if mid == prev.param or mid == p:
-        return None
-    rec_mid = _continue_branch(family, prev, mid, depth - 1, **kw)
-    if rec_mid is None:
-        return None
-    return _continue_branch(family, rec_mid, p, depth - 1, **kw)
+        out.append(rec)
+        energy, vector = rec.energy, rec.vector
+    return out
 
 
 def _golden_minimize(fun, a: float, b: float, tol: float):
@@ -1062,7 +1052,7 @@ class _SignedAmplitude:
             h = family(r.param)(r.energy)
             if r is rec:
                 self.labels = h.basis.labels
-            idx, k = _open_channels(h, r.energy)
+            idx, k = _open_channels(h)
             v = h.coupling.matrix[:, idx] * np.sqrt(k)
             c = v.conj().T @ r.vector
             if np.linalg.norm(c) > _BLOCK_TOL * np.linalg.norm(v):
@@ -1087,7 +1077,7 @@ class _SignedAmplitude:
             pos = np.array([index[lab] for lab in self.labels])
             target = np.empty_like(self.target)
             target[pos] = self.target
-        idx, k = _open_channels(h, h.omega_sq)
+        idx, k = _open_channels(h)
         v = h.coupling.matrix[:, idx] * np.sqrt(k)
         x = v @ np.array([self.direction.get(h.channels[i], 0.0) for i in idx],
                          dtype=complex)
@@ -1156,7 +1146,7 @@ def _bracket_width(values: dict, root: float) -> float:
 
 
 def _root_bic(family: ModelFamily, grid: Sequence[ResonanceRecord], width_tol: float,
-              null_tol: float, labels: tuple) -> BICRecord:
+              null_tol: float) -> BICRecord:
     """BIC record at the Brent root of the signed amplitude of the middle
     of three grid records, between the outer two.  The level is followed by
     its ordinal and, where that finds no zero, by its overlap: a level that
@@ -1178,7 +1168,7 @@ def _root_bic(family: ModelFamily, grid: Sequence[ResonanceRecord], width_tol: f
         _, energy, y, overlap = sigma.evals[root]
         h = family(root)(energy)
         z, vec = _branch_eig(h, energy, y, None)
-        out = bic_record(root, h, energy, z, vec, width_tol, null_tol, labels)
+        out = bic_record(root, h, energy, z, vec, width_tol, null_tol)
         out.param_err = err
         if overlap < _OVERLAP_CONTINUE:
             failure = _NoRoot(f"the level at the root p={root} is another level")
@@ -1213,7 +1203,6 @@ def _brent_root(sigma: _SignedAmplitude, lo: float, hi: float) -> tuple[float, f
 
 def find_bics(trajectory: Sequence[ResonanceRecord], family: ModelFamily,
               width_tol: float = DEFAULT_WIDTH_TOL, null_tol: float = DEFAULT_NULL_TOL,
-              param_tol: float = 1e-10, labels: tuple = (),
               keep: Callable[[ResonanceRecord], bool] | None = None) -> list[BICRecord]:
     """Zero-width points of a sampled branch (records with ``.param``).
 
@@ -1224,12 +1213,13 @@ def find_bics(trajectory: Sequence[ResonanceRecord], family: ModelFamily,
     channels, no sign change (a quasi-BIC), an amplitude that is not real,
     or a root on another level or wider than ``width_tol`` (see
     ``_root_bic``) - the branch width is golden-section minimised instead,
-    on the same bracket, to ``param_tol``; minima above
+    on the same bracket, to ``_PARAM_TOL``; minima above
     ``width_tol`` are kept as quasi-BIC records (is_bic False).  In the
     fallback the branch at p is the fixed-point resonance of ``family(p)``
     seeded by the grid record, recorded by ``bic_record`` from the
     eigenpair it converged to.  ``param_err`` is the width of the final
-    bracket of either search.
+    bracket of either search.  Each record carries the basis labels of
+    ``family`` at its parameter.
     """
     recs = [r for r in trajectory if r.converged]
     if len(recs) < 3:
@@ -1246,7 +1236,7 @@ def find_bics(trajectory: Sequence[ResonanceRecord], family: ModelFamily,
         if not minimum or (keep is not None and not keep(recs[i])):
             continue
         try:
-            out.append(_root_bic(family, recs[i - 1: i + 2], width_tol, null_tol, labels))
+            out.append(_root_bic(family, recs[i - 1: i + 2], width_tol, null_tol))
             continue
         except _NoRoot:
             pass
@@ -1259,21 +1249,20 @@ def find_bics(trajectory: Sequence[ResonanceRecord], family: ModelFamily,
             return r.width if r.converged else np.inf
 
         p_star, err = _golden_minimize(branch_width, recs[i - 1].param,
-                                       recs[i + 1].param, param_tol)
+                                       recs[i + 1].param, _PARAM_TOL)
         rec = branch(p_star)
         bic = bic_record(p_star, family(p_star)(rec.energy), rec.energy, rec.z,
-                         rec.vector, width_tol, null_tol, labels)
+                         rec.vector, width_tol, null_tol)
         bic.param_err = err
         out.append(bic)
     return out
 
 
 def bic_record(p: float, h: EffectiveHamiltonian, energy: float, z: complex,
-               vector: np.ndarray, width_tol: float, null_tol: float,
-               labels: tuple = ()) -> BICRecord:
+               vector: np.ndarray, width_tol: float, null_tol: float) -> BICRecord:
     """BIC record of the eigenpair (z, vector) of ``h`` at parameter p: its
     width -2 Im z and null residual ||(energy - H_eff) a|| against the two
-    tolerances; labels default to the basis labels of ``h``.  The residual
+    tolerances, labelled by the basis labels of ``h``.  The residual
     is summed over the symmetry blocks, so the mode-basis matrix is not
     formed."""
     residual = float(np.linalg.norm(np.concatenate(
@@ -1283,7 +1272,7 @@ def bic_record(p: float, h: EffectiveHamiltonian, energy: float, z: complex,
     return BICRecord(param=p, omega_sq=energy, null_vector=vector, gamma_res=gamma,
                      residual=residual,
                      is_bic=bool(gamma <= width_tol and residual <= null_tol),
-                     labels=tuple(labels) or tuple(h.basis.labels))
+                     labels=tuple(h.basis.labels))
 
 
 def bic_mode(record: BICRecord, labels: Sequence) -> list[tuple]:

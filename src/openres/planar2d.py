@@ -29,6 +29,10 @@ import numpy as np
 from . import hcore
 
 _EPS_K = 1e-9
+# Gauss-Legendre nodes per axis of the bump quadrature (audited against twice as many)
+_BUMP_NODES = 96
+# half-width of the bump-height window that confirms a Sinai coupling zero
+_CONFIRM_WINDOW = 3.0
 
 
 @dataclass(frozen=True)
@@ -85,10 +89,10 @@ def channel_parity_even(bc: str, p: int) -> bool:
     return (p % 2 == 1) if bc == "dirichlet" else (p % 2 == 0)
 
 
-def planar_channels(bc: str, p_max: int, ports=("L", "R")) -> hcore.ChannelSet:
+def planar_channels(bc: str, p_max: int) -> hcore.ChannelSet:
     lo = 1 if bc == "dirichlet" else 0
     return hcore.ChannelSet([hcore.Channel(port, ("p", p), (math.pi * p) ** 2)
-                             for port in ports for p in range(lo, p_max + 1)])
+                             for port in ("L", "R") for p in range(lo, p_max + 1)])
 
 
 def _channel_y_integral(cavity: RectCavity, p: int, n: int) -> float:
@@ -174,22 +178,31 @@ def _cached_plumbing(cavity: RectCavity, p_max: int):
     return chans, cavity.basis(), hcore.read_only(raw_coupling(cavity, chans))
 
 
+def parity_classes(cavity: RectCavity, x_parity: bool, y_parity: bool) -> dict:
+    """Basis indices per class of the conserved parities, keyed (x-even,
+    y-even): the mirrors x -> -x (the ports swap) and y -> -y (each port
+    maps to itself) split H_eff into (x-parity, y-parity) classes.  A
+    parity that is not conserved (a bump off centre on its axis) joins its
+    two classes under False."""
+    classes = {}
+    for i, (m, n) in enumerate(cavity.basis().labels):
+        key = (x_parity and cavity.mode_x_parity_even(m),
+               y_parity and cavity.mode_y_parity_even(n))
+        classes.setdefault(key, []).append(i)
+    return classes
+
+
 @lru_cache(maxsize=32)
 def parity_blocks(cavity: RectCavity, x_parity: bool = True,
                   y_parity: bool = True) -> tuple:
-    """Symmetry blocks of the open rectangle, one per class of the
-    conserved parities: the mirrors x -> -x (the ports swap) and y -> -y
-    (each port maps to itself) split H_eff into (x-parity, y-parity)
-    classes.  Empty when no parity is conserved."""
-    groups = {}
-    for (x_even, y_even), idx in sinai_parity_blocks(cavity).items():
-        key = (x_parity and x_even, y_parity and y_even)
-        groups.setdefault(key, []).extend(idx)
-    if len(groups) < 2:
+    """Symmetry blocks of the open rectangle, one per class of
+    ``parity_classes``.  Empty when no parity is conserved."""
+    classes = parity_classes(cavity, x_parity, y_parity)
+    if len(classes) < 2:
         return ()
     n = len(cavity.mode_labels)
-    return tuple(hcore.SymmetryBlock.of(n, [(i, i, 0.0) for i in sorted(idx)])
-                 for idx in groups.values())
+    return tuple(hcore.SymmetryBlock.of(n, [(i, i, 0.0) for i in idx])
+                 for idx in classes.values())
 
 
 def planar_model(cavity: RectCavity, p_max: int = 8):
@@ -207,7 +220,7 @@ def planar_transmittance(cavity: RectCavity, omega_sq: float, p_max: int = 8):
     if omega_sq <= (math.pi**2 if cavity.bc == "dirichlet" else 0.0):
         raise ValueError("frequency below the first cutoff")
     model = planar_model(cavity, p_max)
-    s, chans = hcore.smatrix(model(omega_sq), omega_sq)
+    s, chans = hcore.smatrix(model(omega_sq))
     trans = {}
     for i, ci in enumerate(chans):
         for j, cj in enumerate(chans):
@@ -327,7 +340,7 @@ def planar_bic_field(record: hcore.BICRecord, cavity: RectCavity,
         field += np.where(inside, a * cavity.mode_on_grid(m, n, xg, yg), 0.0)
     if not include_tails:
         return field
-    chans = planar_channels(cavity.bc, p_max, ports=("L", "R"))
+    chans = planar_channels(cavity.bc, p_max)
     raw = raw_coupling(cavity, chans)
     omega_sq = record.omega_sq
     for j, ch in enumerate(chans):
@@ -393,26 +406,26 @@ def _axis_factor_matrices(cavity: RectCavity, radius: float, x0: float, y0: floa
 
 
 def sinai_potential_matrix(cavity: RectCavity, bump: SinaiBump,
-                           nodes: int = 96, audit: bool = True) -> np.ndarray:
+                           audit: bool = True) -> np.ndarray:
     """Gaussian bump in the cavity eigenbasis (basis ordering of .basis())."""
     if abs(bump.x0) > cavity.lx / 2 or abs(bump.y0) > cavity.ly / 2:
         raise ValueError("bump center outside the cavity")
     if audit:
-        xm, yn = _axis_factor_matrices(cavity, bump.radius, bump.x0, bump.y0, nodes)
+        xm, yn = _axis_factor_matrices(cavity, bump.radius, bump.x0, bump.y0, _BUMP_NODES)
         xm2, yn2 = _axis_factor_matrices(cavity, bump.radius, bump.x0, bump.y0,
-                                         2 * nodes)
+                                         2 * _BUMP_NODES)
         rel = max(np.max(np.abs(xm - xm2)), np.max(np.abs(yn - yn2)))
         if rel > 1e-8 * max(np.max(np.abs(xm2)), 1e-30):
             raise RuntimeError(f"bump quadrature not converged (change {rel:.2e})")
-    return bump.vg * _unit_bump_matrix(cavity, bump.radius, bump.x0, bump.y0, nodes)
+    return bump.vg * _unit_bump_matrix(cavity, bump.radius, bump.x0, bump.y0)
 
 
 @lru_cache(maxsize=32)
-def _unit_bump_matrix(cavity: RectCavity, radius: float, x0: float, y0: float,
-                      nodes: int) -> np.ndarray:
+def _unit_bump_matrix(cavity: RectCavity, radius: float, x0: float,
+                      y0: float) -> np.ndarray:
     """The bump at vg = 1, X kron Y in the basis ordering of .basis(), shared
     by every bump height of one geometry (read-only)."""
-    xm, yn = _axis_factor_matrices(cavity, radius, x0, y0, nodes)
+    xm, yn = _axis_factor_matrices(cavity, radius, x0, y0, _BUMP_NODES)
     lo = 1 if cavity.bc == "dirichlet" else 0
     labels = cavity.basis().labels
     mi = np.array([m - lo for (m, n) in labels])
@@ -420,49 +433,38 @@ def _unit_bump_matrix(cavity: RectCavity, radius: float, x0: float, y0: float,
     return hcore.read_only(xm[np.ix_(mi, mi)] * yn[np.ix_(ni, ni)])
 
 
-def sinai_parity_blocks(cavity: RectCavity) -> dict:
-    """Basis indices per conserved irreducible block (x-parity, y-parity)."""
-    basis = cavity.basis()
-    blocks = {}
-    for i, (m, n) in enumerate(basis.labels):
-        key = (cavity.mode_x_parity_even(m), cavity.mode_y_parity_even(n))
-        blocks.setdefault(key, []).append(i)
-    return blocks
-
-
-def _sinai_blocks(cavity: RectCavity, radius: float, x0: float, y0: float,
-                  nodes: int) -> dict:
-    """{block: (diagonal, unit bump, basis_indices)}: the closed rectangle's
-    energies and the bump at unit height, each restricted to one parity
-    block.  The bumped block at height vg is diagonal + vg * unit bump."""
+def _sinai_blocks(cavity: RectCavity, radius: float, x0: float, y0: float) -> dict:
+    """{class: (diagonal, unit bump, basis_indices)}: the closed rectangle's
+    energies and the bump at unit height, each restricted to one class of
+    the parities the bump keeps, as in ``_sinai_frame``.  The bumped block
+    at height vg is diagonal + vg * unit bump."""
     diag = np.diag(cavity.basis().energies)
-    unit = sinai_potential_matrix(cavity, SinaiBump(1.0, radius, x0, y0), nodes=nodes,
-                                  audit=False)
+    unit = sinai_potential_matrix(cavity, SinaiBump(1.0, radius, x0, y0), audit=False)
     out = {}
-    for key, idx in sinai_parity_blocks(cavity).items():
+    for key, idx in parity_classes(cavity, x0 == 0.0, y0 == 0.0).items():
         idx = np.array(idx)
         sub = np.ix_(idx, idx)
         out[key] = (diag[sub], unit[sub], idx)
     return out
 
 
-def sinai_spectrum(cavity: RectCavity, bump: SinaiBump, nodes: int = 96):
-    """Eigenpairs of the bumped closed cavity per irreducible parity block.
+def sinai_spectrum(cavity: RectCavity, bump: SinaiBump):
+    """Eigenpairs of the bumped closed cavity per class of the parities the
+    bump keeps (see ``parity_classes``).
 
-    Returns {block: (values, vectors, basis_indices)} with vectors expressed
+    Returns {class: (values, vectors, basis_indices)} with vectors expressed
     in the rectangle eigenbasis (columns)."""
     out = {}
-    for key, (diag, unit, idx) in _sinai_blocks(cavity, bump.radius, bump.x0, bump.y0,
-                                                nodes).items():
+    for key, (diag, unit, idx) in _sinai_blocks(cavity, bump.radius, bump.x0,
+                                                bump.y0).items():
         vals, vecs = np.linalg.eigh(diag + bump.vg * unit)
         out[key] = (vals, vecs, idx)
     return out
 
 
-def sinai_model(cavity: RectCavity, bump: SinaiBump, p_max: int = 8,
-                nodes: int = 96):
+def sinai_model(cavity: RectCavity, bump: SinaiBump, p_max: int = 8):
     """omega_sq -> H_eff for the bumped open cavity."""
-    frame = _sinai_frame(cavity, bump.radius, bump.x0, bump.y0, p_max, nodes)
+    frame = _sinai_frame(cavity, bump.radius, bump.x0, bump.y0, p_max)
 
     def model(omega_sq: float) -> hcore.EffectiveHamiltonian:
         return hcore.assemble(frame, omega_sq, _divisor(cavity, frame.channels, omega_sq),
@@ -472,12 +474,12 @@ def sinai_model(cavity: RectCavity, bump: SinaiBump, p_max: int = 8,
 
 
 @lru_cache(maxsize=16)
-def _sinai_frame(cavity: RectCavity, radius: float, x0: float, y0: float, p_max: int,
-                 nodes: int) -> hcore.AssemblyFrame:
+def _sinai_frame(cavity: RectCavity, radius: float, x0: float, y0: float,
+                 p_max: int) -> hcore.AssemblyFrame:
     """Assembly frame of one bumped geometry at unit bump height: each
     model scales its bump part by its height at every energy, so that no
     cache is keyed on a height."""
-    unit = sinai_potential_matrix(cavity, SinaiBump(1.0, radius, x0, y0), nodes, audit=False)
+    unit = sinai_potential_matrix(cavity, SinaiBump(1.0, radius, x0, y0), audit=False)
     # an off-centre bump breaks the parity of its displaced axis
     return _frame(cavity, p_max, unit, parity_blocks(cavity, x0 == 0.0, y0 == 0.0))
 
@@ -499,14 +501,14 @@ def sinai_band(cavity: RectCavity, y_even: bool) -> tuple[float, float]:
 
 def sinai_coupling_trace(cavity: RectCavity, vg_grid: np.ndarray, y_even: bool,
                          x_even: bool, radius: float = 1.5, x0: float = 0.0,
-                         y0: float = 0.0, nodes: int = 96):
+                         y0: float = 0.0):
     """Left-port first-open-channel coupling of each bump eigenbranch over a
     bump-height grid (branches continued by eigenvector overlap)."""
     chans = planar_channels(cavity.bc, p_max=_first_open_channel(cavity, y_even))
     raw = raw_coupling(cavity, chans)
     jcol = [j for j, ch in enumerate(chans)
             if ch.port == "L" and ch.label[1] == _first_open_channel(cavity, y_even)][0]
-    diag, unit, idx = _sinai_blocks(cavity, radius, x0, y0, nodes)[(x_even, y_even)]
+    diag, unit, idx = _sinai_blocks(cavity, radius, x0, y0)[(x_even, y_even)]
     prev = None
     couplings, energies = [], []
     for vg in vg_grid:
@@ -530,19 +532,24 @@ def sinai_accidental_bics(cavity: RectCavity, vg_range=(-50.0, 50.0),
                           x_even: bool = True, radius: float = 1.5,
                           x0: float = 0.0, y0: float = 0.0, n_grid: int = 201,
                           p_max: int = 8, width_tol: float = hcore.DEFAULT_WIDTH_TOL,
-                          null_tol: float = hcore.DEFAULT_NULL_TOL,
-                          confirm_window: float = 3.0) -> list[hcore.BICRecord]:
+                          null_tol: float = hcore.DEFAULT_NULL_TOL) -> list[hcore.BICRecord]:
     """Accidental decoupling points of the bumped cavity.
 
     Sign changes of the first-open-channel coupling along the bump height are
     bracketed, then confirmed as zero-width points of the full open system
     (evanescent channels shift the exact location off the bare coupling
     zero).  Coupling zeros whose width never closes within the search window
-    are kept as near-BIC records (is_bic False).
+    are kept as near-BIC records (is_bic False).  Off centre in x the one x
+    class is keyed x-odd (``parity_classes``): the x-even search is empty.
+    ValueError off centre in y, where ``sinai_band`` does not hold.
     """
+    if y0 != 0.0:
+        raise ValueError("the accidental-BIC search needs a bump centred in y (y0 = 0)")
+    classes = parity_classes(cavity, x0 == 0.0, True)
     out = []
-    basis = cavity.basis()
     for y_even in (True, False):
+        if (x_even, y_even) not in classes:
+            continue
         band = sinai_band(cavity, y_even)
         grid = np.linspace(vg_range[0], vg_range[1], n_grid)
         coup, ener, idx = sinai_coupling_trace(cavity, grid, y_even, x_even,
@@ -558,8 +565,7 @@ def sinai_accidental_bics(cavity: RectCavity, vg_range=(-50.0, 50.0),
                     continue
                 vg0 = grid[i] + (grid[i + 1] - grid[i]) * abs(c[i]) / (abs(c[i]) + abs(c[i + 1]))
                 rec = _confirm_sinai_candidate(cavity, vg0, e_here, (x_even, y_even),
-                                               radius, x0, y0, p_max,
-                                               width_tol, null_tol, confirm_window)
+                                               radius, x0, y0, p_max, width_tol, null_tol)
                 if rec is not None:
                     rec.classification = "accidental"
                     out.append(rec)
@@ -591,7 +597,7 @@ def sinai_modal_expansion(record: hcore.BICRecord, cavity: RectCavity,
 
 
 def _confirm_sinai_candidate(cavity, vg0, e0, parity_key, radius, x0, y0,
-                             p_max, width_tol, null_tol, window):
+                             p_max, width_tol, null_tol):
     def family(vg):
         return sinai_model(cavity, SinaiBump(vg, radius, x0, y0), p_max=p_max)
 
@@ -601,12 +607,11 @@ def _confirm_sinai_candidate(cavity, vg0, e0, parity_key, radius, x0, y0,
     branch = int(np.argmin(np.abs(vals - e0)))
     seed_vec = np.zeros(len(cavity.basis()), dtype=complex)
     seed_vec[idx] = vecs[:, branch]
-    grid = np.linspace(vg0 - window, vg0 + window, 13)
+    grid = np.linspace(vg0 - _CONFIRM_WINDOW, vg0 + _CONFIRM_WINDOW, 13)
     try:
         traj = hcore.track(family, grid, seed_energy=float(vals[branch]),
                            branch_vector=seed_vec)
-        recs = hcore.find_bics(traj, family, width_tol=width_tol, null_tol=null_tol,
-                               labels=cavity.basis().labels)
+        recs = hcore.find_bics(traj, family, width_tol=width_tol, null_tol=null_tol)
     except np.linalg.LinAlgError:
         return None
     if not recs:

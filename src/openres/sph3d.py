@@ -254,15 +254,13 @@ def sphere_fw_bic(cavity: SphereCavity, theta_range=(0.55 * math.pi, 0.85 * math
                      WaveguideAttachment("out", beta=float(dt))), cutoff_max_sq)
 
     grid = np.linspace(theta_range[0], theta_range[1], n_grid)
-    basis = cavity.basis()
     best = None
     for (l, n) in pair:
         seed = _mirror_even_seed(cavity, l, n)
         try:
             traj = hcore.track(family, grid, seed_energy=cavity.energy(l, n),
                                branch_vector=seed)
-            recs = hcore.find_bics(traj, family, width_tol=width_tol,
-                                   null_tol=null_tol, labels=basis.labels)
+            recs = hcore.find_bics(traj, family, width_tol=width_tol, null_tol=null_tol)
         except np.linalg.LinAlgError:
             continue
         for rec in recs:

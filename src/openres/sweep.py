@@ -19,6 +19,8 @@ import numpy as np
 from . import __version__, hcore
 
 _FMT = "%.16e"
+# modal coefficients written per catalog row
+_CATALOG_MODES = 8
 # what a grid point may fail with and still become a NaN row: numerical
 # singularities (the RuntimeErrors SingularScattering, SingularPoint,
 # SingularTransmissionPoint), LAPACK failures and domain errors such as "no
@@ -212,15 +214,15 @@ def _label_token(label) -> str:
 
 
 def write_catalog(path, model: str, params: dict, records,
-                  label_getter=None, top: int = 8, note: str = "") -> None:
-    """BIC catalog sorted by frequency; one line per record with the top
-    modal coefficients appended as label |a| Re(a) Im(a) groups.  A
-    ``note`` goes into the header."""
+                  label_getter=None, note: str = "") -> None:
+    """BIC catalog sorted by frequency; one line per record with the
+    ``_CATALOG_MODES`` largest modal coefficients appended as label |a|
+    Re(a) Im(a) groups.  A ``note`` goes into the header."""
     path = Path(path)
     recs = sorted(records, key=lambda r: r.omega_sq)
     lines = _header_lines("bic-catalog", model, params, [
         "columns: index classification param omega_sq gamma_res residual "
-        "[label abs_a re_a im_a] x" + str(top),
+        "[label abs_a re_a im_a] x" + str(_CATALOG_MODES),
     ] + ([f"note: {note}"] if note else []))
     for i, rec in enumerate(recs):
         expansion = rec.modal_expansion() if label_getter is None \
@@ -228,7 +230,7 @@ def write_catalog(path, model: str, params: dict, records,
         parts = [str(i + 1), str(rec.classification or "unclassified"),
                  _FMT % rec.param, _FMT % rec.omega_sq,
                  _FMT % rec.gamma_res, _FMT % rec.residual]
-        for lab, coeff in expansion[:top]:
+        for lab, coeff in expansion[:_CATALOG_MODES]:
             parts += [_label_token(lab), _FMT % abs(coeff),
                       _FMT % coeff.real, _FMT % coeff.imag]
         lines.append(" ".join(parts))

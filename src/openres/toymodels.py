@@ -20,6 +20,9 @@ import numpy as np
 
 from . import hcore
 
+# an energy within this of a real eigenvalue sits on it (SingularTransmissionPoint)
+_SINGULAR_TOL = 1e-12
+
 
 class DegenerateBICCondition(ValueError):
     """gamma1*gamma2 = 0: the interference condition degenerates."""
@@ -106,8 +109,7 @@ def twolevel_model(p: TwoLevelParams) -> hcore.AssemblyFrame:
                                np.array([[0.0, p.u], [p.u, 0.0]]))
 
 
-def twolevel_transmission(energy: float, p: TwoLevelParams,
-                          singular_tol: float = 1e-12) -> complex:
+def twolevel_transmission(energy: float, p: TwoLevelParams) -> complex:
     """Transmission amplitude from the biorthogonal residue expansion
     T = -2i sum_l V_l^2 / (E - z_l).
 
@@ -137,7 +139,7 @@ def twolevel_transmission(energy: float, p: TwoLevelParams,
         vlam = (w @ v)[..., 0][()]
         z = vals[..., lam][()]
         gap = energy - z
-        on_level = (np.hypot(gap.real, gap.imag) < singular_tol) & (abs(z.imag) < singular_tol)
+        on_level = (np.hypot(gap.real, gap.imag) < _SINGULAR_TOL) & (abs(z.imag) < _SINGULAR_TOL)
         if scalar and on_level:
             raise SingularTransmissionPoint(
                 f"E={energy} sits on a real eigenvalue; value depends on approach path")
@@ -154,7 +156,7 @@ def twolevel_transmission(energy: float, p: TwoLevelParams,
 def twolevel_smatrix(energy: float, p: TwoLevelParams):
     """Full 2x2 S-matrix (L/R leads) via the engine."""
     model = twolevel_model(p)
-    return hcore.smatrix(model(energy), energy)
+    return hcore.smatrix(model(energy))
 
 
 # ------------------------------------------------------------ five sites --
@@ -260,7 +262,7 @@ def fp_chain_bic(p: FPChainParams, probe_energy: float = 0.5, width_tol: float =
 
 def fp_chain_transmission(energy: float, p: FPChainParams) -> complex:
     model = fp_chain_model(p)
-    s, chans = hcore.smatrix(model(energy), energy)
+    s, chans = hcore.smatrix(model(energy))
     i_l = [i for i, c in enumerate(chans) if c.port == "L"][0]
     i_r = [i for i, c in enumerate(chans) if c.port == "R"][0]
     return s[i_r, i_l]

@@ -373,8 +373,7 @@ class ZeemanBIC:
 
 
 def zeeman_bic_points(theta: float, b_field: float, phi: float, u0: float,
-                      parity: str, l_range=(1e-3, 6.0),
-                      e_range=None, n_scan: int = 400) -> list[ZeemanBIC]:
+                      parity: str, l_range=(1e-3, 6.0)) -> list[ZeemanBIC]:
     """Trapped-state points in the (E, L) window.
 
     A localized state requires both inner channels to match the outer
@@ -383,9 +382,10 @@ def zeeman_bic_points(theta: float, b_field: float, phi: float, u0: float,
         q1 tan(q1 L/2) = q2 tan(q2 L/2) = |kzd|   (symmetric)
 
     and the cot analogue with -|kzd| (antisymmetric).  Each family is a
-    closed-form curve L_n(E); intersections are bracketed on an energy grid
-    and polished by brentq.  Every returned point is validated against the
-    full interface system (smallest singular value <= 1e-7 of the largest).
+    closed-form curve L_n(E); intersections are bracketed on 400 energies
+    across the band and polished by brentq.  Every returned point is
+    validated against the full interface system (smallest singular value
+    <= 1e-7 of the largest).
     """
     if parity not in ("sym", "asym"):
         raise ValueError("parity must be 'sym' or 'asym'")
@@ -393,10 +393,7 @@ def zeeman_bic_points(theta: float, b_field: float, phi: float, u0: float,
     # band: spin-down evanescent outside, both inner channels open
     e_hi = b_field * (1 + s2) / c2
     e_lo = max(1e-3, (u0 + b_field * (1 + s2)) / c2 + 1e-9)
-    if e_range is None:
-        e_range = (e_lo + 1e-6 * (e_hi - e_lo), 0.999 * e_hi)
-    else:
-        e_range = (max(e_range[0], e_lo), min(e_range[1], 0.9999 * e_hi))
+    e_range = (e_lo + 1e-6 * (e_hi - e_lo), 0.999 * e_hi)
     if e_range[0] >= e_range[1]:
         return []
 
@@ -411,7 +408,7 @@ def zeeman_bic_points(theta: float, b_field: float, phi: float, u0: float,
         c2 = _branch_lengths(p.q2, kd, parity, l_range[1])
         return c1, c2
 
-    es = np.linspace(e_range[0], e_range[1], n_scan)
+    es = np.linspace(e_range[0], e_range[1], 400)
     n1 = max(len(curves(e)[0]) for e in (es[0], es[-1]))
     n2 = max(len(curves(e)[1]) for e in (es[0], es[-1]))
     found = []

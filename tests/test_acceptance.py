@@ -383,7 +383,7 @@ def test_criterion_8_sphere_properties_and_trapping():
     model = sph3d.sphere_model(cav, (sph3d.WaveguideAttachment("in"),
                                      sph3d.WaveguideAttachment("out", beta=2.0)))
     for w2 in (0.1, 0.25, 0.4):
-        s, ch = hcore.smatrix(model(w2), w2)
+        s, ch = hcore.smatrix(model(w2))
         s_ok &= np.max(np.abs(s.conj().T @ s - np.eye(len(ch)))) < 1e-9
 
     # (ii) geometry scan for the interference trapping point mixing l=1/l=4
@@ -459,7 +459,7 @@ def test_criterion_10_global_property_suites():
         uni_ok &= np.max(np.abs(s.conj().T @ s - np.eye(2))) < 1e-9
     chain = toymodels.fp_chain_model(toymodels.FPChainParams(-0.5, 0.5, 0.2, 0.25, 0.5))
     for e in (0.4, 0.9):
-        s, _ = hcore.smatrix(chain(e), e)
+        s, _ = hcore.smatrix(chain(e))
         uni_ok &= np.max(np.abs(s.conj().T @ s - np.eye(2))) < 1e-9
     for _ in range(50):
         sol = wires1d.well_solve(wires1d.WellParams(*rng.uniform(0.2, 10.0, 2),
@@ -481,18 +481,18 @@ def test_criterion_10_global_property_suites():
     cavp = planar2d.RectCavity(lx=4.0, ly=3.0, m_max=10, n_max=10)
     modelp = planar2d.planar_model(cavp, p_max=4)
     for w2 in (12.0, 20.0, 35.0):
-        s, ch = hcore.smatrix(modelp(w2), w2)
+        s, ch = hcore.smatrix(modelp(w2))
         uni_ok &= np.max(np.abs(s.conj().T @ s - np.eye(len(ch)))) < 1e-9
     cavc = cyl3d.CylCavity(3.0, 4.3, 3, 2, 4)
     modelc = cyl3d.cyl_model(cavc, 0.6)
     for w2 in (0.4, 1.5, 2.9):
-        s, ch = hcore.smatrix(modelc(w2), w2)
+        s, ch = hcore.smatrix(modelc(w2))
         uni_ok &= np.max(np.abs(s.conj().T @ s - np.eye(len(ch)))) < 1e-9
     cavs = sph3d.SphereCavity(radius=8.0, l_max=4, n_max=2)
     models = sph3d.sphere_model(cavs, (sph3d.WaveguideAttachment("in"),
                                        sph3d.WaveguideAttachment("out", beta=1.9)))
     for w2 in (0.2, 0.5):
-        s, ch = hcore.smatrix(models(w2), w2)
+        s, ch = hcore.smatrix(models(w2))
         uni_ok &= np.max(np.abs(s.conj().T @ s - np.eye(len(ch)))) < 1e-9
 
     # width nonnegativity across assembled operators

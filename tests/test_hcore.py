@@ -107,7 +107,7 @@ def test_smatrix_identity_for_decoupled_cavity():
                                  hcore.Channel("R", ("p", 1), 0.0)])
     w = hcore.CouplingMatrix(np.zeros((1, 2), dtype=complex))
     h = hcore.AssemblyFrame(basis, channels, w)(3.0)
-    s, _ = hcore.smatrix(h, 3.0)
+    s, _ = hcore.smatrix(h)
     assert np.allclose(s, np.eye(2), atol=1e-14)
 
 
@@ -115,7 +115,7 @@ def test_smatrix_unitary_random_lossless():
     basis, channels, w = _random_lossless(seed=3)
     for e in (5.0, 9.0, 18.0):
         h = hcore.AssemblyFrame(basis, channels, w)(e)
-        s, _ = hcore.smatrix(h, e)
+        s, _ = hcore.smatrix(h)
         assert np.max(np.abs(s.conj().T @ s - np.eye(s.shape[0]))) < 1e-10
 
 
@@ -123,7 +123,7 @@ def test_smatrix_unitary_with_evanescent_channels():
     # channels above the energy are evanescent; S stays unitary over open ones
     basis, channels, w = _random_lossless(n_chan=2, seed=11)
     h = hcore.AssemblyFrame(basis, channels, w)(9.0)  # 16.0-cutoff channels closed
-    s, open_chans = hcore.smatrix(h, 9.0)
+    s, open_chans = hcore.smatrix(h)
     assert len(open_chans) == 2
     assert np.max(np.abs(s.conj().T @ s - np.eye(2))) < 1e-10
 
@@ -132,7 +132,7 @@ def test_green_solves_for_the_given_columns():
     basis, channels, w, v = _complex_lossless(5)
     h = hcore.AssemblyFrame(basis, channels, w, v)(9.0)
     expect = np.linalg.solve(9.0 * np.eye(len(basis)) - h.matrix, w.matrix)
-    got = hcore.green(h, 9.0, w.matrix)
+    got = hcore.green(h, w.matrix)
     assert got.shape == w.matrix.shape
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
@@ -173,7 +173,7 @@ def test_smatrix_matches_high_precision_green_function():
         basis, channels, w, v = _complex_lossless(seed)
         for static in (None, v):
             h = hcore.AssemblyFrame(basis, channels, w, static)(9.0)
-            s, open_chans = hcore.smatrix(h, 9.0)
+            s, open_chans = hcore.smatrix(h)
             assert len(open_chans) == 2
             ref = _mp_smatrix(basis, channels, w.matrix, static, 9.0)
             assert np.max(np.abs(s - ref)) < 1e-12
@@ -186,7 +186,7 @@ def test_smatrix_singularity_reported_as_candidate_bic():
     w = hcore.CouplingMatrix(np.array([[0.5], [0.5]], dtype=complex))
     h = hcore.AssemblyFrame(basis, channels, w)(1.0)
     with pytest.raises(hcore.SingularScattering):
-        hcore.smatrix(h, 1.0)
+        hcore.smatrix(h)
 
 
 # -------------------------------------------------------------- resonances --
@@ -254,6 +254,30 @@ def test_track_constant_model_constant_trajectory():
     assert np.max(np.abs(zs - zs[0])) < 1e-12
 
 
+def _turning_family(p):
+    """A two-level family whose non-orthogonal eigenvectors lie at angles
+    p (level -1) and pi/2 + p/2 (level +1), weakly coupled to one lead."""
+    u = np.array([[np.cos(p), np.cos(np.pi / 2 + p / 2)],
+                  [np.sin(p), np.sin(np.pi / 2 + p / 2)]])
+    static = u @ np.diag([-1.0, 1.0]) @ np.linalg.inv(u)
+    basis = hcore.ClosedBasis(labels=("a", "b"), energies=np.zeros(2))
+    lead = hcore.ChannelSet([hcore.Channel("L", ("lead",), 0.0, fixed_k=1.0)])
+    return hcore.AssemblyFrame(basis, lead, hcore.CouplingMatrix(np.array([[0.05], [0.02]])),
+                               static)
+
+
+def test_track_ends_before_the_point_where_the_branch_is_lost():
+    # from p = 0.2 to 1.3 the -1 vector turns by 63 degrees and the +1
+    # vector lies 64 degrees off the old one: no level overlaps the branch
+    # by 1/2, and the trajectory holds exactly the records before 1.3
+    grid = [0.0, 0.1, 0.2, 1.3, 1.4]
+    traj = hcore.track(_turning_family, grid, seed_energy=-1.0)
+    short = hcore.track(_turning_family, grid[:3], seed_energy=-1.0)
+    assert [r.param for r in traj] == grid[:3]
+    assert [r.z for r in traj] == [r.z for r in short]
+    assert all(abs(r.z.real + 1.0) < 1e-2 for r in traj)
+
+
 def _twolevel_family(gamma1, gamma2, u):
     def family(eps):
         return twolevel_model(TwoLevelParams(eps, gamma1, gamma2, u))
@@ -265,7 +289,7 @@ def test_track_and_find_bics_strong_coupling_point():
     family = _twolevel_family(0.1, 0.2, 25.0)
     grid = np.linspace(-9.6, -8.0, 33)
     traj = hcore.track(family, grid, seed_energy=-26.5)
-    bics = hcore.find_bics(traj, family, labels=("+", "-"))
+    bics = hcore.find_bics(traj, family)
     hits = [b for b in bics if b.is_bic]
     assert hits
     assert hits[0].param == pytest.approx(-8.838834764831845, abs=1e-6)

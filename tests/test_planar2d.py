@@ -230,7 +230,7 @@ def test_planar_bic_field_tail_decay():
     bare = pl.planar_bic_field(rec, cav, xs, y, include_tails=False)
     assert np.allclose(bare, 0.0)
     # ... and the p=2 projection of this record is parity-zero exactly
-    chans = pl.planar_channels("dirichlet", 4, ports=("L", "R"))
+    chans = pl.planar_channels("dirichlet", 4)
     raw = pl.raw_coupling(cav, chans)
     for j, ch in enumerate(chans):
         if ch.label[1] == 2:
@@ -294,8 +294,29 @@ def test_sinai_zero_bump_spectrum_unperturbed():
 
 
 def test_sinai_bump_matrix_symmetric_and_converged():
-    v = pl.sinai_potential_matrix(CAV, pl.SinaiBump(10.0), nodes=96, audit=True)
+    v = pl.sinai_potential_matrix(CAV, pl.SinaiBump(10.0), audit=True)
     assert np.allclose(v, v.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("x0, y0", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.2), (0.3, 0.2)])
+def test_sinai_spectrum_is_the_dense_spectrum_for_any_bump_centre(x0, y0):
+    # an off-centre bump couples the classes of the parity it breaks: the
+    # spectrum per class must still be the spectrum of diag(E) + V
+    cav = pl.RectCavity(4.0, 2.0, "neumann", 8, 8)
+    bump = pl.SinaiBump(5.0, x0=x0, y0=y0)
+    blocks = pl.sinai_spectrum(cav, bump)
+    got = np.sort(np.concatenate([vals for vals, _, _ in blocks.values()]))
+    want = np.linalg.eigvalsh(np.diag(cav.basis().energies)
+                              + pl.sinai_potential_matrix(cav, bump))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_sinai_search_keeps_only_the_classes_of_the_bump():
+    off = dict(vg_range=(-35.0, 0.0), n_grid=71, p_max=4)
+    # off centre in x the one x class is keyed x-odd: the x-even search is empty
+    assert pl.sinai_accidental_bics(CAV, x_even=True, x0=0.3, **off) == []
+    with pytest.raises(ValueError):
+        pl.sinai_accidental_bics(CAV, x_even=False, y0=0.2, **off)
 
 
 def test_sinai_bump_center_validation():

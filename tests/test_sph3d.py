@@ -96,7 +96,7 @@ def test_smatrix_unitary_two_and_three_ports():
     for atts in (atts2, atts3):
         model = sph3d.sphere_model(CAV, atts)
         for w2 in (0.15, 0.31):
-            s, chans = hcore.smatrix(model(w2), w2)
+            s, chans = hcore.smatrix(model(w2))
             assert len(chans) == len(atts)
             assert np.max(np.abs(s.conj().T @ s - np.eye(len(chans)))) < 1e-9
 

@@ -75,7 +75,7 @@ def test_cached_couplings_are_read_only():
     rect = planar2d.RectCavity(4.0, 4.0, m_max=4, n_max=4)
     _, rect_basis, raw = planar2d._cached_plumbing(rect, 2)
     bump_x, bump_y = planar2d._axis_factor_matrices(rect, 1.5, 0.0, 0.0, 16)
-    bump = planar2d._unit_bump_matrix(rect, 1.5, 0.0, 0.0, 16)
+    bump = planar2d._unit_bump_matrix(rect, 1.5, 0.0, 0.0)
     cyl = cyl3d.cyl_model(cyl3d.CylCavity(3.0, 4.0, 2, 2, 2), 0.5)
     sphere = sph3d.SphereCavity(4.2, 3, 2)
     pole, _, sphere_basis = sph3d._pole_block(sphere, 16.0)
@@ -378,6 +378,8 @@ def test_cli_exit_codes(tmp_path):
     assert main(["twolevel", "map", "--axis1", "eps:-1:1:1",
                  "--axis2", "energy:-1:1:5", "--out", out]) == 2
     assert main(["twolevel", "bics", "--set", "bogus=1", "--out", out]) == 2
+    # the Sinai search needs a bump that keeps the y-parity
+    assert main(["sinai", "bics", "--set", "y0=0.2", "--out", out]) == 2
     # every grid point below the first cutoff: numerical failure, partial
     # outputs preserved
     code = main(["planar", "map", "--axis1", "energy:1:2:3",

@@ -63,12 +63,12 @@ def test_block_green_matches_dense_solve(heff):
     e = heff.omega_sq
     rhs = heff.coupling.matrix
     expect = np.linalg.solve(e * np.eye(dense.shape[0]) - dense, rhs)
-    got = hcore.green(heff, e, rhs)
+    got = hcore.green(heff, rhs)
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 def test_hot_paths_do_not_form_the_mode_basis_matrix(heff):
-    hcore.smatrix(heff, heff.omega_sq)
+    hcore.smatrix(heff)
     vals, vecs = hcore.spectrum(heff)
     j = int(np.argmin(np.abs(vals.imag)))
     rec = hcore.bic_record(0.0, heff, vals[j].real, vals[j], vecs[:, j], 1e-8, 1e-7)
@@ -456,7 +456,7 @@ def test_a_model_without_blocks_is_one_whole_space_block(name):
     a = -h.matrix
     a.flat[:: n + 1] += energy
     rhs = h.coupling.matrix
-    assert hcore.green(h, energy, rhs).tobytes() == \
+    assert hcore.green(h, rhs).tobytes() == \
         sla.lu_solve(sla.lu_factor(a), rhs).tobytes()
     vals, vecs = hcore.spectrum(h)
     dense_vals, dense_vecs = np.linalg.eig(h.matrix)

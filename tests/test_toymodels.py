@@ -237,6 +237,6 @@ def test_chain_transmission_unitary_single_channel():
     p = FPChainParams(eps1=-0.5, eps2=0.5, eps_w=0.3, u=0.25, v0=0.5)
     model = fp_chain_model(p)
     for e in (0.3, 0.7, 1.4):
-        s, _ = hcore.smatrix(model(e), e)
+        s, _ = hcore.smatrix(model(e))
         assert np.max(np.abs(s.conj().T @ s - np.eye(2))) < 1e-10
     assert abs(fp_chain_transmission(0.7, p)) <= 1.0 + 1e-12

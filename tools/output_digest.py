@@ -96,8 +96,9 @@ MAP_ABS = 1e-12
 BIC_REL = 1e-7
 # a BIC coordinate within this of zero has no relative scale (twolevel's
 # eps* = 0 reads -7.9e-11 from golden section and 4.2e-17 from the Brent
-# root): two such values compare equal.  It is the golden-section
-# param_tol, the coarsest precision of the BIC searches
+# root): two such values compare equal.  It is the bracket width at which
+# the golden-section fallback of hcore.find_bics stops, the coarsest
+# precision of the BIC searches
 BIC_ZERO_ABS = 1e-10
 # modal coefficients follow the null vector, which moves with the BIC
 # location; 1e-6 is the benchmark checker's vector tolerance
@@ -132,6 +133,8 @@ def commands() -> list[list[str]]:
     # a cold start on a frame with a static V (the Sinai bump), whose blocks
     # that no open channel reaches take the Hermitian eigensolver
     cmds.append(["sinai", "resonances", "--set", "vg=5"])
+    # a bump off centre in x: one x class, searched once
+    cmds.append(["sinai", "bics", "--truncation", "8", "--pmax", "4", "--set", "x0=0.3"])
     return cmds
 
 
