@@ -69,8 +69,22 @@ _FP_DAMPING = 0.7
 _FP_TOL = 1e-10
 # the golden-section fallback of ``find_bics`` stops at this bracket width
 _PARAM_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 # brentq's relative tolerance (scipy's default and smallest)
-_BRENT_RTOL = 4 * float(np.finfo(float).eps)
+_BRENT_RTOL = 4 * _EPS
+# the channel-space cold start (``_secular_eigvals``): a root has converged
+# when its Aberth step is below this fraction of the block's scale
+# max(1, max|h_ii|) (converged roots step by 1e-18 to 1e-16 of it), within
+# this many steps (the cavity blocks take 4 to 16); sum z and sum z^2 are
+# accepted within this times n of the scale and its square (measured: at
+# most 1.6e-14 at n = 100, against 2e-13 here)
+_SECULAR_STEP = 4 * _EPS
+_SECULAR_ITER = 40
+_SECULAR_TRACE = 8 * _EPS
+# the cold pick is solved again by eigvals where the two real parts nearest
+# the seed differ by less than this fraction of the scale (the channel-space
+# eigenvalues are within 1.1e-14 of eigvals')
+_PICK_GAP = 1e-12
 
 
 class StructuralError(ValueError):
@@ -341,7 +355,6 @@ class AssemblyFrame:
         # add exact zeros
         reach = [np.any(x, axis=0) for x in ws]
         self._cols = [slice(None) if r.all() else r for r in reach]
-        self._reach = reach
         # the Sinai unit bump is symmetric only to rounding
         self._hermitian_v = v is None or _absmax(v - v.conj().T) <= _BLOCK_TOL * _absmax(v)
         self._w = [x[:, c] for x, c in zip(ws, self._cols)]
@@ -407,11 +420,23 @@ class AssemblyFrame:
                                   f"blocks (off-block {off:.2e}, on-block {on:.2e})")
         return tuple(parts)
 
-    def hermitian(self, omega_sq: float) -> list[bool]:
-        """Per block, whether H_b is Hermitian at ``omega_sq``: V is, and no
-        open channel reaches the block (an evanescent one adds |k| W W^dag)."""
+    def open_couplings(self, omega_sq: float, divisor: np.ndarray | None = None) -> list:
+        """Per block, V_b = W_b sqrt(k) over the open channels that reach it
+        (n_b x c, c = 0 when none does), W_b divided as ``parts`` divides
+        it: H_b + i V_b V_b^dag is Hermitian to rounding (an evanescent
+        channel adds the Hermitian |k| W W^dag).  None per block when V is
+        not Hermitian."""
+        if not self._hermitian_v:
+            return [None] * len(self.blocks)
+        k = self.channels.wavenumbers(omega_sq)
         is_open = np.array([c.is_open(omega_sq) for c in self.channels], dtype=bool)
-        return [self._hermitian_v and not np.any(r & is_open) for r in self._reach]
+        out = []
+        for w, c in zip(self._w, self._cols):
+            if divisor is not None:
+                w = np.asarray(w / divisor[c], dtype=complex)
+            o = is_open[c]
+            out.append(w[:, o] * np.sqrt(k[c][o].real))
+        return out
 
     def _bound(self, k: np.ndarray, divisor: np.ndarray | None, height: float) -> float:
         """max over block pairs of |h| max|V_ab| + sum_g |k_g| max|G_ab,g| /
@@ -631,10 +656,14 @@ def _shifted_lu(h: np.ndarray, lam: complex):
         return sla.lu_factor(a, overwrite_a=True)
 
 
+def _scale(h: np.ndarray) -> float:
+    """max(1, max|h_ii|), the scale of eigenvalue rounding in h."""
+    return max(1.0, float(np.max(np.abs(np.diag(h)))))
+
+
 def _converged(h: np.ndarray, lam: complex, v: np.ndarray) -> bool:
     """||h v - lam v|| <= ``_EIGPAIR_TOL`` max(1, max|h_ii|) for a unit v."""
-    scale = max(1.0, float(np.max(np.abs(np.diag(h)))))
-    return bool(np.linalg.norm(h @ v - lam * v) <= _EIGPAIR_TOL * scale)
+    return bool(np.linalg.norm(h @ v - lam * v) <= _EIGPAIR_TOL * _scale(h))
 
 
 def _rqi(h: np.ndarray, v0: np.ndarray, max_steps: int = 10):
@@ -823,16 +852,138 @@ def _branch_eig(heff: EffectiveHamiltonian, sigma: float, vec: np.ndarray | None
     return lam, block.lift(y)
 
 
+def _reciprocal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """1 / (x + i y) of real arrays, in real arithmetic (numpy's complex
+    division costs three times as much); inf or nan where x = y = 0."""
+    den = x * x
+    den += y * y
+    np.reciprocal(den, out=den)
+    out = np.empty(den.shape, dtype=complex)
+    np.multiply(x, den, out=out.real)
+    np.multiply(-y, den, out=out.imag)
+    return out
+
+
+def _secular_eigvals(h: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """Every eigenvalue of h = A - i V V^dag, A Hermitian and V n x r of
+    full column rank, from the channel space: with A = Q diag(lam) Q^dag
+    and U = Q^dag V, det(z - h) = det(z - diag(lam)) det T(z), where
+    T(z) = 1 + i U^dag (z - diag(lam))^(-1) U is r x r.  Poles that U does
+    not reach (zero rows, after rotating each exactly degenerate set of
+    poles so that at most r of its rows are nonzero) are eigenvalues
+    as they are.  The others are the zeros of P(z) = prod_j (z - lam_j)
+    det T(z) over the reached poles, all found at once by the Aberth-Ehrlich
+    iteration (O. Aberth, Math. Comp. 27 (1973) 339; Bini, Gemignani & Pan,
+    Numer. Math. 100 (2005) 373 for secular equations):
+
+        z_k <- z_k - N_k / (1 - N_k sum_{l != k} 1 / (z_k - z_l)),
+
+    N = P / P' = 1 / (sum_j 1/(z - lam_j) + tr(T^(-1) T')), T' = -i U^dag
+    (z - diag(lam))^(-2) U.  It starts at the first-order eigenvalues
+    lam_j - i |u_j|^2 (u_j the rows of U) and iterates the roots that have
+    not yet moved by less than ``_SECULAR_STEP`` of the scale max(1,
+    max|h_ii|).
+
+    None, for the dense eigvals to answer, unless every root converged
+    within ``_SECULAR_ITER`` steps and is finite, and sum z and sum z^2
+    match tr h and tr h^2 to ``_SECULAR_TRACE`` n of the scale and its
+    square: a root lost or found twice moves them by far more."""
+    n, r = v.shape
+    scale = _scale(h)
+    a = h + 1j * (v @ v.conj().T)
+    lam, q = np.linalg.eigh(0.5 * (a + a.conj().T))
+    u = q.conj().T @ v
+    same = np.flatnonzero(np.diff(lam) == 0.0)
+    for j in np.split(same, np.flatnonzero(np.diff(same) > 1) + 1) if same.size else ():
+        rows = slice(j[0], j[-1] + 2)
+        u[rows] = np.linalg.qr(u[rows], mode="complete")[1]
+    g = (u.conj()[:, :, None] * u[:, None, :]).reshape(n, r * r)
+    reached = np.flatnonzero(np.any(u != 0.0, axis=1))
+    lam_a, g_a = lam[reached], g[reached]
+    z_a = lam_a - 1j * g_a[:, ::r + 1].real.sum(axis=1)
+    todo, eye = np.arange(reached.size), np.eye(r)
+    with np.errstate(all="ignore"):
+        for _ in range(_SECULAR_ITER):
+            if todo.size == 0:
+                break
+            zk = z_a[todo]
+            d = _reciprocal(zk.real[:, None] - lam_a[None, :], zk.imag[:, None])
+            t1 = d @ g_a
+            t2 = (d * d) @ g_a
+            if r == 1:
+                t1 = 1.0 + 1j * t1[:, 0]
+                newton = t1 / (t1 * d.sum(axis=1) - 1j * t2[:, 0])
+            else:
+                t1 = eye + 1j * t1.reshape(-1, r, r)
+                hit = np.linalg.det(t1) == 0.0
+                t1[hit] = eye
+                newton = 1.0 / (d.sum(axis=1) + np.einsum(
+                    "kii->k", np.linalg.solve(t1, -1j * t2.reshape(-1, r, r))))
+                newton[hit] = 0.0
+            e = _reciprocal(zk.real[:, None] - z_a.real[None, :],
+                            zk.imag[:, None] - z_a.imag[None, :])
+            e[np.arange(todo.size), todo] = 0.0
+            step = newton / (1.0 - newton * e.sum(axis=1))
+            if not np.all(np.isfinite(step)):
+                return None
+            z_a[todo] = zk - step
+            todo = todo[np.abs(step) > _SECULAR_STEP * scale]
+    if todo.size:
+        return None
+    z = lam.astype(complex)
+    z[reached] = z_a
+    tol = _SECULAR_TRACE * n * scale
+    if abs(z.sum() - np.trace(h)) > tol or abs((z * z).sum() - np.sum(h * h.T)) > tol * scale:
+        return None
+    return z
+
+
+def _cold_eigvals(h: np.ndarray, v: np.ndarray | None) -> tuple[np.ndarray, bool]:
+    """The eigenvalues of one block h at a cold start, and whether they
+    came from the channel space (``_secular_eigvals``).  ``v`` is the
+    block's open coupling V_b (``AssemblyFrame.open_couplings``; None for
+    a V that is not Hermitian: eigvals).  V_b is compressed to its
+    numerical rank from the eigh of V_b^dag V_b; rank 0 (no open channel
+    reaches the block, or only one at threshold) leaves h Hermitian to
+    rounding: eigvalsh."""
+    if v is None:
+        return np.linalg.eigvals(h), False
+    if v.shape[1]:
+        s, x = np.linalg.eigh(v.conj().T @ v)
+        keep = s > _EPS * _scale(h)
+        if np.any(keep):
+            z = _secular_eigvals(h, v @ x[:, keep])
+            return (np.linalg.eigvals(h), False) if z is None else (z, True)
+    return np.linalg.eigvalsh(h).astype(complex), False
+
+
 def _cold_eig(heff: EffectiveHamiltonian, sigma: float):
     """The eigenpair of H_eff whose eigenvalue has the real part nearest
     ``sigma``, ties going to the first block, as ``_pick_branch`` picks from
-    ``spectrum(heff)``.  The eigenvalues come from eigvals of every symmetry
-    block (eigvalsh where ``AssemblyFrame.hermitian``), the one vector from
-    inverse iteration in its block; where that fails, from the dense eig of
-    the block."""
+    ``spectrum(heff)``.
+
+    Every eigenvalue of every symmetry block is computed, by
+    ``_cold_eigvals``: from the r x r channel-space determinant where open
+    channels reach the block (r is 1 or 2 here, against 49-100 modes),
+    eigvalsh where none does, eigvals where V is not Hermitian or the
+    channel-space roots fail their check.  Where the two real parts nearest
+    ``sigma`` differ by less than ``_PICK_GAP`` of the scale, the blocks
+    that hold them are solved again by eigvals, so that rounding does not
+    flip the pick.  The one vector comes from inverse iteration in its
+    block, whose residual check certifies the eigenvalue; where that fails,
+    from the dense eig of the block."""
     pieces = list(heff.pieces)
-    spectra = [np.linalg.eigvalsh(part).astype(complex) if herm else np.linalg.eigvals(part)
-               for (_, part), herm in zip(pieces, heff.frame.hermitian(heff.omega_sq))]
+    solved = [_cold_eigvals(part, v) for (_, part), v in
+              zip(pieces, heff.frame.open_couplings(heff.omega_sq, heff.divisor))]
+    spectra = [vals for vals, _ in solved]
+    owner = np.repeat(np.arange(len(pieces)), [vals.size for vals in spectra])
+    dist = np.abs(np.concatenate(spectra).real - sigma)
+    near = np.argsort(dist)[:2]
+    scale = max(_scale(part) for _, part in pieces)
+    if near.size == 2 and dist[near[1]] - dist[near[0]] < _PICK_GAP * scale:
+        for b in set(owner[near]):
+            if solved[b][1]:
+                spectra[b] = np.linalg.eigvals(pieces[b][1])
     i = _pick_branch(np.concatenate(spectra), None, sigma, None)
     for (block, part), vals in zip(pieces, spectra):
         if i < vals.size:

@@ -30,6 +30,14 @@ import numpy as np
 _SERIES_CUTOFF = 2.0
 _ROOT_GRID_STEP = 0.05
 _ROOT_BISECT_TOL = 1e-13
+# root tables: the scan evaluates windows of this width on the grid; the
+# bisection evaluates f only at midpoints within this fraction of
+# max(1, |r|) of the Illinois estimate r, which stops at this relative step
+# within this many calls
+_ROOT_SCAN_WINDOW = 15.0
+_ROOT_REPLAY_MARGIN = 1e-10
+_ROOT_ESTIMATE_TOL = 1e-13
+_ROOT_ESTIMATE_ITER = 30
 
 
 def _validate_order(p) -> tuple[int, bool]:
@@ -281,22 +289,97 @@ class NeumannRootTable:
         return self.roots[q - 1]
 
 
+def _bisect(f, lo: float, hi: float, flo: float) -> float:
+    """The bisection of ``f`` on [lo, hi] to ``_ROOT_BISECT_TOL``, from the
+    sign ``flo`` of f(lo): one scalar call per midpoint."""
+    a, b, fa = lo, hi, flo
+    while b - a > _ROOT_BISECT_TOL:
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fa * fm <= 0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+def _illinois(f, a: float, b: float, fa: float, fb: float) -> float:
+    """An estimate of the root of ``f`` in the sign-change bracket [a, b]
+    by Illinois false-position steps (the retained end's value is halved
+    when it is kept twice), until a step moves it by at most
+    ``_ROOT_ESTIMATE_TOL`` max(1, |x|)."""
+    side, x = 0, math.inf
+    for _ in range(_ROOT_ESTIMATE_ITER):
+        x_prev, x = x, (a * fb - b * fa) / (fb - fa)
+        if abs(x - x_prev) <= _ROOT_ESTIMATE_TOL * max(1.0, abs(x)):
+            break
+        fx = f(x)
+        if fx == 0.0:
+            break
+        if (fx < 0) == (fb < 0):
+            b, fb = x, fx
+            if side == -1:
+                fa *= 0.5
+            side = -1
+        else:
+            a, fa = x, fx
+            if side == 1:
+                fb *= 0.5
+            side = 1
+    return x
+
+
+def _replayed_bisect(f, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """``_bisect(f, lo, hi, flo)``, bit for bit, with f evaluated near the
+    root only.  The midpoints and the final bracket depend only on the
+    signs of f at earlier midpoints.  Every midpoint farther than
+    ``_ROOT_REPLAY_MARGIN`` max(1, |r|) from the Illinois estimate r takes
+    the sign of its side of r; the others are evaluated, and decided as the
+    loop decides them (by the sign of flo f(mid), which is the loop's
+    fa f(mid) while no product of two f values underflows).  The signs of
+    f at the final ends a and b are then
+    checked (f(a) of the sign of flo unless a = lo, f(b) not unless
+    b = hi), and any disagreement, which a wrong prediction leaves, sends
+    the root to the plain loop."""
+    r = _illinois(f, lo, hi, flo, fhi)
+    margin = _ROOT_REPLAY_MARGIN * max(1.0, abs(r))
+    seen = {}
+    a, b = lo, hi
+    while b - a > _ROOT_BISECT_TOL:
+        mid = 0.5 * (a + b)
+        if abs(mid - r) > margin:
+            left = r < mid
+        else:
+            seen[mid] = f(mid)
+            left = flo * seen[mid] <= 0
+        if left:
+            b = mid
+        else:
+            a = mid
+    fa = seen[a] if a in seen else (flo if a == lo else f(a))
+    fb = seen[b] if b in seen else (-flo if b == hi else f(b))
+    if flo * fa > 0 and flo * fb <= 0:
+        return 0.5 * (a + b)
+    return _bisect(f, lo, hi, flo)
+
+
 def _bracketed_roots(f, count: int, x0: float = _ROOT_GRID_STEP,
-                     step: float = _ROOT_GRID_STEP, limit: float = 60.0,
-                     known: tuple = ()):
+                     step: float = _ROOT_GRID_STEP, known: tuple = ()):
     """Sign-change bracketing on a uniform grid + bisection to 1e-13.
 
     ``f`` takes an array for the scan and a float for the bisection.  The
     grid is the running sum x0, x0 + step, ...; each scan window up to
-    ``limit`` is evaluated in one call, and the window grows by 30 until
-    ``count`` roots are bracketed (at most up to 1e4).  Only the signs of
-    the scan values are used, so the roots do not depend on how ``f``
-    rounds an array against a scalar, nor on ``count``: the first roots of
-    an earlier call with the same ``f`` and grid, passed as ``known``, are
-    reused instead of bisected again."""
+    a limit is evaluated in one call, and the limit starts at
+    ``_ROOT_SCAN_WINDOW`` and grows by it until ``count`` roots are
+    bracketed (at most up to 1e4).  Only the signs of the scan values are
+    used, so the roots do not depend on how ``f`` rounds an array against
+    a scalar, nor on ``count``: the first roots of an earlier call with
+    the same ``f`` and grid, passed as ``known``, are reused instead of
+    bisected again.  Each bisection is replayed (``_replayed_bisect``)."""
     roots = []
     grid = [x0]
     vals = np.empty(0)
+    limit = _ROOT_SCAN_WINDOW
     while limit <= 1e4:
         while grid[-1] + step <= limit:
             grid.append(grid[-1] + step)
@@ -309,18 +392,10 @@ def _bracketed_roots(f, count: int, x0: float = _ROOT_GRID_STEP,
             elif flo * vals[i + 1] < 0 and len(roots) < len(known):
                 roots.append(known[len(roots)])
             elif flo * vals[i + 1] < 0:
-                a, b, fa = lo, hi, flo
-                while b - a > _ROOT_BISECT_TOL:
-                    mid = 0.5 * (a + b)
-                    fm = f(mid)
-                    if fa * fm <= 0:
-                        b = mid
-                    else:
-                        a, fa = mid, fm
-                roots.append(0.5 * (a + b))
+                roots.append(_replayed_bisect(f, lo, hi, flo, vals[i + 1]))
             if len(roots) == count:
                 return roots
-        limit += 30.0
+        limit += _ROOT_SCAN_WINDOW
     return roots
 
 

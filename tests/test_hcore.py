@@ -616,6 +616,122 @@ def test_cold_start_tie_between_blocks_goes_to_the_first(monkeypatch):
         assert abs(np.vdot(vecs[:, i], v)) >= 1.0 - 1e-10
 
 
+def test_cold_start_near_tie_solves_both_blocks_by_eigvals(monkeypatch):
+    # the two nearest real parts tie exactly (bit-identical blocks): both
+    # blocks are solved again by eigvals, so rounding in the channel-space
+    # roots cannot move the pick to the second block
+    h = _tied_blocks()
+    calls, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape[0]) or eigvals(a))
+    lam, v = hcore._cold_eig(h, 9.0)
+    assert calls == [20, 20]
+    assert hcore.holding_block(h.blocks, v) is h.blocks[0]
+
+
+def _lossless_pair(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """h = A - i V V^dag."""
+    return a - 1j * (v @ v.conj().T)
+
+
+def _assert_spectrum(z, h, tol=1e-13):
+    ref = np.linalg.eigvals(h)
+    cost = np.abs(z[:, None] - ref[None, :])
+    assert z.shape == ref.shape
+    # a greedy match is one to one here: the eigenvalues are far apart
+    # against the tolerance
+    assert sorted(np.argmin(cost, axis=1)) == list(range(ref.size))
+    assert cost.min(axis=1).max() <= tol * hcore._scale(h)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_secular_eigvals_match_eigvals_at_any_rank(rank):
+    rng = np.random.default_rng(rank)
+    n = 40
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = np.diag(np.sort(rng.uniform(0.0, 30.0, n))) + 0.3 * (x + x.conj().T)
+    v = 0.4 * (rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank)))
+    h = _lossless_pair(a, v)
+    z = hcore._secular_eigvals(h, v)
+    _assert_spectrum(z, h)
+    vals, secular = hcore._cold_eigvals(h, v)
+    assert secular
+    _assert_spectrum(vals, h)
+
+
+def test_secular_eigvals_deflate_decoupled_and_degenerate_poles():
+    # dyadic entries keep A exact: the mode at 3 couples to nothing and
+    # stays at 3; the two modes at 2 both couple, and their dark
+    # combination stays at 2, exactly
+    a = np.diag([1.0, 2.0, 2.0, 3.0, 5.0]).astype(complex)
+    v = np.array([[0.5], [0.25], [0.5], [0.0], [0.125]], dtype=complex)
+    h = _lossless_pair(a, v)
+    z = hcore._secular_eigvals(h, v)
+    _assert_spectrum(z, h)
+    assert 2.0 in z and 3.0 in z
+    assert np.sum(z.imag < 0) == 3
+
+
+def test_cold_eigvals_at_threshold_take_eigvalsh(monkeypatch):
+    # a channel exactly at its cutoff is open with k = 0: it reaches the
+    # block with V = 0, which leaves H_b Hermitian (eigvalsh)
+    rng = np.random.default_rng(2)
+    basis = hcore.ClosedBasis(labels=tuple(range(6)), energies=np.linspace(1.0, 6.0, 6))
+    channels = hcore.ChannelSet([hcore.Channel("L", ("p", 1), 3.5),
+                                 hcore.Channel("L", ("p", 2), 9.0)])
+    frame = hcore.AssemblyFrame(basis, channels, rng.normal(size=(6, 2)))
+    h = frame(3.5)
+    (v,) = frame.open_couplings(3.5)
+    assert v.shape == (6, 1) and not np.any(v)
+    calls = []
+    for routine in ("eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, routine, lambda a, f=getattr(np.linalg, routine),
+                            r=routine: calls.append(r) or f(a))
+    vals, secular = hcore._cold_eigvals(h.parts[0], v)
+    assert calls == ["eigvalsh"] and not secular
+    assert np.allclose(np.sort(vals.real), np.sort(np.linalg.eigvals(h.parts[0]).real),
+                       rtol=0.0, atol=1e-13 * hcore._scale(h.parts[0]))
+    # just above the cutoff the channel-space roots answer
+    h = frame(3.5 + 1e-6)
+    (v,) = frame.open_couplings(3.5 + 1e-6)
+    calls.clear()
+    vals, secular = hcore._cold_eigvals(h.parts[0], v)
+    assert calls == [] and secular
+    _assert_spectrum(vals, h.parts[0])
+
+
+@pytest.mark.parametrize("constant, value", [("_SECULAR_ITER", 1), ("_SECULAR_TRACE", -1.0)])
+def test_cold_eigvals_fall_back_to_eigvals_when_the_check_fails(constant, value, monkeypatch):
+    # roots that have not converged, or whose sums miss the traces, are
+    # thrown away for the dense eigvals
+    rng = np.random.default_rng(4)
+    a = np.diag(np.linspace(0.0, 10.0, 12)).astype(complex)
+    v = 0.5 * rng.normal(size=(12, 1)) + 0j
+    h = _lossless_pair(a, v)
+    assert hcore._secular_eigvals(h, v) is not None
+    monkeypatch.setattr(hcore, constant, value)
+    assert hcore._secular_eigvals(h, v) is None
+    calls, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m.shape) or eigvals(m))
+    vals, secular = hcore._cold_eigvals(h, v)
+    assert calls == [(12, 12)] and not secular
+    assert np.array_equal(vals, eigvals(h))
+
+
+def test_secular_eigvals_raise_no_warning():
+    # every Aberth step divides by the zero difference of a root with
+    # itself, and the start by that of a pole with itself; a close pair of
+    # poles and an exactly degenerate one add near-zero ones: none of it
+    # may warn
+    import warnings
+    a = np.diag([1.0, 1.0, 1.0 + 2 ** -40, 4.0]).astype(complex)
+    v = np.array([[0.5, 0.0], [0.5, 0.25], [0.5, 0.5], [0.25, 0.125]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cols in ([0], [0, 1]):
+            h = _lossless_pair(a, v[:, cols])
+            _assert_spectrum(hcore._secular_eigvals(h, v[:, cols]), h)
+
+
 def test_cold_start_on_an_exact_eigenvalue_takes_the_dense_eig(monkeypatch):
     # a diagonal H_eff shifted by one of its own eigenvalues has an exactly
     # zero pivot: inverse iteration breaks down and the dense eig answers

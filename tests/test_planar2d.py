@@ -155,8 +155,9 @@ def test_planar_fw_bic_small_truncation():
 
 
 def test_planar_fw_bic_runs_no_dense_eig(monkeypatch):
-    # every width is sampled by the fixed point: eigvals and one inverse
-    # iteration for the cold start, RQI on every warm step
+    # every width is sampled by the fixed point: the channel-space
+    # eigenvalues and one inverse iteration for the cold start, RQI on
+    # every warm step
     def no_dense_eig(*args, **kwargs):
         raise AssertionError("dense eig in the planar BIC search")
     monkeypatch.setattr(np.linalg, "eig", no_dense_eig)

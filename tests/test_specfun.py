@@ -171,6 +171,61 @@ def test_root_tables_equal_scalar_scan_oracle():
         assert list(specfun.spherical_neumann_roots(l, 3).roots) == ref
 
 
+def _djl(l):
+    """j_l' on an array (the scan) or, by the float kernel, a float (the
+    bisection)."""
+    def djl(t):
+        if np.ndim(t) == 0:
+            jl = specfun._spherical_jl_scalar(l + 1, t)[l]
+            jm1 = math.cos(t) / t if l == 0 else specfun._spherical_jl_scalar(l, t)[l - 1]
+            return jm1 - (l + 1.0) / t * jl
+        tab = specfun.spherical_jl(l + 1, t)
+        jm1 = np.cos(t) / t if l == 0 else specfun.spherical_jl(l, t)[l - 1]
+        return jm1 - (l + 1.0) / t * tab[l]
+    return djl
+
+
+def _scalar_calls(f, tally):
+    def counted(t):
+        if np.ndim(t) == 0:
+            tally.append(t)
+        return f(t)
+    return counted
+
+
+def test_replayed_bisection_equals_the_plain_loop(monkeypatch):
+    # the replay predicts the signs of midpoints away from the Illinois
+    # estimate and evaluates the rest: bit for bit the plain bisection of
+    # the same bracket, on every kind of table, order 0-11, 12 roots (and
+    # the first 8 of them alone), with about half the scalar calls
+    kernels = [(lambda p: (lambda t: specfun.bessel_j(p, t)[1]), 0.05),
+               (lambda p: (lambda t: specfun.bessel_j(p + 0.5, t)[1]), 0.2),
+               (_djl, 0.2)]
+    replayed, plain = [], []
+    for kernel, x0 in kernels:
+        for p in range(12):
+            roots = specfun._bracketed_roots(_scalar_calls(kernel(p), replayed), 12, x0=x0)
+            with monkeypatch.context() as m:
+                m.setattr(specfun, "_replayed_bisect",
+                          lambda f, lo, hi, flo, fhi: specfun._bisect(f, lo, hi, flo))
+                ref = specfun._bracketed_roots(_scalar_calls(kernel(p), plain), 12, x0=x0)
+            assert len(roots) == 12 and roots == ref
+            assert specfun._bracketed_roots(kernel(p), 8, x0=x0) == ref[:8]
+    assert len(replayed) < 0.6 * len(plain)
+
+
+def test_replayed_bisection_falls_back_on_a_wrong_estimate(monkeypatch):
+    # an estimate off the root predicts wrong signs; the check of the final
+    # bracket sees it, and the plain loop answers
+    f = lambda t: specfun.bessel_j(1, t)[1]
+    lo, hi = 1.80, 1.85
+    ref = specfun._bisect(f, lo, hi, f(lo))
+    assert specfun._replayed_bisect(f, lo, hi, f(lo), f(hi)) == ref
+    monkeypatch.setattr(specfun, "_illinois", lambda *args: 1.83)
+    assert abs(ref - 1.83) > 1e-3
+    assert specfun._replayed_bisect(f, lo, hi, f(lo), f(hi)) == ref
+
+
 # -------------------------------------------------------------- legendre --
 
 def test_assoc_legendre_trivial():

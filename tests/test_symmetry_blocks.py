@@ -273,23 +273,33 @@ def test_cold_start_matches_dense_pick(name):
             assert abs(np.vdot(vecs[:, i], v)) >= 1.0 - 1e-10
 
 
+def _count_cold_routines(monkeypatch, calls):
+    """Record (routine, block size) for every cold-start eigenvalue routine:
+    eigvals, eigvalsh and the channel-space ``hcore._secular_eigvals``."""
+    for routine in ("eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, routine, lambda a, f=getattr(np.linalg, routine),
+                            r=routine: calls.append((r, a.shape[0])) or f(a))
+    secular = hcore._secular_eigvals
+    monkeypatch.setattr(hcore, "_secular_eigvals", lambda h, v: calls.append(
+        ("_secular_eigvals", h.shape[0])) or secular(h, v))
+
+
 @pytest.mark.parametrize("name, e, hermitian", [
     ("planar", 14.0, 2), ("sinai", 8.0, 2), ("sphere", 0.3, 1), ("cyl", 1.0, 0)])
 def test_cold_start_takes_eigvalsh_on_closed_blocks(name, e, hermitian, monkeypatch):
     # a block that no open channel reaches is Hermitian (so is the static
     # V, the Sinai bump to rounding): its cold-start eigenvalues come from
-    # eigvalsh, the other blocks' from eigvals, and the pick is unchanged
+    # eigvalsh, the other blocks' from the channel-space determinant, with
+    # no eigvals fallback, and the pick is unchanged
     model, _, _ = DEFAULT_CAVITIES[name]
     h = model(e)
     is_open = [c.is_open(e) for c in h.channels]
-    expect = [("eigvals" if np.any(b.project(h.coupling.matrix)[:, is_open]) else "eigvalsh",
-               len(b)) for b in h.blocks]
+    expect = [("_secular_eigvals" if np.any(b.project(h.coupling.matrix)[:, is_open])
+               else "eigvalsh", len(b)) for b in h.blocks]
     assert sum(r == "eigvalsh" for r, _ in expect) == hermitian
     vals, vecs = hcore.spectrum(h)
     calls = []
-    for routine in ("eigvals", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, routine, lambda a, f=getattr(np.linalg, routine),
-                            r=routine: calls.append((r, a.shape[0])) or f(a))
+    _count_cold_routines(monkeypatch, calls)
     for sigma in (e, 0.5 * e, 1.5 * e):
         calls.clear()
         i = hcore._pick_branch(vals, vecs, sigma, None)
@@ -299,19 +309,69 @@ def test_cold_start_takes_eigvalsh_on_closed_blocks(name, e, hermitian, monkeypa
         assert abs(np.vdot(vecs[:, i], v)) >= 1.0 - 1e-10
 
 
-def test_non_hermitian_static_keeps_eigvals():
-    # an absorbing V (complex symmetric, not Hermitian) makes no block
-    # Hermitian, closed or not
+def test_non_hermitian_static_keeps_eigvals(monkeypatch):
+    # an absorbing V (complex symmetric, not Hermitian) leaves no Hermitian
+    # part to solve the channel space over: every block's cold-start
+    # eigenvalues come from eigvals, closed or not
     h = DEFAULT_CAVITIES["planar"][0](14.0)
     n = len(h.basis)
-    frame = hcore.AssemblyFrame(h.basis, h.channels, h.frame.w, -0.1j * np.eye(n), h.blocks)
-    assert frame.hermitian(14.0) == [False] * 4
-    assert h.frame.hermitian(14.0) == [False, True, False, True]
+    lossy = hcore.AssemblyFrame(h.basis, h.channels, h.frame.w, -0.1j * np.eye(n), h.blocks)
+    assert lossy.open_couplings(14.0) == [None] * 4
+    assert [v.shape[1] > 0 for v in h.frame.open_couplings(14.0, h.divisor)] == \
+        [True, False, True, False]
+    heff = lossy(14.0)
+    vals, vecs = hcore.spectrum(heff)
+    calls = []
+    _count_cold_routines(monkeypatch, calls)
+    i = hcore._pick_branch(vals, vecs, 14.0, None)
+    lam, v = hcore._branch_eig(heff, 14.0, None, None)
+    assert calls == [("eigvals", 100)] * 4
+    assert abs(lam - vals[i]) <= 1e-12 * abs(vals[i])
+    assert abs(np.vdot(vecs[:, i], v)) >= 1.0 - 1e-10
+
+
+def _matched_gap(z, ref):
+    """Largest |z_i - ref_j| over the one-to-one matching of least cost."""
+    cost = np.abs(z[:, None] - ref[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+@pytest.mark.parametrize("name", ["planar", "sinai", "cyl", "sphere", "twolevel", "fpchain"])
+def test_channel_space_spectrum_equals_eigvals_at_the_resonance_seeds(name, monkeypatch):
+    # every cold start of the CLI's default resonance search: each block
+    # that an open channel reaches gets every eigenvalue from the channel
+    # space (no fallback), one to one within 1e-13 of the scale of eigvals,
+    # and the cold pick is the dense pick
+    starts, cold = [], hcore._cold_eig
+    monkeypatch.setattr(hcore, "_cold_eig", lambda heff, sigma: starts.append(
+        (heff, sigma)) or cold(heff, sigma))
+    cli.MODELS[name].resonances(dict(cli.MODELS[name].defaults))
+    monkeypatch.undo()
+    assert starts
+    solved = 0
+    for heff, sigma in starts:
+        couplings = heff.frame.open_couplings(heff.omega_sq, heff.divisor)
+        for part, v in zip(heff.parts, couplings):
+            vals, secular = hcore._cold_eigvals(part, v)
+            if not np.any(v):
+                assert not secular
+                continue
+            assert secular
+            solved += 1
+            assert _matched_gap(vals, np.linalg.eigvals(part)) <= 1e-13 * hcore._scale(part)
+        vals, vecs = hcore.spectrum(heff)
+        i = hcore._pick_branch(vals, vecs, sigma, None)
+        lam, y = hcore._cold_eig(heff, sigma)
+        assert abs(lam - vals[i]) <= 1e-12 * max(1.0, abs(vals[i]))
+        assert abs(np.vdot(vecs[:, i], y)) >= (1.0 - 1e-10) * np.linalg.norm(vecs[:, i])
+    assert solved
 
 
 def test_cavity_fixed_point_runs_no_dense_eig(monkeypatch):
-    # eigvals and one inverse iteration for the cold start, RQI on every
-    # warm step: a silent return to the dense eig fails here
+    # the channel-space eigenvalues and one inverse iteration for the cold
+    # start, RQI on every warm step: a silent return to the dense eig fails
+    # here
     model, _, _ = DEFAULT_CAVITIES["planar"]
     rqi, steps = hcore._rqi, []
 
