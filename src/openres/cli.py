@@ -647,6 +647,8 @@ def main(argv=None) -> int:
             raise sweep.NumericalFailure("every grid point failed")
         if args.verb == "resonances" and not any(r.converged for r in recs):
             raise sweep.NumericalFailure("no resonance found")
+        if args.verb == "bics" and not recs and not model.no_bics:
+            raise sweep.NumericalFailure("no BIC found")
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ closed form, including the line of zero-width points in (L, dphi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from types import MappingProxyType
 
@@ -162,10 +162,16 @@ def rotation_blocks(basis: hcore.ClosedBasis, dphi: float) -> tuple:
     |m,n,l> to s |-m,n,l> with s = e^{i m dphi} (-1)^(l-1), for every dphi
     and r0, so the blocks hold (|m,n,l> +/- s |-m,n,l>)/sqrt(2) for m > 0
     and the m = 0 modes of odd (even block) or even (odd block) l: 81 + 81
-    modes at the default truncation."""
-    index = {lab: i for i, lab in enumerate(basis.labels)}
+    modes at the default truncation.  They depend on the labels alone, and
+    are built once per label order and dphi."""
+    return _rotation_blocks(basis.labels, dphi)
+
+
+@lru_cache(maxsize=32)
+def _rotation_blocks(labels: tuple, dphi: float) -> tuple:
+    index = {lab: i for i, lab in enumerate(labels)}
     even, odd = [], []
-    for i, (m, n, l) in enumerate(basis.labels):
+    for i, (m, n, l) in enumerate(labels):
         sign = (-1.0) ** (l - 1)
         if m == 0:
             (even if sign > 0 else odd).append((i, i, 0.0))
@@ -173,7 +179,32 @@ def rotation_blocks(basis: hcore.ClosedBasis, dphi: float) -> tuple:
             j, phase = index[(-m, n, l)], sign * np.exp(1j * m * dphi)
             even.append((i, j, phase))
             odd.append((i, j, -phase))
-    return tuple(hcore.SymmetryBlock.of(len(basis), vecs) for vecs in (even, odd))
+    return tuple(hcore.SymmetryBlock.of(len(labels), vecs) for vecs in (even, odd))
+
+
+@lru_cache(maxsize=32)
+def _port_columns(cavity: CylCavity, r0: float, labels: tuple, dphi: float) -> tuple:
+    """The length-free factors of the coupling columns of ``cyl_model``:
+    the disk overlaps over ``labels`` (n x c, one column per channel), the
+    columns of the rotated port 'L', and their factors (-1)^(l-1)
+    e^{i(p-m) dphi} (n x that many).  The length of ``cavity`` is not
+    read: called with the cavity at unit length, one entry serves every
+    length of a scan."""
+    channels = duct_channels()
+    overlaps = disk_overlaps(cavity, r0, sorted({ch.label[1:] for ch in channels}))
+    face = np.array([(-1.0) ** (l - 1) for _, _, l in labels])
+    m_all = range(-cavity.m_max, cavity.m_max + 1)
+    m_at = np.array([m for m, _, _ in labels]) + cavity.m_max
+    cols, turned, factor = [], [], []
+    for j, ch in enumerate(channels):
+        p, q = ch.label[1], ch.label[2]
+        cols.append([overlaps[(m, n, p, q)] for m, n, _ in labels])
+        if ch.port != "R":
+            rot = np.array([np.exp(1j * (p - m) * dphi) for m in m_all])
+            turned.append(j)
+            factor.append(face * rot[m_at])
+    return (hcore.read_only(np.column_stack(cols)), hcore.read_only(np.array(turned)),
+            hcore.read_only(np.column_stack(factor)))
 
 
 @lru_cache(maxsize=32)
@@ -184,24 +215,17 @@ def cyl_model(cavity: CylCavity, dphi: float, r0: float = 1.5,
     ``rotation_blocks``, with the ``duct_channels`` of cutoff up to 16.
     The modes are sorted by energy, or held in the order ``labels`` when
     given.  Built once per geometry and process and shared (its arrays are
-    read-only)."""
+    read-only); the length-free parts are shared along a length scan."""
     channels = duct_channels()
-    overlaps = disk_overlaps(cavity, r0, sorted({ch.label[1:] for ch in channels}))
     basis = cavity.basis()
     if labels is not None:
         pos = {lab: i for i, lab in enumerate(basis.labels)}
         basis = hcore.ClosedBasis(labels, basis.energies[[pos[lab] for lab in labels]])
+    cols, turned, factor = _port_columns(replace(cavity, length=1.0), r0, basis.labels, dphi)
     # per channel: overlap * z factor, on the rotated port * (-1)^(l-1) e^{i(p-m) dphi}
     z0 = np.array([cavity.z_factor(l, 0.0) for _, _, l in basis.labels])
-    face = np.array([(-1.0) ** (l - 1) for _, _, l in basis.labels])
-    m_all = range(-cavity.m_max, cavity.m_max + 1)
-    m_at = np.array([m for m, _, _ in basis.labels]) + cavity.m_max
-    w = np.zeros((len(basis), len(channels)), dtype=complex)
-    for j, ch in enumerate(channels):
-        p, q = ch.label[1], ch.label[2]
-        base = np.array([overlaps[(m, n, p, q)] for m, n, _ in basis.labels]) * z0
-        rot = np.array([np.exp(1j * (p - m) * dphi) for m in m_all])
-        w[:, j] = base if ch.port == "R" else face * rot[m_at] * base
+    w = cols * z0[:, None]
+    w[:, turned] = factor * w[:, turned]
     return hcore.AssemblyFrame(basis, channels, hcore.CouplingMatrix(hcore.read_only(w)),
                                blocks=rotation_blocks(basis, dphi))
 

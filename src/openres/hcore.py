@@ -85,6 +85,15 @@ _SECULAR_TRACE = 8 * _EPS
 # the seed differ by less than this fraction of the scale (the channel-space
 # eigenvalues are within 1.1e-14 of eigvals')
 _PICK_GAP = 1e-12
+# blocks of fewer modes take their eigenpairs from the dense eig, which
+# costs less there than the channel space (measured on one thread, rank 1:
+# 0.56 against 0.60 ms at 32 modes, 1.0 against 0.6 ms at 40, 19 us
+# against 0.2 ms at 5)
+_PAIRS_MIN = 40
+# the LAPACK solves behind scipy's lu_solve and solve_triangular on complex
+# factors, called directly: the same results without the wrappers' checks
+# (an info code, not an exception, reports a singular triangle)
+_getrs, _trtrs = sla.get_lapack_funcs(("getrs", "trtrs"), (np.zeros(1, dtype=complex),))
 
 
 class StructuralError(ValueError):
@@ -545,8 +554,8 @@ def green(heff: EffectiveHamiltonian, rhs: np.ndarray) -> np.ndarray:
     rcond = lo / max(hi, 1e-300)
     if rcond < 1e-14:
         raise SingularScattering(energy, rcond)
-    out = [block.lift(sla.lu_solve(lu, block.project(rhs)))
-           for block, lu in zip(heff.blocks, factors)]
+    out = [block.lift(_getrs(lu, piv, block.project(rhs))[0])
+           for block, (lu, piv) in zip(heff.blocks, factors)]
     return sum(out[1:], out[0])
 
 
@@ -661,9 +670,14 @@ def _scale(h: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(np.diag(h)))))
 
 
-def _converged(h: np.ndarray, lam: complex, v: np.ndarray) -> bool:
-    """||h v - lam v|| <= ``_EIGPAIR_TOL`` max(1, max|h_ii|) for a unit v."""
-    return bool(np.linalg.norm(h @ v - lam * v) <= _EIGPAIR_TOL * _scale(h))
+def _converged(h: np.ndarray, lam: complex | np.ndarray, v: np.ndarray) -> bool | np.ndarray:
+    """||h v - lam v|| <= ``_EIGPAIR_TOL`` max(1, max|h_ii|) for a unit v;
+    per column, one bool each, where v holds one unit vector per entry of
+    ``lam``."""
+    tol = _EIGPAIR_TOL * _scale(h)
+    if v.ndim == 2:
+        return np.linalg.norm(h @ v - v * lam, axis=0) <= tol
+    return bool(np.linalg.norm(h @ v - lam * v) <= tol)
 
 
 def _rqi(h: np.ndarray, v0: np.ndarray, max_steps: int = 10):
@@ -675,9 +689,8 @@ def _rqi(h: np.ndarray, v0: np.ndarray, max_steps: int = 10):
     v = _unit(v0)
     lam = complex(v.conj() @ h @ v)
     for _ in range(max_steps):
-        try:
-            w = sla.lu_solve(_shifted_lu(h, lam), v)
-        except (sla.LinAlgError, ValueError):
+        w, info = _getrs(*_shifted_lu(h, lam), v)
+        if info:
             return None
         nw = np.linalg.norm(w)
         if not np.isfinite(nw) or nw == 0.0:
@@ -696,9 +709,8 @@ def _inverse_vector(h: np.ndarray, lam: complex) -> np.ndarray | None:
     when the solve breaks down (an exactly singular pivot) or the residual
     misses ``_converged``."""
     lu, _ = _shifted_lu(h, lam)
-    try:
-        x = sla.solve_triangular(lu, np.ones(h.shape[0], dtype=lu.dtype))
-    except (sla.LinAlgError, ValueError):
+    x, info = _trtrs(lu, np.ones(h.shape[0], dtype=lu.dtype))
+    if info:
         return None
     nx = np.linalg.norm(x)
     if not np.isfinite(nx) or nx == 0.0:
@@ -716,9 +728,8 @@ def _left_vector(h: np.ndarray, lam: complex) -> np.ndarray | None:
     lu = _shifted_lu(h, lam)
     w = np.ones(h.shape[0], dtype=complex)
     for _ in range(2):
-        try:
-            w = sla.lu_solve(lu, w, trans=2)
-        except (sla.LinAlgError, ValueError):
+        w, info = _getrs(*lu, w, trans=2)
+        if info:
             return None
         nw = np.linalg.norm(w)
         if not np.isfinite(nw) or nw == 0.0:
@@ -786,9 +797,18 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def block_eig(heff: EffectiveHamiltonian, block: SymmetryBlock):
-    """Eigenpairs of H_eff inside one of its blocks, vectors in the mode
-    basis."""
-    vals, vecs = np.linalg.eig(heff.block_matrix(block))
+    """Every eigenpair of H_eff inside one of its blocks, unit vectors in
+    the mode basis.  A block of at least ``_PAIRS_MIN`` modes that the open
+    channels reach in one direction takes its pairs from the channel space
+    (``_secular_pairs``); the others, and a block whose pairs miss their
+    check, take the dense eig."""
+    i = heff.blocks.index(block)
+    part, pairs = heff.parts[i], None
+    if len(block) >= _PAIRS_MIN:
+        v = _open_rank(part, heff.frame.open_couplings(heff.omega_sq, heff.divisor)[i])
+        if v is not None and v.shape[1] == 1:
+            pairs = _secular_pairs(part, v)
+    vals, vecs = np.linalg.eig(part) if pairs is None else pairs
     return vals, block.lift(vecs)
 
 
@@ -803,9 +823,10 @@ def holding_block(blocks: Sequence[SymmetryBlock], vec: np.ndarray):
 
 
 def spectrum(heff: EffectiveHamiltonian):
-    """Every eigenpair (vals, vecs) of H_eff by the dense eig of every
-    symmetry block, vectors in the mode basis.  The fixed-point loop and the
-    BIC root need one eigenpair and take it from ``_branch_eig`` instead."""
+    """Every eigenpair (vals, vecs) of H_eff, block by block
+    (``block_eig``), unit vectors in the mode basis.  The fixed-point loop
+    and the BIC root need one eigenpair and take it from ``_branch_eig``
+    instead."""
     parts = [block_eig(heff, b) for b in heff.blocks]
     return (np.concatenate([vals for vals, _ in parts]),
             np.hstack([vecs for _, vecs in parts]))
@@ -865,13 +886,20 @@ def _reciprocal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _secular_eigvals(h: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-    """Every eigenvalue of h = A - i V V^dag, A Hermitian and V n x r of
-    full column rank, from the channel space: with A = Q diag(lam) Q^dag
-    and U = Q^dag V, det(z - h) = det(z - diag(lam)) det T(z), where
-    T(z) = 1 + i U^dag (z - diag(lam))^(-1) U is r x r.  Poles that U does
-    not reach (zero rows, after rotating each exactly degenerate set of
-    poles so that at most r of its rows are nonzero) are eigenvalues
-    as they are.  The others are the zeros of P(z) = prod_j (z - lam_j)
+    """The eigenvalues of ``_secular_spectrum``, or None."""
+    got = _secular_spectrum(h, v)
+    return None if got is None else got[0]
+
+
+def _secular_spectrum(h: np.ndarray, v: np.ndarray) -> tuple | None:
+    """(z, lam, Q, U): every eigenvalue z of h = A - i V V^dag, A Hermitian
+    and V n x r of full column rank, from the channel space: with A = Q
+    diag(lam) Q^dag and U = Q^dag V, det(z - h) = det(z - diag(lam)) det
+    T(z), where T(z) = 1 + i U^dag (z - diag(lam))^(-1) U is r x r.  Each
+    exactly degenerate set of poles is rotated, in Q's columns and U's
+    rows, so that at most r of its rows of U are nonzero; poles that U does
+    not reach (zero rows) are then eigenvalues as they are, z_j = lam_j
+    with eigenvector q_j.  The others are the zeros of P(z) = prod_j (z - lam_j)
     det T(z) over the reached poles, all found at once by the Aberth-Ehrlich
     iteration (O. Aberth, Math. Comp. 27 (1973) 339; Bini, Gemignani & Pan,
     Numer. Math. 100 (2005) 373 for secular equations):
@@ -896,7 +924,8 @@ def _secular_eigvals(h: np.ndarray, v: np.ndarray) -> np.ndarray | None:
     same = np.flatnonzero(np.diff(lam) == 0.0)
     for j in np.split(same, np.flatnonzero(np.diff(same) > 1) + 1) if same.size else ():
         rows = slice(j[0], j[-1] + 2)
-        u[rows] = np.linalg.qr(u[rows], mode="complete")[1]
+        turn, u[rows] = np.linalg.qr(u[rows], mode="complete")
+        q[:, rows] = q[:, rows] @ turn
     g = (u.conj()[:, :, None] * u[:, None, :]).reshape(n, r * r)
     reached = np.flatnonzero(np.any(u != 0.0, axis=1))
     lam_a, g_a = lam[reached], g[reached]
@@ -935,25 +964,78 @@ def _secular_eigvals(h: np.ndarray, v: np.ndarray) -> np.ndarray | None:
     tol = _SECULAR_TRACE * n * scale
     if abs(z.sum() - np.trace(h)) > tol or abs((z * z).sum() - np.sum(h * h.T)) > tol * scale:
         return None
-    return z
+    return z, lam, q, u
+
+
+def _secular_pairs(h: np.ndarray, v: np.ndarray) -> tuple | None:
+    """Every eigenpair (vals, unit vecs) of h = A - i v v^dag, v one
+    column, from ``_secular_spectrum``: the eigenvector at a root z_j that
+    u = Q^dag v reaches is x_j = Q (z_j - diag(lam))^(-1) u (J. R. Bunch,
+    C. P. Nielsen & D. C. Sorensen, Numer. Math. 31 (1978) 31), and at a
+    pole that u does not reach it is q_j.  Each pair is checked by
+    ``_converged``.  A weakly coupled root lies within about |u_p|^2 of its
+    nearest pole p, where z_j - lam_p keeps few correct digits; a pair that
+    misses takes delta = z_j - lam_p from one step of the secular equation
+    at that pole, delta = -i |u_p|^2 / (1 + i sum_{l != p} |u_l|^2 /
+    (lam_p - lam_l + delta)), and x_j from the denominators lam_p - lam_l +
+    delta; one that misses again is solved by ``_inverse_vector``.  None,
+    for the dense eig to answer, where the roots fail their check or that
+    last repair misses too."""
+    got = _secular_spectrum(h, v)
+    if got is None:
+        return None
+    z, lam, q, u = got
+    x = q.copy()
+    on = np.flatnonzero(u[:, 0])
+    lam, q, u = lam[on], q[:, on], u[on, 0]
+
+    def vectors(den):
+        y = q @ (u[:, None] * _reciprocal(den.real, den.imag))
+        return y / np.linalg.norm(y, axis=0)
+
+    with np.errstate(all="ignore"):
+        x[:, on] = vectors(z[on][None, :] - lam[:, None])
+        miss = np.flatnonzero(~_converged(h, z, x))
+        if miss.size:
+            pole = np.argmin(np.abs(z[miss][None, :] - lam[:, None]), axis=0)
+            gap = lam[pole][None, :] - lam[:, None]
+            den = gap + (z[miss] - lam[pole])
+            den[pole, np.arange(miss.size)] = np.inf
+            w2 = (u.conj() * u).real
+            delta = -1j * w2[pole] / (1.0 + 1j * (w2[:, None] / den).sum(axis=0))
+            x[:, miss] = vectors(gap + delta)
+            miss = miss[~_converged(h, z[miss], x[:, miss])]
+    for j in miss:
+        y = _inverse_vector(h, z[j])
+        if y is None:
+            return None
+        x[:, j] = y
+    return z, x
+
+
+def _open_rank(h: np.ndarray, v: np.ndarray | None) -> np.ndarray | None:
+    """A block's open coupling V_b (``AssemblyFrame.open_couplings``)
+    compressed to its numerical rank r from the eigh of V_b^dag V_b: n x r,
+    r = 0 where no open channel reaches the block or only one at threshold
+    (h is then Hermitian to rounding).  None stays None."""
+    if v is None or not v.shape[1]:
+        return v
+    s, x = np.linalg.eigh(v.conj().T @ v)
+    return v @ x[:, s > _EPS * _scale(h)]
 
 
 def _cold_eigvals(h: np.ndarray, v: np.ndarray | None) -> tuple[np.ndarray, bool]:
     """The eigenvalues of one block h at a cold start, and whether they
     came from the channel space (``_secular_eigvals``).  ``v`` is the
-    block's open coupling V_b (``AssemblyFrame.open_couplings``; None for
-    a V that is not Hermitian: eigvals).  V_b is compressed to its
-    numerical rank from the eigh of V_b^dag V_b; rank 0 (no open channel
-    reaches the block, or only one at threshold) leaves h Hermitian to
+    block's open coupling V_b (None for a V that is not Hermitian:
+    eigvals), compressed by ``_open_rank``; rank 0 leaves h Hermitian to
     rounding: eigvalsh."""
+    v = _open_rank(h, v)
     if v is None:
         return np.linalg.eigvals(h), False
     if v.shape[1]:
-        s, x = np.linalg.eigh(v.conj().T @ v)
-        keep = s > _EPS * _scale(h)
-        if np.any(keep):
-            z = _secular_eigvals(h, v @ x[:, keep])
-            return (np.linalg.eigvals(h), False) if z is None else (z, True)
+        z = _secular_eigvals(h, v)
+        return (np.linalg.eigvals(h), False) if z is None else (z, True)
     return np.linalg.eigvalsh(h).astype(complex), False
 
 
@@ -1193,7 +1275,10 @@ class _SignedAmplitude:
     the level at the first point; w comes from the first of them, middle
     first, that emits (a grid record right on the BIC emits nothing).  The
     level keeps the ordinal it has at the first point or, ``diabatic``,
-    is the one of largest overlap with r at every point.
+    is the one of largest overlap with r at every point.  Picking by
+    overlap needs every level (a full ``eigh``); a level kept by its
+    ordinal j is the j-th smallest eigenvalue of the compression, and is
+    solved alone (``scipy.linalg.eigh`` with ``subset_by_index``).
     """
 
     def __init__(self, family: ModelFamily, grid: Sequence[ResonanceRecord],
@@ -1220,7 +1305,9 @@ class _SignedAmplitude:
 
     def _level(self, h: EffectiveHamiltonian):
         """(mu_j, u^dag A y, y in the mode basis of ``h``, y in the labels'
-        order) of the compressed block of ``h``."""
+        order) of the level y of the compressed block of ``h``: the full
+        eigh picks the ordinal j at the first call and, ``diabatic``, at
+        every call; otherwise level j alone is solved, by index."""
         pos = None
         target = self.target
         if h.basis.labels != self.labels:
@@ -1234,28 +1321,34 @@ class _SignedAmplitude:
                          dtype=complex)
         block = holding_block(h.blocks, target)
         if block is None:
-            a = h.matrix + 1j * (v @ v.conj().T)
+            vb, hb = v, h.matrix
         else:
-            vb = block.project(v)
-            a = h.block_matrix(block) + 1j * (vb @ vb.conj().T)
+            vb, hb = block.project(v), h.block_matrix(block)
             x, target = block.project(x), block.project(target)
-        a = 0.5 * (a + a.conj().T)
+        a = vb @ vb.conj().T
+        a *= 1j
+        a += hb
+        a += a.conj().T
+        a *= 0.5
         nu = np.linalg.norm(x)
         if not nu > _BLOCK_TOL * np.linalg.norm(v) or a.shape[0] < 2:
             raise _NoRoot("the block has no open direction, or no level off it")
         u = x / nu
         au = a @ u
-        # P A P with P = 1 - u u^dag, and u itself pushed above the spectrum
+        # a becomes P A P with P = 1 - u u^dag, and u itself pushed above the
+        # spectrum: A - u w^dag - w u^dag, w = A u - ((u^dag A u) + shift) u / 2
         shift = np.abs(a).sum(axis=0).max() + 1.0
-        m = a - np.outer(u, au.conj()) - np.outer(au, u.conj()) \
-            + (np.vdot(u, au).real + shift) * np.outer(u, u.conj())
-        mu, ys = np.linalg.eigh(m)
+        w = au - 0.5 * (np.vdot(u, au).real + shift) * u
+        a -= np.column_stack([u, w]) @ np.column_stack([w, u]).conj().T
         if self.ordinal is None or self.diabatic:
+            mu, ys = np.linalg.eigh(a)
             self.ordinal = int(np.argmax(np.abs(ys[:, :-1].conj().T @ target)))
-        j = self.ordinal
-        y = ys[:, j]
+            mu, y = mu[self.ordinal], ys[:, self.ordinal]
+        else:
+            mu, ys = sla.eigh(a, subset_by_index=[self.ordinal, self.ordinal])
+            mu, y = mu[0], ys[:, 0]
         y_h = y if block is None else block.lift(y)
-        return mu[j], np.vdot(au, y), y_h, (y_h if pos is None else y_h[pos])
+        return mu, np.vdot(au, y), y_h, (y_h if pos is None else y_h[pos])
 
     def __call__(self, p: float) -> complex:
         """sigma(p) at the fixed point E = mu(E), started from the energy of

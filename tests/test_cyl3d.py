@@ -8,6 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.special import jv
 
 from openres import cyl3d, hcore
@@ -345,3 +346,105 @@ def test_length_scan_records_carry_their_own_mode_labels():
         pos = {lab: i for i, lab in enumerate(rec.labels)}
         vec = rec.null_vector[[pos[lab] for lab in model.basis.labels]]
         assert abs(np.vdot(vecs[:, j], vec)) >= 0.99 * np.linalg.norm(vecs[:, j])
+
+
+# the cylinder search of the benchmark's bics workload
+BENCH_CAV = cyl3d.CylCavity(3.0, 3.0, m_max=4, n_max=3, l_max=6)
+BENCH_GRID = np.linspace(2.95, 3.15, 5)
+
+
+def _no_dense_eig(*args, **kwargs):
+    raise AssertionError("dense eig in the cylinder BIC search")
+
+
+def _bench_models():
+    order = cyl3d.CylCavity(3.0, BENCH_GRID[0], 4, 3, 6).basis().labels
+    return [cyl3d.cyl_model(cyl3d.CylCavity(3.0, float(x), 4, 3, 6), np.pi / 4, 1.5, order)
+            for x in BENCH_GRID]
+
+
+def test_stitched_blocks_take_channel_space_eigenpairs(monkeypatch):
+    # every block of the stitched scan (81 modes, one open direction) gets
+    # its eigenpairs from the channel space: eigenvalues within 1e-13 of
+    # the scale of the dense eig's, every pair converged, and the vector
+    # of each simple eigenvalue the dense one up to phase
+    probe = 0.5 * (cyl3d._BAND[0] + cyl3d._BAND[1])
+    eig = np.linalg.eig
+    for model in _bench_models():
+        h = model(probe)
+        dense = [eig(part) for part in h.parts]
+        monkeypatch.setattr(np.linalg, "eig", _no_dense_eig)
+        for block, part, (ref, ref_vecs) in zip(h.blocks, h.parts, dense):
+            vals, vecs = hcore.block_eig(h, block)
+            y = block.project(vecs)
+            assert len(block) == 81 and vals.shape == ref.shape
+            assert np.all(hcore._converged(part, vals, y))
+            cost = np.abs(vals[:, None] - ref[None, :])
+            j = np.argmin(cost, axis=1)
+            assert sorted(j) == list(range(ref.size))
+            assert cost.min(axis=1).max() <= 1e-13 * hcore._scale(part)
+            gaps = np.abs(ref[:, None] - ref[None, :]) + np.diag(np.full(ref.size, np.inf))
+            simple = gaps[j].min(axis=1) > 1e-8 * hcore._scale(part)
+            overlap = np.abs(np.sum(ref_vecs[:, j].conj() * y, axis=0))
+            assert simple.sum() > 70
+            assert overlap[simple].min() >= 1.0 - 1e-10
+        monkeypatch.undo()
+
+
+def test_bench_bic_search_runs_no_dense_eig_and_one_full_eigh_per_amplitude(monkeypatch):
+    # the stitched scan takes its eigenpairs from the channel space, and
+    # each signed amplitude a full eigh only at its first evaluation, its
+    # level by index after that
+    inside, full = [], {}
+    level = hcore._SignedAmplitude._level
+    eigh = np.linalg.eigh
+
+    def counted_level(self, h):
+        inside.append(self)
+        try:
+            return level(self, h)
+        finally:
+            inside.pop()
+
+    def counted_eigh(a, *args, **kwargs):
+        if inside:
+            full[id(inside[-1])] = full.get(id(inside[-1]), 0) + 1
+        return eigh(a, *args, **kwargs)
+
+    made = []
+    init = hcore._SignedAmplitude.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(np.linalg, "eig", _no_dense_eig)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(hcore._SignedAmplitude, "_level", counted_level)
+    monkeypatch.setattr(hcore._SignedAmplitude, "__init__", counted_init)
+    recs = cyl3d.cyl_find_bics(BENCH_CAV, np.pi / 4, "length", BENCH_GRID)
+    assert [r.is_bic for r in recs] == [True]
+    assert recs[0].param == pytest.approx(3.051328214, rel=1e-7)
+    assert made and all(not s.diabatic for s in made)
+    assert [full.get(id(s)) for s in made] == [1] * len(made)
+    assert all(len(s.evals) > 1 for s in made)
+
+
+def test_level_by_index_is_the_full_eigh_level(monkeypatch):
+    # over the Brent run of the benchmark search, the level taken by index
+    # is the full eigh's level of that ordinal: the same eigenvalue to
+    # rounding and the same vector up to phase
+    subset, seen = sla.eigh, []
+
+    def checked(m, *args, subset_by_index, **kwargs):
+        mu, y = subset(m, *args, subset_by_index=subset_by_index, **kwargs)
+        j = subset_by_index[0]
+        ref_mu, ref_y = np.linalg.eigh(m)
+        seen.append(j)
+        assert abs(mu[0] - ref_mu[j]) <= 1e-13 * max(1.0, np.abs(ref_mu).max())
+        assert abs(np.vdot(ref_y[:, j], y[:, 0])) >= 1.0 - 1e-10
+        return mu, y
+    monkeypatch.setattr(sla, "eigh", checked)
+    recs = cyl3d.cyl_find_bics(BENCH_CAV, np.pi / 4, "length", BENCH_GRID)
+    assert [r.is_bic for r in recs] == [True]
+    assert len(seen) > 20

@@ -780,3 +780,127 @@ def test_no_module_reads_private_names_of_another():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in modules and _private(node.attr)]
     assert found == []
+
+
+# ------------------------------------------------- channel-space eigenpairs --
+
+def _one_open_block(n=48, decoupled=(), channels=1, seed=6, weak=None, degenerate=False):
+    """H_eff of n modes and one block, each of ``channels`` open channels
+    (k = 1, so that the Hermitian part is diag(E) exactly) coupled to every
+    mode but those in ``decoupled``, and to mode 20 by ``weak`` if given;
+    ``degenerate`` gives mode 21 the energy of mode 20."""
+    rng = np.random.default_rng(seed)
+    energies = np.sort(rng.uniform(1.0, 30.0, n))
+    if degenerate:
+        energies[21] = energies[20]
+    basis = hcore.ClosedBasis(labels=tuple(range(n)), energies=energies)
+    chans = hcore.ChannelSet([hcore.Channel("L", ("p", c), 0.5, fixed_k=1.0)
+                              for c in range(channels)])
+    w = 0.3 * rng.normal(size=(n, channels))
+    w[list(decoupled)] = 0.0
+    if weak is not None:
+        w[20] = weak
+    return hcore.AssemblyFrame(basis, chans, hcore.CouplingMatrix(w))(9.0)
+
+
+def _counting(monkeypatch, module, name, calls):
+    f = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or f(*a, **k))
+
+
+def _assert_pairs(vals, vecs, h, tol=1e-13):
+    _assert_spectrum(vals, h, tol)
+    assert np.all(hcore._converged(h, vals, vecs))
+    assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0.0, atol=1e-14)
+
+
+def test_block_eig_keeps_an_unreached_pole_and_its_mode(monkeypatch):
+    h = _one_open_block(decoupled=(7,))
+    (block,), (part,) = h.blocks, h.parts
+    calls = []
+    _counting(monkeypatch, np.linalg, "eig", calls)
+    _counting(monkeypatch, hcore, "_inverse_vector", calls)
+    vals, vecs = hcore.block_eig(h, block)
+    assert calls == []
+    _assert_pairs(vals, vecs, part)
+    # the decoupled mode is an eigenvector as it is, at its own energy
+    j = int(np.argmin(np.abs(vals - h.basis.energies[7])))
+    assert vals[j] == h.basis.energies[7]
+    assert abs(vecs[7, j]) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_block_eig_keeps_the_dark_state_of_degenerate_poles(monkeypatch):
+    # modes 20 and 21 share an energy and both couple: their dark
+    # combination stays at that energy, and its vector is the rotated pole
+    h = _one_open_block(degenerate=True)
+    (block,), (part,) = h.blocks, h.parts
+    calls = []
+    _counting(monkeypatch, np.linalg, "eig", calls)
+    _counting(monkeypatch, hcore, "_inverse_vector", calls)
+    vals, vecs = hcore.block_eig(h, block)
+    assert calls == []
+    _assert_pairs(vals, vecs, part)
+    j = int(np.argmin(np.abs(vals - h.basis.energies[20])))
+    assert vals[j] == h.basis.energies[20]
+    w = h.coupling.matrix[:, 0]
+    assert abs(np.vdot(w, vecs[:, j])) <= 1e-15
+    assert np.linalg.norm(vecs[[20, 21], j]) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_block_eig_repairs_a_missed_pair_by_inverse_iteration(monkeypatch):
+    h = _one_open_block()
+    (block,), (part,) = h.blocks, h.parts
+    converged, calls = hcore._converged, []
+
+    def first_misses(h, lam, v):
+        ok = converged(h, lam, v)
+        if v.ndim == 2:
+            ok[0] = False
+        return ok
+    monkeypatch.setattr(hcore, "_converged", first_misses)
+    _counting(monkeypatch, hcore, "_inverse_vector", calls)
+    _counting(monkeypatch, np.linalg, "eig", calls)
+    vals, vecs = hcore.block_eig(h, block)
+    assert calls == ["_inverse_vector"]
+    monkeypatch.undo()
+    _assert_pairs(vals, vecs, part)
+    # a repair that misses too sends the block to the dense eig
+    monkeypatch.setattr(hcore, "_converged", first_misses)
+    monkeypatch.setattr(hcore, "_inverse_vector", lambda h, lam: None)
+    calls.clear()
+    _counting(monkeypatch, np.linalg, "eig", calls)
+    got = hcore.block_eig(h, block)
+    assert calls == ["eig"]
+    monkeypatch.undo()
+    assert all(np.array_equal(x, y) for x, y in zip(got, np.linalg.eig(part)))
+
+
+def test_block_eig_takes_a_weakly_coupled_pair_from_its_pole(monkeypatch):
+    # a mode coupled by 1e-5 gives a root 1e-10 from its pole, where z - lam
+    # has lost four digits and the first vector misses its check; the
+    # secular equation solved at that pole repairs it, with no LU
+    h = _one_open_block(weak=1e-5)
+    converged, checks, calls = hcore._converged, [], []
+    monkeypatch.setattr(hcore, "_converged", lambda h, lam, v: checks.append(
+        v.shape[1] if v.ndim == 2 else 0) or converged(h, lam, v))
+    _counting(monkeypatch, hcore, "_inverse_vector", calls)
+    _counting(monkeypatch, np.linalg, "eig", calls)
+    vals, vecs = hcore.block_eig(h, h.blocks[0])
+    assert checks == [48, 1] and calls == []
+    monkeypatch.undo()
+    _assert_pairs(vals, vecs, h.parts[0])
+
+
+@pytest.mark.parametrize("n, channels", [(48, 2), (48, 3), (39, 1), (2, 1)])
+def test_block_eig_takes_the_dense_eig_off_rank_one_or_below_the_floor(n, channels,
+                                                                      monkeypatch):
+    # two open directions, or a block under _PAIRS_MIN modes: the dense eig
+    # answers, bit for bit
+    h = _one_open_block(n, channels=channels)
+    calls = []
+    _counting(monkeypatch, np.linalg, "eig", calls)
+    vals, vecs = hcore.block_eig(h, h.blocks[0])
+    assert calls == ["eig"]
+    monkeypatch.undo()
+    ref_vals, ref_vecs = np.linalg.eig(h.parts[0])
+    assert vals.tobytes() == ref_vals.tobytes() and vecs.tobytes() == ref_vecs.tobytes()

@@ -3,6 +3,7 @@ output trees: it passes rounding-level changes and tie-reordered modal
 coefficients, and fails changes above its tolerances."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +63,34 @@ def test_passing_map_line_gives_the_largest_difference(tmp_path):
     lines, ok = digest.compare_trees(old, _tree(tmp_path, "new", shift=1e-13))
     assert ok, lines
     assert lines[0] == "00: ok exit=0 planar map (largest map difference 1.00e-13)"
-    # a command without a map file prints no difference
-    assert lines[1] == "01: ok exit=0 sphere bics"
+    # a catalog command prints the moves of its rows instead
+    assert lines[1] == ("01: ok exit=0 sphere bics (largest param move 0.00e+00, "
+                        "omega_sq move 0.00e+00 relative)")
     lines, _ = digest.compare_trees(old, old)
     assert lines[0].endswith("(largest map difference 0.00e+00)")
+
+
+def test_catalog_line_gives_the_largest_relative_moves(tmp_path):
+    old = _tree(tmp_path, "old")
+    new = _tree(tmp_path, "new", param=4.61686131 * (1 + 5e-8), omega_sq=1.98733786 * (1 - 2e-9))
+    lines, ok = digest.compare_trees(old, new)
+    assert ok, lines
+    assert lines[1] == ("01: ok exit=0 sphere bics (largest param move 5.00e-08, "
+                        "omega_sq move 2.00e-09 relative)")
+    # a move past the tolerance fails and is still quoted
+    lines, ok = digest.compare_trees(old, _tree(tmp_path, "far", param=4.61686131 * (1 + 1e-5)))
+    assert not ok
+    assert lines[1] == ("01: DIFFERS exit=0 sphere bics (largest param move 1.00e-05, "
+                        "omega_sq move 0.00e+00 relative)")
+    # rows that do not line up quote no move
+    cat = tmp_path / "short" / "01"
+    shutil.copytree(new, tmp_path / "short")
+    head = [line for line in (cat / "sphere_bics.dat").read_text().splitlines(True)
+            if line.startswith("#")]
+    (cat / "sphere_bics.dat").write_text("".join(head))
+    lines, ok = digest.compare_trees(old, tmp_path / "short")
+    assert not ok
+    assert lines[1] == "01: DIFFERS exit=0 sphere bics"
 
 
 @pytest.mark.parametrize("kw,message", [

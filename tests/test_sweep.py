@@ -389,6 +389,21 @@ def test_cli_exit_codes(tmp_path):
     assert (tmp_path / "planar_map.dat").exists()
 
 
+@pytest.mark.parametrize("truncation", [
+    ["--set", "radius=1.3", "--set", "l_max=2", "--set", "m_max=1", "--set", "n_max=1"],
+    ["--set", "l_max=1", "--set", "m_max=1", "--set", "n_max=1"]])
+def test_cli_bics_that_finds_nothing_exits_3(truncation, tmp_path):
+    # a cylinder truncated to a handful of modes has no zero-width point in
+    # its scan: the catalog is written, empty, and the verb says so
+    assert main(["cyl", "bics", *truncation, "--out", str(tmp_path)]) == 3
+    _, rows = sweep.read_catalog(tmp_path / "cyl_bics.dat")
+    assert rows == []
+    # the no-BIC control is empty by construction, which its catalog states
+    assert main(["well", "bics", "--out", str(tmp_path)]) == 0
+    _, rows = sweep.read_catalog(tmp_path / "well_bics.dat")
+    assert rows == []
+
+
 def test_cli_fpchain_bics_honours_tolerances(tmp_path):
     # the record's null residual is about 1e-16, so a zero null tolerance
     # leaves no zero-width point to write

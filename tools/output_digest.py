@@ -19,11 +19,13 @@ and the package; the whole list takes about a minute on one core of a
 place in the list) beside an ``exit`` file holding the printed exit line.
 ``--compare OLD NEW`` compares two such trees value by value, against the
 tolerances below, and prints one line per command (a map command's line
-also gives its largest value difference, passed or not); it exits 1 if any
-command differs.  This is the gate for a change that moves numbers on
-purpose (the byte digest stays the gate for pure refactors).  Field files
-are compared on ``abs2_field`` only: ``re_field`` carries the arbitrary
-phase of the eigenvector behind the field.
+also gives its largest value difference, and a catalog command's the
+largest relative move of param and omega_sq over its rows, passed or not);
+it exits 1 if any command differs.  This is the gate for a change that
+moves numbers on purpose (the byte digest stays the gate for pure
+refactors).  Field files are compared on ``abs2_field`` only:
+``re_field`` carries the arbitrary phase of the eigenvector behind the
+field.
 """
 
 from __future__ import annotations
@@ -91,8 +93,10 @@ MAP_ABS = 1e-12
 # catalogs is a Brent root of the signed open-channel amplitude, exact to
 # rounding: changing nothing but the rounding of the same code (eig and
 # eigh of a randomly permuted basis, two permutations) moves them by up
-# to sinai 5.1e-13, sphere 3.1e-14, cyl 8.9e-15, planar 6.3e-16; 1e-7 is
-# also the benchmark checker's tolerance
+# to sinai 5.1e-13, sphere 3.1e-14, cyl 8.9e-15, planar 6.3e-16, and
+# taking the root's level by index instead of from the full eigh by up to
+# sinai 8.3e-12, sphere 2.7e-14, cyl 8.3e-15, planar 2.0e-15; 1e-7 is also
+# the benchmark checker's tolerance
 BIC_REL = 1e-7
 # a BIC coordinate within this of zero has no relative scale (twolevel's
 # eps* = 0 reads -7.9e-11 from golden section and 4.2e-17 from the Brent
@@ -224,27 +228,33 @@ def compare_modes(m1: list, m2: list, label_tol: float) -> list[str]:
     return out
 
 
-def compare_catalog(sweep, old: Path, new: Path, argv: list[str]) -> list[str]:
+def compare_catalog(sweep, old: Path, new: Path,
+                    argv: list[str]) -> tuple[list[str], dict | None]:
+    """(messages, largest relative move of param and of omega_sq over the
+    rows, as ``_bic_rel`` measures it); the moves are None where the rows
+    do not line up."""
     (h1, r1), (h2, r2) = sweep.read_catalog(old), sweep.read_catalog(new)
     if h1 != h2:
-        return ["headers differ"]
+        return ["headers differ"], None
     if len(r1) != len(r2):
-        return [f"{len(r1)} BIC rows against {len(r2)}"]
+        return [f"{len(r1)} BIC rows against {len(r2)}"], None
     tol_w = _argv_value(argv, "--tol-width", DEFAULT_TOL_WIDTH)
     tol_n = _argv_value(argv, "--tol-null", DEFAULT_TOL_NULL)
-    out = []
+    out, moves = [], {"param": 0.0, "omega_sq": 0.0}
     for a, b in zip(r1, r2):
         where = f"row {a['index']}: "
         if a["classification"] != b["classification"]:
             out.append(where + "classification differs")
-        for key in ("param", "omega_sq"):
-            if _bic_rel(a[key], b[key]) > BIC_REL:
+        for key in moves:
+            move = _bic_rel(a[key], b[key])
+            moves[key] = max(moves[key], move)
+            if move > BIC_REL:
                 out.append(where + f"{key} differs by {_rel(a[key], b[key]):.2e} relative")
         bic = [r["gamma_res"] <= tol_w and r["residual"] <= tol_n for r in (a, b)]
         if bic[0] != bic[1]:
             out.append(where + "is_bic differs")
         out += [where + msg for msg in compare_modes(a["modes"], b["modes"], BIC_REL)]
-    return out
+    return out, moves
 
 
 def _distinct_poles(rows) -> list:
@@ -286,18 +296,20 @@ def compare_field(sweep, old: Path, new: Path) -> list[str]:
     return out
 
 
-def compare_command(sweep, old: Path, new: Path) -> tuple[list[str], float | None]:
-    """(messages, largest map value difference or None) of one command."""
+def compare_command(sweep, old: Path, new: Path) -> tuple[list[str], str]:
+    """(messages, what moved) of one command: the largest map value
+    difference, and the largest relative move of a catalog's param and
+    omega_sq ("" when the command wrote neither, or they do not line up)."""
     e1 = (old / "exit").read_text() if (old / "exit").exists() else "missing"
     e2 = (new / "exit").read_text() if (new / "exit").exists() else "missing"
     if e1 != e2:
-        return [f"exit lines differ: {e1.strip()!r} against {e2.strip()!r}"], None
+        return [f"exit lines differ: {e1.strip()!r} against {e2.strip()!r}"], ""
     argv = e1.split()[1:]
     f1 = sorted(p.name for p in old.iterdir() if p.name != "exit")
     f2 = sorted(p.name for p in new.iterdir() if p.name != "exit")
     if f1 != f2:
-        return [f"file sets differ: {f1} against {f2}"], None
-    out, largest = [], None
+        return [f"file sets differ: {f1} against {f2}"], ""
+    out, largest, moves = [], None, None
     for name in f1:
         a, b = old / name, new / name
         if name.endswith("_map.dat"):
@@ -305,7 +317,7 @@ def compare_command(sweep, old: Path, new: Path) -> tuple[list[str], float | Non
             if diff is not None:
                 largest = max(diff, largest or 0.0)
         elif name.endswith("_bics.dat"):
-            msgs = compare_catalog(sweep, a, b, argv)
+            msgs, moves = compare_catalog(sweep, a, b, argv)
         elif name.endswith("_resonances.dat"):
             msgs = compare_resonances(sweep, a, b)
         elif name.endswith("_field.dat"):
@@ -313,7 +325,11 @@ def compare_command(sweep, old: Path, new: Path) -> tuple[list[str], float | Non
         else:
             msgs = [] if a.read_bytes() == b.read_bytes() else ["bytes differ"]
         out += [f"{name}: {m}" for m in msgs]
-    return out, largest
+    moved = [] if largest is None else [f"largest map difference {largest:.2e}"]
+    if moves is not None:
+        moved.append(f"largest param move {moves['param']:.2e}, "
+                     f"omega_sq move {moves['omega_sq']:.2e} relative")
+    return out, f" ({'; '.join(moved)})" if moved else ""
 
 
 def compare_trees(old: Path, new: Path, src: str = str(SRC)) -> tuple[list[str], bool]:
@@ -328,11 +344,10 @@ def compare_trees(old: Path, new: Path, src: str = str(SRC)) -> tuple[list[str],
             lines.append(f"{name}: kept by one tree only")
             ok = False
             continue
-        msgs, diff = compare_command(sweep, old / name, new / name)
+        msgs, moved = compare_command(sweep, old / name, new / name)
         exit_line = (old / name / "exit").read_text().strip() \
             if (old / name / "exit").exists() else ""
-        largest = "" if diff is None else f" (largest map difference {diff:.2e})"
-        lines.append(f"{name}: {'ok' if not msgs else 'DIFFERS'} {exit_line}{largest}")
+        lines.append(f"{name}: {'ok' if not msgs else 'DIFFERS'} {exit_line}{moved}")
         lines += [f"  {m}" for m in msgs]
         ok = ok and not msgs
     return lines, ok
