@@ -97,10 +97,9 @@ def _heff_resonances(model, seeds):
     return _distinct_poles(hcore.resonances(model, list(dict.fromkeys(seeds))))
 
 
-def _cavity_resonances(model, band, energy: float):
+def _cavity_resonances(model: hcore.AssemblyFrame, band):
     """Fixed-point poles seeded from the first 12 basis energies in band."""
-    return _heff_resonances(
-        model, [e for e in model(energy).basis.energies if band[0] < e < band[1]][:12])
+    return _heff_resonances(model, [e for e in model.basis.energies if band[0] < e < band[1]][:12])
 
 
 def _distinct_poles(records):
@@ -187,18 +186,18 @@ def _well_point(p):
 
 
 def _well_resonances(p):
-    # complex-k poles at fixed inside-outside offset V = q^2 - k^2
+    # complex-k poles (zeros of the interface determinant, Im k < 0) at a
+    # fixed inside-outside offset V = q^2 - k^2
     v_off = p["q"] ** 2 - p["k"] ** 2
     length = p["length"]
 
+    def det(k):
+        return wires1d.well_det(k, np.sqrt(k * k + v_off), length)
+
     def step(k):
-        q = np.sqrt(k * k + v_off)
-        det = 2j * (k * k + q * q) * np.sin(q * length) + 4 * k * q * np.cos(q * length)
         h = 1e-7
-        qh = np.sqrt((k + h) ** 2 + v_off)
-        deth = 2j * ((k + h) ** 2 + qh * qh) * np.sin(qh * length) \
-            + 4 * (k + h) * qh * np.cos(qh * length)
-        return det * h / (deth - det)
+        d = det(k)
+        return d * h / (det(k + h) - d)
 
     return _newton_poles(step, np.arange(0.5, 12.0, 0.7), 100, 1e-12,
                          lambda k: 0.1 < k.real < 13 and k.imag < 1e-9)
@@ -239,8 +238,9 @@ def _abring_resonances(p):
         dz = 9j * np.exp(-1j * k) - 1j * np.exp(1j * k)
         return z / dz
 
+    # k = 0 is a removable zero of Z at gamma = 2 pi n (t -> 1 there), not a pole
     return _newton_poles(step, np.arange(1.0, 4 * math.pi, 0.8), 80, 1e-13,
-                         lambda k: 0 < k.real < 4 * math.pi)
+                         lambda k: abs(k) > 1e-6 and 0 < k.real < 4 * math.pi)
 
 
 def _abring_field(p, n1, n2, tol_width, tol_null):
@@ -488,14 +488,14 @@ MODELS: dict[str, Model] = {
         columns=("T11", "Ttotal"), point=_planar_point, bics=_planar_bics,
         resonances=lambda p: _cavity_resonances(
             planar2d.planar_model(_rect(p, "dirichlet"), int(p["p_max"])),
-            (math.pi**2, 4 * math.pi**2), p["energy"]),
+            (math.pi**2, 4 * math.pi**2)),
         field=_planar_field),
     "sinai": Model(
         defaults={"lx": 4.0, "ly": 2.0, "vg": 0.0, "energy": 20.0, "radius": 1.5,
                   "x0": 0.0, "y0": 0.0, "m_max": 14, "n_max": 14, "p_max": 6},
         columns=("T",), point=_sinai_point, bics=_sinai_bics,
         resonances=lambda p: _cavity_resonances(
-            _sinai_model(p), (0.5, 4 * math.pi**2), p["energy"]),
+            _sinai_model(p), (0.5, 4 * math.pi**2)),
         field=_sinai_field),
     "cyl": Model(
         defaults={"radius": 3.0, "length": 4.0, "dphi": math.pi / 4, "r0": 1.5,
@@ -504,14 +504,14 @@ MODELS: dict[str, Model] = {
         bics=lambda p, tol_width, tol_null: (
             _cyl_search(p, np.linspace(2.6, 5.5, 30), tol_width, tol_null), None),
         resonances=lambda p: _cavity_resonances(
-            _cyl_model(p), (0.05, cyl3d.MU_11**2), p["energy"]),
+            _cyl_model(p), (0.05, cyl3d.MU_11**2)),
         field=_cyl_field),
     "sphere": Model(
         defaults={"radius": 10.0, "dtheta": 0.7 * math.pi, "energy": 0.3,
                   "l_max": 6, "n_max": 3},
         columns=("T",), point=_sphere_point, bics=_sphere_bics,
         resonances=lambda p: _cavity_resonances(
-            _sphere_model(p), (1e-3, cyl3d.MU_11**2), p["energy"]),
+            _sphere_model(p), (1e-3, cyl3d.MU_11**2)),
         field=_sphere_field),
 }
 

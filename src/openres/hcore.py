@@ -1,9 +1,10 @@
 """Model-agnostic effective non-Hermitian Hamiltonian engine.
 
-A model is a callable ``omega_sq -> EffectiveHamiltonian``: an
-``AssemblyFrame``, which holds everything in H_eff that does not depend on
-the energy and is built once per geometry, or a closure that calls one with
-a per-energy scaling of W or V.  The engine assembles
+A model is an ``AssemblyFrame``, a callable ``omega_sq ->
+EffectiveHamiltonian`` that holds everything in H_eff that does not depend
+on the energy, built once per geometry, with the rules that scale W and V
+per energy (``AssemblyFrame.divisor`` and ``at_height``).  The engine
+assembles
 
     H_eff(w2) = diag(E_n) + V_static - i * sum_c k_c(w2) W_c W_c^dag,
 
@@ -18,8 +19,8 @@ with null-vector extraction.
 A model whose H_eff is block-diagonal in a symmetry-adapted basis declares
 that basis as ``SymmetryBlock``s; a model that declares none has one block,
 the whole mode space.  ``assemble`` builds each block on its own and checks
-the declaration; the S-matrix solves and the eigensolves work one block at a
-time, and the full mode-basis matrix is formed only when read.
+the declaration; every engine path (S-matrix, eigensolves, BIC root) works one
+block at a time, and the full mode-basis matrix is formed only when read.
 
 Everything here is pure: assembly and eigensolves build fresh arrays from
 immutable inputs, so parameter grid points can be evaluated concurrently.
@@ -27,6 +28,7 @@ immutable inputs, so parameter grid points can be evaluated concurrently.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from dataclasses import dataclass, field
@@ -53,8 +55,6 @@ _EIGPAIR_TOL = 1e-13
 # off-block bound and pair gap <= 1.5e-16 of it at the default geometries;
 # see AssemblyFrame.parts)
 _BLOCK_TOL = 1e-12
-# a vector is held by a block that carries at least 1 - this of its weight
-_BLOCK_WEIGHT_TOL = 1e-8
 # the BIC root: fixed points E = mu(E) stop at this relative residual, Brent
 # at this relative bracket (the signed amplitude is rounding noise below it),
 # and the amplitude counts as real up to this fraction of its bracket ends
@@ -324,11 +324,12 @@ class AssemblyFrame:
     Per block b of the declared ``blocks`` (one whole-space block when none
     is declared), it holds W_b = U_b^dag W restricted to the channels that
     reach the block, U_b^dag V U_b and the diagonal of U_b^dag diag(E_n)
-    U_b.  At an energy, W may carry a column divisor d and V a height h:
-    W(E) = W / d (the planar Dirichlet weight 1/(sqrt(pi) max(|k_c|,
-    eps))), V(E) = h V (a Sinai bump height).  The divisor must depend on the channel's
-    wavenumber alone, and is applied after the gather: blocks without
-    pairs, where gather and scaling commute exactly.
+    U_b.  Two rules scale W and V per energy: ``divisor``, a function of
+    the channel wavenumbers k that is one value per cutoff, gives W(E) = W
+    / d(k) (the planar Dirichlet weight), divided after the gather (blocks
+    without pairs, where the two commute exactly; a plain array W is kept
+    as given, so a real W is divided in floats), and ``height`` h scales V
+    (a Sinai bump height; see ``at_height``).
 
     The off-block check runs on tables built here.  Channels of one cutoff
     share k and d at every energy; per pair of blocks (a, b) and such group
@@ -336,21 +337,21 @@ class AssemblyFrame:
     W_a,c W_b,c^dag (the sum is what cancels for a right declaration, as
     for the L and R ports of the planar x-parity blocks).  At an energy,
     |h| max|V_ab| + sum_g |k_g| max|G_ab,g| / d_g^2 bounds every entry of
-    the tile H_ab = U_a^dag H U_b (see ``parts``).
+    the tile H_ab = U_a^dag H U_b (see ``_parts``).
 
     A frame is a model: ``frame(omega_sq)`` is ``assemble(frame,
     omega_sq)``.
     """
 
+    height = 1.0
+
     def __init__(self, basis: ClosedBasis, channels: ChannelSet,
                  coupling: CouplingMatrix | np.ndarray, static: np.ndarray | None = None,
-                 blocks: tuple = ()):
+                 blocks: tuple = (), divisor: Callable[[np.ndarray], np.ndarray] | None = None):
         if isinstance(coupling, CouplingMatrix):
             w = coupling.matrix
         else:
-            # a real W that a divisor scales at each energy, divided in
-            # floats as CouplingMatrix(W / d) divides it
-            w, coupling = np.asarray(coupling, dtype=float), CouplingMatrix(coupling)
+            w, coupling = np.asarray(coupling), CouplingMatrix(coupling)
         e, n = basis.energies, len(basis)
         if w.shape != (n, len(channels)):
             raise StructuralError(f"coupling shape {w.shape} does not match "
@@ -359,7 +360,7 @@ class AssemblyFrame:
         if v is not None and v.shape != (n, n):
             raise StructuralError("static perturbation has wrong shape")
         self.basis, self.channels, self.static = basis, channels, v
-        self.w, self.coupling = w, coupling
+        self.w, self.coupling, self.divisor = w, coupling, divisor
         self.blocks = tuple(blocks) or (_whole_space(n),)
         self.norms = _frame_norms(self.blocks, n)
         ws = [b.project(w) for b in self.blocks]
@@ -396,10 +397,22 @@ class AssemblyFrame:
     def __call__(self, omega_sq: float) -> EffectiveHamiltonian:
         return assemble(self, omega_sq)
 
-    def parts(self, omega_sq: float, divisor: np.ndarray | None = None,
-              height: float = 1.0) -> tuple:
+    def at_height(self, height: float) -> AssemblyFrame:
+        """This frame with V scaled by ``height`` at every energy: a shallow
+        copy, which shares every array of this one."""
+        out = copy.copy(self)
+        out.height = height
+        return out
+
+    def _blocks_w(self, d: np.ndarray | None) -> list:
+        """Per block, W_b over the channels that reach it, divided by ``d``."""
+        if d is None:
+            return self._w
+        return [np.asarray(w / d[c], dtype=complex) for w, c in zip(self._w, self._cols)]
+
+    def _parts(self, k: np.ndarray, d: np.ndarray | None) -> tuple:
         """The blocks H_b = U_b^dag (diag E + h V) U_b - i (W_b k) W_b^dag at
-        ``omega_sq``; the n x n mode-basis matrix is never formed.
+        the wavenumbers k and divisor values d (no n x n matrix is formed).
 
         StructuralError when r b > ``_BLOCK_TOL``
         max|H_bb| / s^2, with b >= max|H_ab| the bound of ``_bound`` and r
@@ -408,55 +421,34 @@ class AssemblyFrame:
         basis, and max|H_bb| / s^2 <= max|H|, so a declaration that leaves
         off-block entries above ``_BLOCK_TOL`` max|H| in H U_b fails the
         check.  b comes from tables, so no off-block tile is formed."""
-        k = self.channels.wavenumbers(omega_sq)
         parts = []
-        for w, c, v, lam in zip(self._w, self._cols, self._v, self._lam):
-            if divisor is not None:
-                w = np.asarray(w / divisor[c], dtype=complex)
+        for w, c, v, lam in zip(self._blocks_w(d), self._cols, self._v, self._lam):
             # evanescent channels have k = i|k|; -i*k W W^dag then becomes
             # the Hermitian shift +|k| W W^dag.  One GEMM, then in place:
             # each temporary costs about as much as the GEMM itself
             h = (w * k[c]) @ w.conj().T
             h *= -1j
             if v is not None:
-                h += v if height == 1.0 else height * v
+                h += v if self.height == 1.0 else self.height * v
             h.flat[:: h.shape[0] + 1] += lam
             parts.append(read_only(h))
         r, s = self.norms
         # _peak is within sqrt(2) below max|.|, and the part of diag(E) U_b
         # that H_b leaves out (gap) adds at most s * gap to an entry
-        off = r * (np.sqrt(2.0) + s) * max(self._bound(k, divisor, height), self._gap)
+        off = r * (np.sqrt(2.0) + s) * max(self._bound(k, d), self._gap)
         on = max(_peak(p) for p in parts)
         if off > _BLOCK_TOL * on / (s * s):
             raise StructuralError(f"H_eff is not block-diagonal in the declared symmetry "
                                   f"blocks (off-block {off:.2e}, on-block {on:.2e})")
         return tuple(parts)
 
-    def open_couplings(self, omega_sq: float, divisor: np.ndarray | None = None) -> list:
-        """Per block, V_b = W_b sqrt(k) over the open channels that reach it
-        (n_b x c, c = 0 when none does), W_b divided as ``parts`` divides
-        it: H_b + i V_b V_b^dag is Hermitian to rounding (an evanescent
-        channel adds the Hermitian |k| W W^dag).  None per block when V is
-        not Hermitian."""
-        if not self._hermitian_v:
-            return [None] * len(self.blocks)
-        k = self.channels.wavenumbers(omega_sq)
-        is_open = np.array([c.is_open(omega_sq) for c in self.channels], dtype=bool)
-        out = []
-        for w, c in zip(self._w, self._cols):
-            if divisor is not None:
-                w = np.asarray(w / divisor[c], dtype=complex)
-            o = is_open[c]
-            out.append(w[:, o] * np.sqrt(k[c][o].real))
-        return out
-
-    def _bound(self, k: np.ndarray, divisor: np.ndarray | None, height: float) -> float:
+    def _bound(self, k: np.ndarray, d: np.ndarray | None) -> float:
         """max over block pairs of |h| max|V_ab| + sum_g |k_g| max|G_ab,g| /
-        d_g^2 at the channel wavenumbers k: at least max|H_ab|."""
+        d_g^2 at the wavenumbers k and divisor values d: at least max|H_ab|."""
         kg = np.abs(k[self._rep])
-        if divisor is not None:
-            kg = kg / divisor[self._rep] ** 2
-        return float(np.max(abs(height) * self._vmax + self._gmax @ kg, initial=0.0))
+        if d is not None:
+            kg = kg / d[self._rep] ** 2
+        return float(np.max(abs(self.height) * self._vmax + self._gmax @ kg, initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,21 +458,22 @@ class EffectiveHamiltonian:
 
     ``parts[i]`` is the block H_b = U_b^dag H_eff U_b of ``blocks[i]``; a
     model that declares no blocks has one part, the whole matrix.  Built by
-    ``assemble``; ``divisor`` and ``height`` scale the frame's W and V at
-    this energy.  ``matrix`` is the mode-basis matrix, formed from the parts
-    on first read; the S-matrix, eigensolve and BIC paths read the parts, so
-    only the callers off those paths form it (the K-matrix fallback of
-    ``smatrix``, a vector spread over several blocks)."""
+    ``assemble``, which takes the frame's ``divisor`` values (None without a
+    divisor rule) once.  ``matrix`` is the mode-basis matrix, formed from
+    the parts on first read; no engine path reads it (the tests and the
+    benchmark's dense recomputation do)."""
 
     frame: AssemblyFrame
     omega_sq: float
-    divisor: np.ndarray | None = None
-    height: float = 1.0
+    divisor: np.ndarray | None = field(init=False, repr=False)
     parts: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "parts",
-                           self.frame.parts(self.omega_sq, self.divisor, self.height))
+        frame = self.frame
+        k = frame.channels.wavenumbers(self.omega_sq)
+        d = None if frame.divisor is None else frame.divisor(k)
+        object.__setattr__(self, "divisor", d)
+        object.__setattr__(self, "parts", frame._parts(k, d))
 
     basis = property(lambda self: self.frame.basis)
     channels = property(lambda self: self.frame.channels)
@@ -496,8 +489,22 @@ class EffectiveHamiltonian:
     @cached_property
     def static(self) -> np.ndarray | None:
         """height V in the mode basis."""
-        v = self.frame.static
-        return v if v is None or self.height == 1.0 else read_only(self.height * v)
+        v, height = self.frame.static, self.frame.height
+        return v if v is None or height == 1.0 else read_only(height * v)
+
+    @cached_property
+    def open_couplings(self) -> list:
+        """Per block, V_b = W_b sqrt(k) over the open channels that reach it
+        (n_b x c, c = 0 when none does), W_b divided as in ``parts``: H_b +
+        i V_b V_b^dag is Hermitian to rounding (an evanescent channel adds
+        the Hermitian |k| W W^dag).  None per block when V is not
+        Hermitian."""
+        if not self.frame._hermitian_v:
+            return [None] * len(self.blocks)
+        k = self.channels.wavenumbers(self.omega_sq)
+        is_open = np.array([c.is_open(self.omega_sq) for c in self.channels], dtype=bool)
+        return [w[:, is_open[c]] * np.sqrt(k[c][is_open[c]].real)
+                for w, c in zip(self.frame._blocks_w(self.divisor), self.frame._cols)]
 
     @property
     def pieces(self):
@@ -524,15 +531,14 @@ def _peak(h: np.ndarray) -> float:
     return float(max(x.max(initial=0.0), -x.min(initial=0.0)))
 
 
-def assemble(frame: AssemblyFrame, omega_sq: float, divisor: np.ndarray | None = None,
-             height: float = 1.0) -> EffectiveHamiltonian:
+def assemble(frame: AssemblyFrame, omega_sq: float) -> EffectiveHamiltonian:
     """H_eff(omega_sq) = diag(E) + h V - i sum_c k_c W_c W_c^dag / d_c^2 of
     a model's ``AssemblyFrame``, one matrix per symmetry block of the frame
-    (see ``EffectiveHamiltonian``): the frame holds the energy-free parts,
-    so only the energy's work is done here.  ``divisor`` d and ``height`` h
-    scale the frame's W and V at this energy.  StructuralError when H_eff
-    leaves the frame's blocks (see ``AssemblyFrame.parts``)."""
-    return EffectiveHamiltonian(frame, omega_sq, divisor, height)
+    (see ``EffectiveHamiltonian``): the frame holds the energy-free parts
+    and the rules for d and h, so only the energy's work is done here.
+    StructuralError when H_eff leaves the frame's blocks (see
+    ``AssemblyFrame._parts``)."""
+    return EffectiveHamiltonian(frame, omega_sq)
 
 
 def green(heff: EffectiveHamiltonian, rhs: np.ndarray) -> np.ndarray:
@@ -599,18 +605,25 @@ def _kmatrix_smatrix(heff: EffectiveHamiltonian, v: np.ndarray,
     By Woodbury this is the S of ``smatrix``, but built from the phases
     exp(-2i arctan kappa) of the eigenvalues kappa of K, so it is unitary
     however ill-conditioned E - H_eff is (near a BIC the Green-function
-    form loses unitarity as ~1e-16/rcond).  A lossy H_eff, whose A is not
-    Hermitian, keeps ``s_green``.
+    form loses unitarity as ~1e-16/rcond).  Per block, A_b = H_b + i V_b
+    V_b^dag = Q_b diag(lam_b) Q_b^dag with V_b = U_b^dag V, and K = sum_b
+    (Q_b^dag V_b)^dag diag(1 / (E - lam_b)) (Q_b^dag V_b).  A lossy H_eff,
+    whose A is not Hermitian (maxima over all the blocks), keeps ``s_green``.
     """
-    a = heff.matrix + 1j * (v @ v.conj().T)
-    if np.max(np.abs(a - a.conj().T)) > _UNITARITY_TOL * max(np.max(np.abs(a)), 1.0):
+    vs = [block.project(v) for block in heff.blocks]
+    hermitian = [part + 1j * (vb @ vb.conj().T) for part, vb in zip(heff.parts, vs)]
+    if max(_absmax(a - a.conj().T) for a in hermitian) > \
+            _UNITARITY_TOL * max(1.0, *map(_absmax, hermitian)):
         return s_green
-    lam, q = np.linalg.eigh(0.5 * (a + a.conj().T))
-    detuning = heff.omega_sq - lam
-    if not np.all(detuning):
-        raise SingularScattering(heff.omega_sq, 0.0)
-    vq = q.conj().T @ v
-    kmat = (vq.conj().T / detuning) @ vq
+    terms = []
+    for a, vb in zip(hermitian, vs):
+        lam, q = np.linalg.eigh(0.5 * (a + a.conj().T))
+        detuning = heff.omega_sq - lam
+        if not np.all(detuning):
+            raise SingularScattering(heff.omega_sq, 0.0)
+        vq = q.conj().T @ vb
+        terms.append((vq.conj().T / detuning) @ vq)
+    kmat = sum(terms[1:], terms[0])
     kappa, u = np.linalg.eigh(0.5 * (kmat + kmat.conj().T))
     return (u * np.exp(-2j * np.arctan(kappa))) @ u.conj().T
 
@@ -651,10 +664,6 @@ class BICRecord:
 
     def modal_expansion(self):
         return bic_mode(self, self.labels)
-
-
-def _eig_full(h: np.ndarray):
-    return np.linalg.eig(h)
 
 
 def _shifted_lu(h: np.ndarray, lam: complex):
@@ -773,7 +782,7 @@ def _eig_near(h: np.ndarray, sigma: complex, k: int = 8, iters: int = 6):
     try:
         lu, piv = sla.lu_factor(a)
     except sla.LinAlgError:
-        return _eig_full(h)
+        return np.linalg.eig(h)
     diag = np.abs(np.diag(lu))
     if diag.min() / max(diag.max(), 1e-300) < 1e-15:
         lu, piv = sla.lu_factor(a + 1e-10 * np.eye(n))
@@ -789,13 +798,13 @@ def _eig_near(h: np.ndarray, sigma: complex, k: int = 8, iters: int = 6):
     # residual check; bad subspaces fall back to dense
     res = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
     if np.any(res[np.argsort(np.abs(vals - sigma))[: min(3, k)]] > 1e-8 * np.linalg.norm(h)):
-        return _eig_full(h)
+        return np.linalg.eig(h)
     return vals, vecs
 
 
 def _eig(h: np.ndarray, sigma: complex):
     if h.shape[0] <= _DENSE_EIG_LIMIT:
-        return _eig_full(h)
+        return np.linalg.eig(h)
     return _eig_near(h, sigma)
 
 
@@ -812,7 +821,7 @@ def block_eig(heff: EffectiveHamiltonian, block: SymmetryBlock):
     i = heff.blocks.index(block)
     part, pairs = heff.parts[i], None
     if len(block) >= _PAIRS_MIN:
-        v = _open_rank(part, heff.frame.open_couplings(heff.omega_sq, heff.divisor)[i])
+        v = _open_rank(part, heff.open_couplings[i])
         if v is not None and v.shape[1] == 1:
             pairs = _secular_pairs(part, v)
     vals, vecs = np.linalg.eig(part) if pairs is None else pairs
@@ -820,13 +829,9 @@ def block_eig(heff: EffectiveHamiltonian, block: SymmetryBlock):
 
 
 def holding_block(blocks: Sequence[SymmetryBlock], vec: np.ndarray):
-    """The block that holds at least 1 - 1e-8 of ``vec``'s weight, or None."""
-    floor = (1.0 - _BLOCK_WEIGHT_TOL) * np.vdot(vec, vec).real
-    for block in blocks:
-        y = block.project(vec)
-        if np.vdot(y, y).real >= floor:
-            return block
-    return None
+    """The block that holds the largest part of ``vec`` (the first of equal
+    parts; None when there is no block)."""
+    return max(blocks, key=lambda b: np.linalg.norm(b.project(vec)), default=None)
 
 
 def spectrum(heff: EffectiveHamiltonian):
@@ -869,13 +874,12 @@ def _branch_eig(heff: EffectiveHamiltonian, sigma: float, vec: np.ndarray | None
                 prev_z: complex | None):
     """One branch eigenpair of H_eff, the vector of unit norm in the mode
     basis.  A warm start continues ``vec`` (``_continue_eig``) inside the
-    block that holds it, or on the full matrix when no block does; a cold
-    start (no ``vec``) is ``_cold_eig``."""
+    block that holds the largest part of it (the whole of it but where the
+    blocks turn with the parameter, as the cylinder's do with the port
+    angle); a cold start (no ``vec``) is ``_cold_eig``."""
     if vec is None:
         return _cold_eig(heff, sigma)
     block = holding_block(heff.blocks, vec)
-    if block is None:
-        return _continue_eig(heff.matrix, sigma, vec, prev_z)
     lam, y = _continue_eig(heff.block_matrix(block), sigma, block.project(vec), prev_z)
     return lam, block.lift(y)
 
@@ -1057,8 +1061,7 @@ def _cold_eig(heff: EffectiveHamiltonian, sigma: float):
     block, whose residual check certifies the eigenvalue; where that fails,
     from the dense eig of the block."""
     pieces = list(heff.pieces)
-    solved = [_cold_eigvals(part, v) for (_, part), v in
-              zip(pieces, heff.frame.open_couplings(heff.omega_sq, heff.divisor))]
+    solved = [_cold_eigvals(part, v) for (_, part), v in zip(pieces, heff.open_couplings)]
     spectra = [vals for vals, _ in solved]
     owner = np.repeat(np.arange(len(pieces)), [vals.size for vals in spectra])
     dist = np.abs(np.concatenate(spectra).real - sigma)
@@ -1262,7 +1265,7 @@ class _SignedAmplitude:
 
     V = W_o sqrt(k) are the open couplings and A = H_eff + i V V^dag the
     Hermitian part of H_eff, both inside the symmetry block that holds the
-    grid record's vector (the whole space when none does).  The emission
+    largest part of the grid record's vector.  The emission
     direction u is V w, with w = V^dag a / |V^dag a| of the grid record,
     kept per ``Channel``.  On the compression of A off u, one level y
     solves E = mu(E); then A y = E y + (u^dag A y) u, so where
@@ -1322,11 +1325,8 @@ class _SignedAmplitude:
         x = v @ np.array([self.direction.get(h.channels[i], 0.0) for i in idx],
                          dtype=complex)
         block = holding_block(h.blocks, target)
-        if block is None:
-            vb, hb = v, h.matrix
-        else:
-            vb, hb = block.project(v), h.block_matrix(block)
-            x, target = block.project(x), block.project(target)
+        vb, hb = block.project(v), h.block_matrix(block)
+        x, target = block.project(x), block.project(target)
         a = vb @ vb.conj().T
         a *= 1j
         a += hb
@@ -1349,7 +1349,7 @@ class _SignedAmplitude:
         else:
             mu, ys = sla.eigh(a, subset_by_index=[self.ordinal, self.ordinal])
             mu, y = mu[0], ys[:, 0]
-        y_h = y if block is None else block.lift(y)
+        y_h = block.lift(y)
         return mu, np.vdot(au, y), y_h, (y_h if pos is None else y_h[pos])
 
     def __call__(self, p: float) -> complex:

@@ -146,23 +146,23 @@ def raw_coupling(cavity: RectCavity, channels: hcore.ChannelSet) -> np.ndarray:
     return out
 
 
-def _divisor(cavity: RectCavity, channels: hcore.ChannelSet, omega_sq: float):
+def _dirichlet_divisor(k: np.ndarray) -> np.ndarray:
     """The column divisor sqrt(pi) max(|k_p|, eps) of the Dirichlet
-    coupling W = I / divisor at ``omega_sq``: open channels then reproduce
-    the -i W W^dag normal-derivative form, and evanescent shifts decay as
-    1/|k_p|.  None for Neumann, whose W = I / sqrt(pi) is frequency-free."""
-    if cavity.bc == "neumann":
-        return None
-    kmag = np.array([max(abs(ch.wavenumber(omega_sq)), _EPS_K) for ch in channels])
-    return math.sqrt(math.pi) * kmag
+    coupling W = I / divisor at the channel wavenumbers k: open channels
+    then reproduce the -i W W^dag normal-derivative form, and evanescent
+    shifts decay as 1/|k_p|."""
+    return math.sqrt(math.pi) * np.array([max(abs(x), _EPS_K) for x in k.tolist()])
 
 
 def _frame(cavity: RectCavity, p_max: int, static=None, blocks=()) -> hcore.AssemblyFrame:
-    """Assembly frame of one geometry: W is the raw coupling, which
-    ``_divisor`` divides at each energy (Dirichlet), or I / sqrt(pi)."""
+    """Assembly frame of one geometry: W is the raw (real) coupling, which
+    ``_dirichlet_divisor`` divides at each energy, or, for Neumann, the
+    frequency-free I / sqrt(pi)."""
     chans, basis, raw = _cached_plumbing(cavity, p_max)
-    w = raw if cavity.bc == "dirichlet" else hcore.CouplingMatrix(raw / math.sqrt(math.pi))
-    return hcore.AssemblyFrame(basis, chans, w, static, blocks)
+    if cavity.bc == "dirichlet":
+        return hcore.AssemblyFrame(basis, chans, raw, static, blocks, _dirichlet_divisor)
+    return hcore.AssemblyFrame(basis, chans, hcore.CouplingMatrix(raw / math.sqrt(math.pi)),
+                               static, blocks)
 
 
 @lru_cache(maxsize=16)
@@ -205,14 +205,9 @@ def parity_blocks(cavity: RectCavity, x_parity: bool = True,
                  for idx in classes.values())
 
 
-def planar_model(cavity: RectCavity, p_max: int = 8):
-    """omega_sq -> H_eff callback for the open rectangle."""
-    frame = _planar_frame(cavity, p_max)
-
-    def model(omega_sq: float) -> hcore.EffectiveHamiltonian:
-        return hcore.assemble(frame, omega_sq, _divisor(cavity, frame.channels, omega_sq))
-
-    return model
+def planar_model(cavity: RectCavity, p_max: int = 8) -> hcore.AssemblyFrame:
+    """The open rectangle's frame, built once per geometry and shared."""
+    return _planar_frame(cavity, p_max)
 
 
 def planar_transmittance(cavity: RectCavity, omega_sq: float, p_max: int = 8):
@@ -462,23 +457,18 @@ def sinai_spectrum(cavity: RectCavity, bump: SinaiBump):
     return out
 
 
-def sinai_model(cavity: RectCavity, bump: SinaiBump, p_max: int = 8):
-    """omega_sq -> H_eff for the bumped open cavity."""
-    frame = _sinai_frame(cavity, bump.radius, bump.x0, bump.y0, p_max)
-
-    def model(omega_sq: float) -> hcore.EffectiveHamiltonian:
-        return hcore.assemble(frame, omega_sq, _divisor(cavity, frame.channels, omega_sq),
-                              bump.vg)
-
-    return model
+def sinai_model(cavity: RectCavity, bump: SinaiBump, p_max: int = 8) -> hcore.AssemblyFrame:
+    """The bumped open cavity's frame: its geometry's unit-height frame at
+    the bump height, sharing every array of it."""
+    return _sinai_frame(cavity, bump.radius, bump.x0, bump.y0, p_max).at_height(bump.vg)
 
 
 @lru_cache(maxsize=16)
 def _sinai_frame(cavity: RectCavity, radius: float, x0: float, y0: float,
                  p_max: int) -> hcore.AssemblyFrame:
     """Assembly frame of one bumped geometry at unit bump height: each
-    model scales its bump part by its height at every energy, so that no
-    cache is keyed on a height."""
+    model is this frame at its height (``at_height``), so that no cache is
+    keyed on a height."""
     unit = sinai_potential_matrix(cavity, SinaiBump(1.0, radius, x0, y0), audit=False)
     # an off-centre bump breaks the parity of its displaced axis
     return _frame(cavity, p_max, unit, parity_blocks(cavity, x0 == 0.0, y0 == 0.0))

@@ -217,8 +217,8 @@ def fp_chain_middle_branch(p: FPChainParams,
     """
     vals, vecs = fp_chain_spectrum(p)
     target = vecs[:, 2].astype(complex)
-    h = fp_chain_model(p)(probe_energy)
-    zs, zvecs = np.linalg.eig(h.matrix)
+    (part,) = fp_chain_model(p)(probe_energy).parts  # one whole-space block
+    zs, zvecs = np.linalg.eig(part)
     ov = np.abs(target.conj() @ zvecs) / np.linalg.norm(zvecs, axis=0)
     i = int(np.argmax(ov))
     v = zvecs[:, i] / np.linalg.norm(zvecs[:, i])

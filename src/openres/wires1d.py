@@ -55,11 +55,17 @@ def well_matrix(p: WellParams):
     return m, g
 
 
+def well_det(k, q, length):
+    """The determinant of ``well_matrix`` without its factor e^{ikL}:
+    4kq cos(qL) - 2i(k^2+q^2) sin(qL).  Complex k and q continue it off
+    the real axis, where its zeros (Im k < 0) are the well's poles; k and q
+    may be arrays, broadcast together."""
+    return 4.0 * k * q * np.cos(q * length) - 2j * (k * k + q * q) * np.sin(q * length)
+
+
 def well_det_closed_form(p: WellParams) -> complex:
-    """|det| reference: 2i(k^2+q^2) sin(qL) + 4kq cos(qL) (up to the unit
-    modulus factor e^{ikL} and complex conjugation of convention)."""
-    k, q, L = p.k, p.q, p.L
-    return 2j * (k * k + q * q) * math.sin(q * L) + 4.0 * k * q * math.cos(q * L)
+    """``well_det`` at the real (k, q, L) of ``p``: |det| of ``well_matrix``."""
+    return complex(well_det(p.k, p.q, p.L))
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,7 @@ def well_det_min_over_grid(k_max=20.0, q_max=20.0, widths=(1.0, 2.0, 5.0),
     q = np.linspace(q_max / n, q_max, n)[None, :]
     best = np.inf
     for L in widths:
-        d = np.abs(2j * (k**2 + q**2) * np.sin(q * L) + 4 * k * q * np.cos(q * L))
+        d = np.abs(well_det(k, q, L))
         best = min(best, float(d.min()))
     return best
 

@@ -218,6 +218,24 @@ def test_symmetry_protected_at_zero_and_pi():
             assert found
 
 
+def _no_mode_basis_matrix(self):
+    raise AssertionError("the mode-basis H_eff was formed")
+
+
+def test_angle_scan_works_in_one_block(monkeypatch):
+    # the rotation blocks turn with dphi, so a vector of one angle is split
+    # over the blocks of the next: every step continues it inside the block
+    # that holds the larger part, and the n x n H_eff is never formed
+    monkeypatch.setattr(hcore.EffectiveHamiltonian, "matrix", property(_no_mode_basis_matrix))
+    recs = cyl3d.cyl_find_bics(cyl3d.CylCavity(3.0, 4.0, 4, 3, 6), 0.0, "angle",
+                               np.linspace(0.2 * math.pi, 0.42 * math.pi, 12))
+    assert [r.param for r in recs] == pytest.approx([0.970604511837446, 1.1200964739772699],
+                                                    rel=1e-12)
+    assert [r.omega_sq for r in recs] == pytest.approx([1.986401342158585, 2.6175223202978657],
+                                                       rel=1e-12)
+    assert all(r.is_bic for r in recs)
+
+
 def test_cyl_find_bics_near_012_111_crossing():
     grid = np.linspace(4.7, 5.4, 15)
     recs = cyl3d.cyl_find_bics(CAV, np.pi / 4, "length", grid)

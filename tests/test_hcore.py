@@ -680,7 +680,7 @@ def test_cold_eigvals_at_threshold_take_eigvalsh(monkeypatch):
                                  hcore.Channel("L", ("p", 2), 9.0)])
     frame = hcore.AssemblyFrame(basis, channels, rng.normal(size=(6, 2)))
     h = frame(3.5)
-    (v,) = frame.open_couplings(3.5)
+    (v,) = h.open_couplings
     assert v.shape == (6, 1) and not np.any(v)
     calls = []
     for routine in ("eigvals", "eigvalsh"):
@@ -692,7 +692,7 @@ def test_cold_eigvals_at_threshold_take_eigvalsh(monkeypatch):
                        rtol=0.0, atol=1e-13 * hcore._scale(h.parts[0]))
     # just above the cutoff the channel-space roots answer
     h = frame(3.5 + 1e-6)
-    (v,) = frame.open_couplings(3.5 + 1e-6)
+    (v,) = h.open_couplings
     calls.clear()
     vals, secular = hcore._cold_eigvals(h.parts[0], v)
     assert calls == [] and secular

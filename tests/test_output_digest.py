@@ -93,6 +93,33 @@ def test_catalog_line_gives_the_largest_relative_moves(tmp_path):
     assert lines[1] == "01: DIFFERS exit=0 sphere bics"
 
 
+def _poles(root, name, shift=0.0, count=2):
+    out = root / name / "00"
+    out.mkdir(parents=True)
+    (out / "exit").write_text("exit=0 planar resonances\n")
+    recs = [hcore.ResonanceRecord(z=z * (1 + shift), vector=np.zeros(1))
+            for z in (11.2 - 0.3j, 14.9 - 0.01j)[:count]]
+    sweep.write_resonances(out / "planar_resonances.dat", "planar", {"lx": 4.0}, recs)
+    return root / name
+
+
+def test_resonances_line_gives_the_largest_pole_move(tmp_path):
+    old = _poles(tmp_path, "old")
+    lines, ok = digest.compare_trees(old, _poles(tmp_path, "new", shift=3e-10))
+    assert ok, lines
+    assert lines[0] == "00: ok exit=0 planar resonances (largest pole move 3.00e-10 relative)"
+    lines, _ = digest.compare_trees(old, old)
+    assert lines[0] == "00: ok exit=0 planar resonances (largest pole move 0.00e+00 relative)"
+    # a move past the tolerance fails and is still quoted
+    lines, ok = digest.compare_trees(old, _poles(tmp_path, "far", shift=1e-6))
+    assert not ok
+    assert lines[0] == "00: DIFFERS exit=0 planar resonances (largest pole move 1.00e-06 relative)"
+    # a tree without poles has nothing to move to
+    lines, ok = digest.compare_trees(old, _poles(tmp_path, "none", count=0))
+    assert not ok
+    assert lines[0] == "00: DIFFERS exit=0 planar resonances"
+
+
 @pytest.mark.parametrize("kw,message", [
     ({"shift": 1e-9}, "map values differ"),
     ({"param": 4.61686131 * (1 + 1e-5)}, "param differs"),

@@ -347,7 +347,7 @@ def test_cavity_resonances_solve_each_degenerate_seed_once(monkeypatch):
     solve = hcore.solve_resonance
     monkeypatch.setattr(hcore, "solve_resonance",
                         lambda m, seed, *a, **kw: solved.append(seed) or solve(m, seed, *a, **kw))
-    poles = cli._cavity_resonances(model, band, p["energy"])
+    poles = cli._cavity_resonances(model, band)
     assert len(solved) == len(set(seeds)) < len(seeds)
     assert [(r.z, r.converged, r.iterations) for r in poles] == \
         [(r.z, r.converged, r.iterations) for r in every_seed]
@@ -530,9 +530,30 @@ def test_resonances_output(tmp_path):
     # ring poles have strictly negative imaginary parts away from trapping
     ims = [float(r.split()[2]) for r in rows]
     assert all(i <= 1e-9 for i in ims)
+    # k = 0, the removable zero of the interference denominator at
+    # gamma = 2 pi n, is not a pole
+    _, poles = sweep.read_resonances(tmp_path / "abring_resonances.dat")
+    assert poles and all(abs(r["z"]) >= 1e-6 for r in poles)
 
 
-@pytest.mark.parametrize("model", ["well", "zeeman"])
+def test_well_resonances_are_the_zeros_of_the_interface_determinant(tmp_path):
+    assert main(["well", "resonances", "--out", str(tmp_path)]) == 0
+    _, rows = sweep.read_resonances(tmp_path / "well_resonances.dat")
+    expect = [4.7004369388815 - 4.1116197765887j, 8.2317194598948 - 4.8929102956873j,
+              11.589391699480 - 5.4422731731208j]
+    assert [r["z"] for r in rows] == pytest.approx(expect, rel=1e-12)
+    # each is a zero of det well_matrix continued to complex k, at the
+    # default offset q^2 - k^2 = 3
+    for r in rows:
+        k = r["z"]
+        q = np.sqrt(k * k + 3.0)
+        ep, em, f = np.exp(1j * q), np.exp(-1j * q), np.exp(1j * k)
+        m = np.array([[-1, 1, 1, 0], [k, q, -q, 0], [0, ep, em, -f],
+                      [0, q * ep, -q * em, -k * f]])
+        assert abs(np.linalg.det(m)) <= 1e-9 * abs(k) ** 2
+
+
+@pytest.mark.parametrize("model", ["zeeman"])
 def test_resonances_that_find_no_pole_exit_3_and_keep_the_file(tmp_path, capsys, model):
     assert main([model, "resonances", "--out", str(tmp_path)]) == 3
     assert "numerical failure: no resonance found" in capsys.readouterr().err

@@ -68,10 +68,27 @@ def test_block_green_matches_dense_solve(heff):
 
 
 def test_hot_paths_do_not_form_the_mode_basis_matrix(heff):
-    hcore.smatrix(heff)
+    s_green, _ = hcore.smatrix(heff)
     vals, vecs = hcore.spectrum(heff)
     j = int(np.argmin(np.abs(vals.imag)))
     rec = hcore.bic_record(0.0, heff, vals[j].real, vals[j], vecs[:, j], 1e-8, 1e-7)
+    # a warm step from a vector split 0.9 / 0.1 over two blocks continues
+    # it inside the block of the larger part
+    first, second = heff.blocks[:2]
+    vals_a, vecs_a = hcore.block_eig(heff, first)
+    _, vecs_b = hcore.block_eig(heff, second)
+    i = int(np.argmin(np.abs(vals_a.real - heff.omega_sq)))
+    split = math.sqrt(0.9) * vecs_a[:, i] + math.sqrt(0.1) * vecs_b[:, 0]
+    lam, y = hcore._branch_eig(heff, heff.omega_sq, split, None)
+    assert abs(lam - vals_a[i]) <= 1e-12 * max(1.0, abs(vals_a[i]))
+    assert abs(np.vdot(vecs_a[:, i], y)) >= 1.0 - 1e-10
+    # the K-matrix form of S, block by block, is the Green-function S
+    idx, k = hcore._open_channels(heff)
+    v = heff.coupling.matrix[:, idx] * np.sqrt(k)
+    s_k = hcore._kmatrix_smatrix(heff, v, s_green)
+    assert s_k is not s_green
+    assert np.abs(s_k - s_green).max() <= 1e-12
+    assert np.abs(s_k.conj().T @ s_k - np.eye(idx.size)).max() <= 1e-13
     assert "matrix" not in vars(heff)
     residual = np.linalg.norm((vals[j].real * np.eye(len(vecs)) - heff.matrix) @ vecs[:, j])
     assert rec.residual == pytest.approx(residual, rel=1e-6, abs=1e-12)
@@ -154,13 +171,14 @@ def test_wrong_block_declaration_raises():
                             blocks=planar2d.parity_blocks(SINAI_CAV)[:2])(20.0)
 
 
-def test_holding_block_needs_one_block():
+def test_holding_block_takes_the_largest_weight():
     h = MODELS["sphere"][0]()(1.9)
     even, odd = h.blocks
     v = even.lift(np.ones(len(even)) / math.sqrt(len(even)))
     assert hcore.holding_block(h.blocks, v) is even
     w = odd.lift(np.ones(len(odd)) / math.sqrt(len(odd)))
-    assert hcore.holding_block(h.blocks, v + 1e-3 * w) is None
+    assert hcore.holding_block(h.blocks, v + 1e-3 * w) is even
+    assert hcore.holding_block(h.blocks, 0.3 * v + w) is odd
     assert hcore.holding_block((), v) is None
 
 
@@ -326,10 +344,9 @@ def test_non_hermitian_static_keeps_eigvals(monkeypatch):
     h = DEFAULT_CAVITIES["planar"][0](14.0)
     n = len(h.basis)
     lossy = hcore.AssemblyFrame(h.basis, h.channels, h.frame.w, -0.1j * np.eye(n), h.blocks)
-    assert lossy.open_couplings(14.0) == [None] * 4
-    assert [v.shape[1] > 0 for v in h.frame.open_couplings(14.0, h.divisor)] == \
-        [True, False, True, False]
     heff = lossy(14.0)
+    assert heff.open_couplings == [None] * 4
+    assert [v.shape[1] > 0 for v in h.open_couplings] == [True, False, True, False]
     vals, vecs = _dense_spectrum(heff)
     calls = []
     _count_cold_routines(monkeypatch, calls)
@@ -361,8 +378,7 @@ def test_channel_space_spectrum_equals_eigvals_at_the_resonance_seeds(name, monk
     assert starts
     solved = 0
     for heff, sigma in starts:
-        couplings = heff.frame.open_couplings(heff.omega_sq, heff.divisor)
-        for part, v in zip(heff.parts, couplings):
+        for part, v in zip(heff.parts, heff.open_couplings):
             vals, secular = hcore._cold_eigvals(part, v)
             if not np.any(v):
                 assert not secular
@@ -433,29 +449,25 @@ def _planar_with_one_port_evanescent():
     frame = planar2d._planar_frame(RECT, 4)
     raw = frame.w.copy()
     raw[:, [i for i, c in enumerate(frame.channels) if c.port == "R" and c.label == ("p", 4)]] = 0
-    return hcore.AssemblyFrame(frame.basis, frame.channels, raw, blocks=frame.blocks)
-
-
-def _declared(name):
-    h = FRAME_MODELS[name][0]()(20.0)
-    return h.frame, h.divisor is not None, h.height
+    return hcore.AssemblyFrame(frame.basis, frame.channels, raw, blocks=frame.blocks,
+                               divisor=frame.divisor)
 
 
 def _off_centre_bump_with_planar_blocks():
     h = planar2d.sinai_model(SINAI_CAV, planar2d.SinaiBump(5.0, x0=0.3), p_max=4)(20.0)
-    return (hcore.AssemblyFrame(h.basis, h.channels, h.coupling, h.frame.static,
-                                planar2d.parity_blocks(SINAI_CAV)), False, 5.0)
+    return hcore.AssemblyFrame(h.basis, h.channels, h.coupling, h.frame.static,
+                               planar2d.parity_blocks(SINAI_CAV)).at_height(5.0)
 
 
-# name: (frame, whether the planar divisor scales W, bump height), the
-# energy range, and whether the declaration is wrong
+# name: the frame (with its divisor rule and bump height), the energy
+# range, and whether the declaration is wrong
 DECLARATIONS = {
-    "planar": (lambda: _declared("planar"), 150.0, False),
-    "sinai_vg5": (lambda: _declared("sinai_vg5"), 150.0, False),
-    "sinai_vg0": (lambda: _declared("sinai_vg0"), 150.0, False),
-    "cyl": (lambda: _declared("cyl"), 5.0, False),
-    "sphere": (lambda: _declared("sphere"), 5.0, False),
-    "evanescent_port": (lambda: (_planar_with_one_port_evanescent(), True, 1.0), 150.0, True),
+    "planar": (FRAME_MODELS["planar"][0], 150.0, False),
+    "sinai_vg5": (FRAME_MODELS["sinai_vg5"][0], 150.0, False),
+    "sinai_vg0": (FRAME_MODELS["sinai_vg0"][0], 150.0, False),
+    "cyl": (FRAME_MODELS["cyl"][0], 5.0, False),
+    "sphere": (FRAME_MODELS["sphere"][0], 5.0, False),
+    "evanescent_port": (_planar_with_one_port_evanescent, 150.0, True),
     "off_centre_bump": (_off_centre_bump_with_planar_blocks, 150.0, True),
 }
 
@@ -465,24 +477,24 @@ def test_grouped_bound_covers_the_off_block_peak(name):
     # the check's bound is at least the off-block peak of the dense matrix
     # (to its rounding), so a wrong declaration fails at every energy
     make, e_max, wrong = DECLARATIONS[name]
-    frame, scaled, height = make()
+    frame = make()
     us = [_isometry(b) for b in frame.blocks]
     for e in np.random.default_rng(7).uniform(0.5, e_max, 50):
         k = frame.channels.wavenumbers(e)
-        d = planar2d._divisor(RECT, frame.channels, e) if scaled else None
+        d = None if frame.divisor is None else frame.divisor(k)
         w = frame.w if d is None else frame.w / d
         dense = np.diag(frame.basis.energies) - 1j * (w * k) @ w.conj().T
         if frame.static is not None:
-            dense = dense + height * frame.static
+            dense = dense + frame.height * frame.static
         peak = max(np.abs(us[a].conj().T @ dense @ us[b]).max()
                    for a in range(len(us)) for b in range(len(us)) if a != b)
-        assert frame._bound(k, d, height) >= peak - 1e-14 * np.abs(dense).max()
+        assert frame._bound(k, d) >= peak - 1e-14 * np.abs(dense).max()
         if wrong:
             assert peak > 1e-8 * np.abs(dense).max()
             with pytest.raises(hcore.StructuralError, match="not block-diagonal"):
-                hcore.assemble(frame, e, d, height)
+                hcore.assemble(frame, e)
         else:
-            hcore.assemble(frame, e, d, height)
+            hcore.assemble(frame, e)
 
 
 def test_planar_map_builds_one_frame_per_geometry(tmp_path, monkeypatch):
@@ -534,11 +546,23 @@ def test_a_model_without_blocks_is_one_whole_space_block(name):
     assert vecs.tobytes() == dense_vecs.tobytes()
 
 
-# model, whether the builder hands out one cached frame per geometry
+def _cli_defaults(name):
+    return dict(cli.MODELS[name].defaults)
+
+
+# every H_eff model the CLI builds, at its defaults, and whether the
+# builder hands out one cached frame per geometry (a Sinai model is its
+# geometry's cached frame at the bump height, a new copy of it)
 MODEL_FRAMES = {
-    "cyl": (MODELS["cyl_0.3"][0], True),
-    "sphere": (_two_port_sphere, True),
-    "twolevel": (BLOCKLESS["twolevel"][0], False),
+    "twolevel": (lambda: toymodels.twolevel_model(
+        cli._twolevel_params(_cli_defaults("twolevel"), 0.0)), False),
+    "fpchain": (lambda: toymodels.fp_chain_model(cli._fpchain_params(_cli_defaults("fpchain"))),
+                False),
+    "planar": (lambda: planar2d.planar_model(cli._rect(_cli_defaults("planar"), "dirichlet"), 8),
+               True),
+    "sinai": (lambda: cli._sinai_model(_cli_defaults("sinai")), False),
+    "cyl": (lambda: cli._cyl_model(_cli_defaults("cyl")), True),
+    "sphere": (lambda: cli._sphere_model(_cli_defaults("sphere")), True),
 }
 
 
@@ -556,3 +580,15 @@ def test_a_model_is_its_frame(name, monkeypatch):
         assert called.frame is frame
         assert [p.tobytes() for p in called.parts] == [p.tobytes() for p in direct.parts]
     assert [args[1] for args in calls] == [0.5, 1.9]
+
+
+def test_a_sinai_model_at_any_height_shares_its_geometry_frame():
+    unit = planar2d._sinai_frame(SINAI_CAV, 1.5, 0.0, 0.0, 4)
+    assert unit.height == 1.0
+    for vg in (-20.0, 0.0, 1.0, 5.0):
+        frame = planar2d.sinai_model(SINAI_CAV, planar2d.SinaiBump(vg), p_max=4)
+        assert frame is not unit and frame.height == vg
+        # the same objects, arrays and lists of per-block arrays alike
+        assert all(vars(frame)[key] is value for key, value in vars(unit).items())
+        h = frame(20.0)
+        assert np.array_equal(h.static, vg * unit.static)

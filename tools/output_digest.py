@@ -19,9 +19,10 @@ and the package; the whole list takes about a minute on one core of a
 place in the list) beside an ``exit`` file holding the printed exit line.
 ``--compare OLD NEW`` compares two such trees value by value, against the
 tolerances below, and prints one line per command (a map command's line
-also gives its largest value difference, and a catalog command's the
-largest relative move of param and omega_sq over its rows, passed or not);
-it exits 1 if any command differs.  This is the gate for a change that
+also gives its largest value difference, a catalog command's the largest
+relative move of param and omega_sq over its rows, and a resonances
+command's the largest relative move of a pole, passed or not); it exits 1
+if any command differs.  This is the gate for a change that
 moves numbers on purpose (the byte digest stays the gate for pure
 refactors).  Field files are compared on ``abs2_field`` only:
 ``re_field`` carries the arbitrary phase of the eigenvector behind the
@@ -265,18 +266,25 @@ def _distinct_poles(rows) -> list:
     return kept
 
 
-def compare_resonances(sweep, old: Path, new: Path) -> list[str]:
+def compare_resonances(sweep, old: Path, new: Path) -> tuple[list[str], float | None]:
+    """(messages, largest move of a pole to the nearest pole of the other
+    tree, relative to max(1, |z|) as ``POLE_REL`` is, both ways); the move
+    is None where either tree has no pole."""
     (h1, r1), (h2, r2) = sweep.read_resonances(old), sweep.read_resonances(new)
     if h1 != h2:
-        return ["headers differ"]
-    out = []
+        return ["headers differ"], None
+    out, move = [], None
     for mine, theirs, name in ((r1, r2, "old"), (r2, r1, "new")):
         for row in _distinct_poles(mine):
-            if not any(abs(row["z"] - t["z"]) <= POLE_REL * max(1.0, abs(row["z"]))
+            scale = max(1.0, abs(row["z"]))
+            if theirs:
+                near = min(abs(row["z"] - t["z"]) for t in theirs) / scale
+                move = max(near, move or 0.0)
+            if not any(abs(row["z"] - t["z"]) <= POLE_REL * scale
                        and row["converged"] == t["converged"] for t in theirs):
                 out.append(f"{name} pole {row['z']:.10g} (converged {row['converged']}) "
                            "not in the other tree")
-    return out
+    return out, move
 
 
 def compare_field(sweep, old: Path, new: Path) -> list[str]:
@@ -298,8 +306,9 @@ def compare_field(sweep, old: Path, new: Path) -> list[str]:
 
 def compare_command(sweep, old: Path, new: Path) -> tuple[list[str], str]:
     """(messages, what moved) of one command: the largest map value
-    difference, and the largest relative move of a catalog's param and
-    omega_sq ("" when the command wrote neither, or they do not line up)."""
+    difference, the largest relative move of a catalog's param and
+    omega_sq, and the largest relative pole move ("" when the command wrote
+    none of these, or they do not line up)."""
     e1 = (old / "exit").read_text() if (old / "exit").exists() else "missing"
     e2 = (new / "exit").read_text() if (new / "exit").exists() else "missing"
     if e1 != e2:
@@ -309,7 +318,7 @@ def compare_command(sweep, old: Path, new: Path) -> tuple[list[str], str]:
     f2 = sorted(p.name for p in new.iterdir() if p.name != "exit")
     if f1 != f2:
         return [f"file sets differ: {f1} against {f2}"], ""
-    out, largest, moves = [], None, None
+    out, largest, moves, pole_move = [], None, None, None
     for name in f1:
         a, b = old / name, new / name
         if name.endswith("_map.dat"):
@@ -319,7 +328,7 @@ def compare_command(sweep, old: Path, new: Path) -> tuple[list[str], str]:
         elif name.endswith("_bics.dat"):
             msgs, moves = compare_catalog(sweep, a, b, argv)
         elif name.endswith("_resonances.dat"):
-            msgs = compare_resonances(sweep, a, b)
+            msgs, pole_move = compare_resonances(sweep, a, b)
         elif name.endswith("_field.dat"):
             msgs = compare_field(sweep, a, b)
         else:
@@ -329,6 +338,8 @@ def compare_command(sweep, old: Path, new: Path) -> tuple[list[str], str]:
     if moves is not None:
         moved.append(f"largest param move {moves['param']:.2e}, "
                      f"omega_sq move {moves['omega_sq']:.2e} relative")
+    if pole_move is not None:
+        moved.append(f"largest pole move {pole_move:.2e} relative")
     return out, f" ({'; '.join(moved)})" if moved else ""
 
 
