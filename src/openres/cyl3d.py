@@ -162,13 +162,8 @@ def rotation_blocks(basis: hcore.ClosedBasis, dphi: float) -> tuple:
     |m,n,l> to s |-m,n,l> with s = e^{i m dphi} (-1)^(l-1), for every dphi
     and r0, so the blocks hold (|m,n,l> +/- s |-m,n,l>)/sqrt(2) for m > 0
     and the m = 0 modes of odd (even block) or even (odd block) l: 81 + 81
-    modes at the default truncation.  They depend on the labels alone, and
-    are built once per label order and dphi."""
-    return _rotation_blocks(basis.labels, dphi)
-
-
-@lru_cache(maxsize=32)
-def _rotation_blocks(labels: tuple, dphi: float) -> tuple:
+    modes at the default truncation.  They depend on the labels alone."""
+    labels = basis.labels
     index = {lab: i for i, lab in enumerate(labels)}
     even, odd = [], []
     for i, (m, n, l) in enumerate(labels):
@@ -183,51 +178,51 @@ def _rotation_blocks(labels: tuple, dphi: float) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _port_columns(cavity: CylCavity, r0: float, labels: tuple, dphi: float) -> tuple:
-    """The length-free factors of the coupling columns of ``cyl_model``:
-    the disk overlaps over ``labels`` (n x c, one column per channel), the
-    columns of the rotated port 'L', and their factors (-1)^(l-1)
-    e^{i(p-m) dphi} (n x that many).  The length of ``cavity`` is not
-    read: called with the cavity at unit length, one entry serves every
-    length of a scan."""
-    channels = duct_channels()
-    overlaps = disk_overlaps(cavity, r0, sorted({ch.label[1:] for ch in channels}))
-    face = np.array([(-1.0) ** (l - 1) for _, _, l in labels])
-    m_all = range(-cavity.m_max, cavity.m_max + 1)
-    m_at = np.array([m for m, _, _ in labels]) + cavity.m_max
-    cols, turned, factor = [], [], []
-    for j, ch in enumerate(channels):
-        p, q = ch.label[1], ch.label[2]
-        cols.append([overlaps[(m, n, p, q)] for m, n, _ in labels])
-        if ch.port != "R":
-            rot = np.array([np.exp(1j * (p - m) * dphi) for m in m_all])
-            turned.append(j)
-            factor.append(face * rot[m_at])
-    return (hcore.read_only(np.column_stack(cols)), hcore.read_only(np.array(turned)),
-            hcore.read_only(np.column_stack(factor)))
-
-
-@lru_cache(maxsize=32)
-def cyl_model(cavity: CylCavity, dphi: float, r0: float = 1.5,
-              labels: tuple | None = None) -> hcore.AssemblyFrame:
+def cyl_model(cavity: CylCavity, dphi: float, r0: float = 1.5) -> hcore.AssemblyFrame:
     """Open cylindrical resonator with ports at z=0 (unrotated, 'R') and
     z=L (rotated by dphi, 'L'), in the symmetry blocks of
     ``rotation_blocks``, with the ``duct_channels`` of cutoff up to 16.
-    The modes are sorted by energy, or held in the order ``labels`` when
-    given.  Built once per geometry and process and shared (its arrays are
-    read-only); the length-free parts are shared along a length scan."""
-    channels = duct_channels()
-    basis = cavity.basis()
-    if labels is not None:
-        pos = {lab: i for i, lab in enumerate(basis.labels)}
-        basis = hcore.ClosedBasis(labels, basis.energies[[pos[lab] for lab in labels]])
-    cols, turned, factor = _port_columns(replace(cavity, length=1.0), r0, basis.labels, dphi)
+    The modes are sorted by energy.  Built once per geometry and process
+    and shared (its arrays are read-only); a length scan builds one and
+    scales it (``length_family``)."""
+    # basis first: the channels then slice its root tables instead of extending shorter ones
+    basis, channels = cavity.basis(), duct_channels()
+    labels = basis.labels
+    overlaps = disk_overlaps(cavity, r0, sorted({ch.label[1:] for ch in channels}))
+    z0 = np.array([cavity.z_factor(l, 0.0) for _, _, l in labels])
+    face = np.array([(-1.0) ** (l - 1) for _, _, l in labels])
+    m_at = np.array([m for m, _, _ in labels]) + cavity.m_max
     # per channel: overlap * z factor, on the rotated port * (-1)^(l-1) e^{i(p-m) dphi}
-    z0 = np.array([cavity.z_factor(l, 0.0) for _, _, l in basis.labels])
-    w = cols * z0[:, None]
-    w[:, turned] = factor * w[:, turned]
+    w = np.empty((len(labels), len(channels)), dtype=complex)
+    for j, ch in enumerate(channels):
+        p, q = ch.label[1], ch.label[2]
+        w[:, j] = np.array([overlaps[(m, n, p, q)] for m, n, _ in labels]) * z0
+        if ch.port != "R":
+            rot = np.array([np.exp(1j * (p - m) * dphi)
+                            for m in range(-cavity.m_max, cavity.m_max + 1)])
+            w[:, j] = face * rot[m_at] * w[:, j]
     return hcore.AssemblyFrame(basis, channels, hcore.CouplingMatrix(hcore.read_only(w)),
                                blocks=rotation_blocks(basis, dphi))
+
+
+def length_family(cavity: CylCavity, dphi: float, r0: float = 1.5):
+    """The model of ``cavity`` at a length L > 0 (ValueError otherwise), as
+    a function of L.  A length enters H_eff only as W ~ 1/sqrt(L) and the
+    energies E_perp + E_z / L^2, so it is the frame of ``cavity`` (length
+    L0) scaled: W by sqrt(L0 / L), each energy recomputed at L.  The modes
+    keep their energy order at L0, so that branch vectors compare mode by
+    mode along a scan.  The frame is built afresh, in the mode order
+    ``cavity.basis()`` gives, not taken from the cache of ``cyl_model``."""
+    frame = cyl_model.__wrapped__(cavity, dphi, r0)
+    labels = frame.basis.labels
+    mu = [specfun.neumann_roots(abs(m), cavity.n_max)[n] for m, n, _ in labels]
+
+    def at(length: float) -> hcore.AssemblyFrame:
+        at_length = replace(cavity, length=float(length))
+        energies = np.array([at_length._energy(r, l) for r, (_, _, l) in zip(mu, labels)])
+        return frame.scaled(w_divisor=math.sqrt(at_length.length / cavity.length),
+                            energies=energies)
+    return at
 
 
 def cyl_transmittance(model: hcore.AssemblyFrame, omega_sq: float):
@@ -276,20 +271,11 @@ def cyl_find_bics(cavity_template: CylCavity, dphi: float, scan: str,
     on the locally identified branch where the root cannot work."""
     if scan not in ("length", "angle"):
         raise ValueError("scan must be 'length' or 'angle'")
-
-    def cavity(length):
-        return CylCavity(cavity_template.radius, float(length), cavity_template.m_max,
-                         cavity_template.n_max, cavity_template.l_max)
-
-    # the energy order of the modes changes with the length: a length scan
-    # keeps the order of its first point, so that branch vectors compare
-    # mode by mode along the grid
-    order = cavity(grid[0]).basis().labels if scan == "length" else None
-
-    def family(x):
-        if scan == "length":
-            return cyl_model(cavity(x), dphi, r0, order)
-        return cyl_model(cavity_template, float(x), r0)
+    if scan == "length":
+        family = length_family(replace(cavity_template, length=float(grid[0])), dphi, r0)
+    else:
+        def family(x):
+            return cyl_model(cavity_template, float(x), r0)
 
     def keep(rec):
         return rec.width < 1e-2 and _BAND[0] < rec.energy < _BAND[1]

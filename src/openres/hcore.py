@@ -3,7 +3,8 @@
 A model is an ``AssemblyFrame``, a callable ``omega_sq ->
 EffectiveHamiltonian`` that holds everything in H_eff that does not depend
 on the energy, built once per geometry, with the rules that scale W and V
-per energy (``AssemblyFrame.divisor`` and ``at_height``).  The engine
+per energy (``AssemblyFrame.divisor`` and ``height``); a Sinai bump height
+or a cylinder length is a scaled copy of one frame (``scaled``).  The engine
 assembles
 
     H_eff(w2) = diag(E_n) + V_static - i * sum_c k_c(w2) W_c W_c^dag,
@@ -328,8 +329,10 @@ class AssemblyFrame:
     the channel wavenumbers k that is one value per cutoff, gives W(E) = W
     / d(k) (the planar Dirichlet weight), divided after the gather (blocks
     without pairs, where the two commute exactly; a plain array W is kept
-    as given, so a real W is divided in floats), and ``height`` h scales V
-    (a Sinai bump height; see ``at_height``).
+    as given, so a real W is divided in floats), and ``height`` h scales V.
+    ``scaled`` copies a frame with both scaled and new basis energies: a
+    Sinai model is its geometry's unit-height frame, a cylinder length one
+    length's frame (see ``cyl3d.length_family``).
 
     The off-block check runs on tables built here.  Channels of one cutoff
     share k and d at every energy; per pair of blocks (a, b) and such group
@@ -352,14 +355,14 @@ class AssemblyFrame:
             w = coupling.matrix
         else:
             w, coupling = np.asarray(coupling), CouplingMatrix(coupling)
-        e, n = basis.energies, len(basis)
+        n = len(basis)
         if w.shape != (n, len(channels)):
             raise StructuralError(f"coupling shape {w.shape} does not match "
                                   f"{n} modes x {len(channels)} channels")
         v = None if static is None else np.asarray(static)
         if v is not None and v.shape != (n, n):
             raise StructuralError("static perturbation has wrong shape")
-        self.basis, self.channels, self.static = basis, channels, v
+        self.channels, self.static = channels, v
         self.w, self.coupling, self.divisor = w, coupling, divisor
         self.blocks = tuple(blocks) or (_whole_space(n),)
         self.norms = _frame_norms(self.blocks, n)
@@ -375,9 +378,7 @@ class AssemblyFrame:
         ends = np.cumsum([x.shape[0] for x in ws])
         rows = [slice(end - x.shape[0], end) for x, end in zip(ws, ends)]
         self._v = [None if vb is None else np.ascontiguousarray(vb[r, r]) for r in rows]
-        diag = [b.energies(e) for b in self.blocks]
-        self._lam = [lam for lam, _ in diag]
-        self._gap = max(gap for _, gap in diag)
+        self._set_basis(basis)
         groups = {}
         for i, ch in enumerate(channels):
             groups.setdefault((ch.cutoff_sq, ch.fixed_k), []).append(i)
@@ -397,11 +398,24 @@ class AssemblyFrame:
     def __call__(self, omega_sq: float) -> EffectiveHamiltonian:
         return assemble(self, omega_sq)
 
-    def at_height(self, height: float) -> AssemblyFrame:
-        """This frame with V scaled by ``height`` at every energy: a shallow
-        copy, which shares every array of this one."""
-        out = copy.copy(self)
-        out.height = height
+    def _set_basis(self, basis: ClosedBasis):
+        """The basis and, per block, the diagonal of U_b^dag diag(E_n) U_b."""
+        self.basis = basis
+        self._lam, gaps = zip(*(b.energies(basis.energies) for b in self.blocks))
+        self._gap = max(gaps)
+
+    def scaled(self, height: float = 1.0, w_divisor: float = 1.0,
+               energies: np.ndarray | None = None) -> AssemblyFrame:
+        """This frame with V scaled by ``height``, W divided by the constant
+        ``w_divisor`` (a constant factor of the ``divisor`` rule) and, given
+        ``energies``, new basis energies over the same labels: a shallow
+        copy, which shares every other array of this one."""
+        out, rule = copy.copy(self), self.divisor
+        out.height = self.height * height
+        if w_divisor != 1.0:
+            out.divisor = lambda k: w_divisor * (np.ones(k.shape) if rule is None else rule(k))
+        if energies is not None:
+            out._set_basis(ClosedBasis(self.basis.labels, energies))
         return out
 
     def _blocks_w(self, d: np.ndarray | None) -> list:
@@ -874,9 +888,8 @@ def _branch_eig(heff: EffectiveHamiltonian, sigma: float, vec: np.ndarray | None
                 prev_z: complex | None):
     """One branch eigenpair of H_eff, the vector of unit norm in the mode
     basis.  A warm start continues ``vec`` (``_continue_eig``) inside the
-    block that holds the largest part of it (the whole of it but where the
-    blocks turn with the parameter, as the cylinder's do with the port
-    angle); a cold start (no ``vec``) is ``_cold_eig``."""
+    block that holds the largest part of it; a cold start (no ``vec``) is
+    ``_cold_eig``."""
     if vec is None:
         return _cold_eig(heff, sigma)
     block = holding_block(heff.blocks, vec)

@@ -458,17 +458,17 @@ def sinai_spectrum(cavity: RectCavity, bump: SinaiBump):
 
 
 def sinai_model(cavity: RectCavity, bump: SinaiBump, p_max: int = 8) -> hcore.AssemblyFrame:
-    """The bumped open cavity's frame: its geometry's unit-height frame at
-    the bump height, sharing every array of it."""
-    return _sinai_frame(cavity, bump.radius, bump.x0, bump.y0, p_max).at_height(bump.vg)
+    """The bumped open cavity's frame: its geometry's unit-height frame
+    scaled to the bump height, sharing every array of it."""
+    return _sinai_frame(cavity, bump.radius, bump.x0, bump.y0, p_max).scaled(bump.vg)
 
 
 @lru_cache(maxsize=16)
 def _sinai_frame(cavity: RectCavity, radius: float, x0: float, y0: float,
                  p_max: int) -> hcore.AssemblyFrame:
     """Assembly frame of one bumped geometry at unit bump height: each
-    model is this frame at its height (``at_height``), so that no cache is
-    keyed on a height."""
+    model is this frame scaled to its height (``AssemblyFrame.scaled``), so
+    that no cache is keyed on a height."""
     unit = sinai_potential_matrix(cavity, SinaiBump(1.0, radius, x0, y0), audit=False)
     # an off-centre bump breaks the parity of its displaced axis
     return _frame(cavity, p_max, unit, parity_blocks(cavity, x0 == 0.0, y0 == 0.0))

@@ -236,7 +236,11 @@ def test_angle_scan_works_in_one_block(monkeypatch):
     assert all(r.is_bic for r in recs)
 
 
-def test_cyl_find_bics_near_012_111_crossing():
+def _no_solve(models):
+    raise AssertionError("solved a scan with a length <= 0")
+
+
+def test_cyl_find_bics_near_012_111_crossing(monkeypatch):
     grid = np.linspace(4.7, 5.4, 15)
     recs = cyl3d.cyl_find_bics(CAV, np.pi / 4, "length", grid)
     assert recs
@@ -250,6 +254,11 @@ def test_cyl_find_bics_near_012_111_crossing():
     proj = cyl3d.port_channel_projection(
         best, cyl3d.cyl_model(cyl3d.CylCavity(3.0, best.param, 3, 2, 5), np.pi / 4))
     assert all(abs(v) <= 1e-4 for v in proj.values())
+    # a length <= 0 anywhere on the grid is refused before any solve
+    monkeypatch.setattr(cyl3d, "_stitched_spectra", _no_solve)
+    for bad in ([0.0, 4.7, 5.4], [4.7, -1.0, 5.4]):
+        with pytest.raises(ValueError, match="positive length"):
+            cyl3d.cyl_find_bics(CAV, np.pi / 4, "length", np.array(bad))
 
 
 def test_cyl_find_bics_invariant_under_basis_permutation(monkeypatch):
@@ -376,9 +385,45 @@ def _no_dense_eig(*args, **kwargs):
 
 
 def _bench_models():
-    order = cyl3d.CylCavity(3.0, BENCH_GRID[0], 4, 3, 6).basis().labels
-    return [cyl3d.cyl_model(cyl3d.CylCavity(3.0, float(x), 4, 3, 6), np.pi / 4, 1.5, order)
-            for x in BENCH_GRID]
+    family = cyl3d.length_family(cyl3d.CylCavity(3.0, BENCH_GRID[0], 4, 3, 6), np.pi / 4)
+    return [family(x) for x in BENCH_GRID]
+
+
+def test_a_length_scan_builds_one_frame(monkeypatch):
+    built = []
+    init = hcore.AssemblyFrame.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+    monkeypatch.setattr(hcore.AssemblyFrame, "__init__", counted_init)
+    recs = cyl3d.cyl_find_bics(BENCH_CAV, np.pi / 4, "length", BENCH_GRID)
+    assert [r.is_bic for r in recs] == [True]
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("length", [2.6, 4.0, 5.5])
+def test_scaled_frame_is_a_fresh_build_at_its_length(length):
+    # a length is the frame of another scaled: the energies are those of a
+    # fresh build bit for bit, matched by label; W and the blocks within
+    # rounding of a fresh build held in the scaled frame's mode order
+    eps = np.finfo(float).eps
+    scaled = cyl3d.length_family(BENCH_CAV, np.pi / 4)(length)
+    fresh = cyl3d.cyl_model(cyl3d.CylCavity(3.0, length, 4, 3, 6), np.pi / 4)
+    labels = scaled.basis.labels
+    pos = {lab: i for i, lab in enumerate(fresh.basis.labels)}
+    order = [pos[lab] for lab in labels]
+    assert labels != fresh.basis.labels
+    assert np.array_equal(scaled.basis.energies, fresh.basis.energies[order])
+    basis = hcore.ClosedBasis(labels, fresh.basis.energies[order])
+    ref = hcore.AssemblyFrame(basis, fresh.channels, fresh.w[order],
+                              blocks=cyl3d.rotation_blocks(basis, np.pi / 4))
+    for e in (0.4, 1.5, 3.0):
+        h, h_ref = scaled(e), ref(e)
+        w = h.coupling.matrix
+        assert np.abs(w - ref.w).max() <= 4 * eps * np.abs(ref.w).max()
+        for part, part_ref in zip(h.parts, h_ref.parts):
+            assert np.abs(part - part_ref).max() <= 4 * eps * np.abs(part_ref).max()
 
 
 def test_stitched_blocks_take_channel_space_eigenpairs(monkeypatch):

@@ -456,7 +456,7 @@ def _planar_with_one_port_evanescent():
 def _off_centre_bump_with_planar_blocks():
     h = planar2d.sinai_model(SINAI_CAV, planar2d.SinaiBump(5.0, x0=0.3), p_max=4)(20.0)
     return hcore.AssemblyFrame(h.basis, h.channels, h.coupling, h.frame.static,
-                               planar2d.parity_blocks(SINAI_CAV)).at_height(5.0)
+                               planar2d.parity_blocks(SINAI_CAV)).scaled(5.0)
 
 
 # name: the frame (with its divisor rule and bump height), the energy

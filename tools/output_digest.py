@@ -96,8 +96,10 @@ MAP_ABS = 1e-12
 # eigh of a randomly permuted basis, two permutations) moves them by up
 # to sinai 5.1e-13, sphere 3.1e-14, cyl 8.9e-15, planar 6.3e-16, and
 # taking the root's level by index instead of from the full eigh by up to
-# sinai 8.3e-12, sphere 2.7e-14, cyl 8.3e-15, planar 2.0e-15; 1e-7 is also
-# the benchmark checker's tolerance
+# sinai 8.3e-12, sphere 2.7e-14, cyl 8.3e-15, planar 2.0e-15, and reaching
+# each length of a cylinder scan by scaling one frame (W / sqrt(L / L0))
+# instead of building it by up to cyl 5.4e-15; 1e-7 is also the benchmark
+# checker's tolerance
 BIC_REL = 1e-7
 # a BIC coordinate within this of zero has no relative scale (twolevel's
 # eps* = 0 reads -7.9e-11 from golden section and 4.2e-17 from the Brent
