@@ -228,11 +228,16 @@ def length_family(cavity: CylCavity, dphi: float, r0: float = 1.5):
 def cyl_transmittance(model: hcore.AssemblyFrame, omega_sq: float):
     """S over open channels and the (0,1)->(0,1) L->R transmittance."""
     s, chans = hcore.smatrix(model(omega_sq))
+    return s, chans, transmission_01(s, chans)
+
+
+def transmission_01(s: np.ndarray, chans):
+    """The (0,1)->(0,1) L->R amplitude of an S over the channels
+    ``chans`` (None when either (0,1) channel is closed)."""
     idx = {(c.port,) + tuple(c.label[1:]): i for i, c in enumerate(chans)}
-    t01 = None
     if ("L", 0, 1) in idx and ("R", 0, 1) in idx:
-        t01 = s[idx[("L", 0, 1)], idx[("R", 0, 1)]]
-    return s, chans, t01
+        return s[idx[("L", 0, 1)], idx[("R", 0, 1)]]
+    return None
 
 
 def _stitched_spectra(models):

@@ -214,14 +214,19 @@ def planar_transmittance(cavity: RectCavity, omega_sq: float, p_max: int = 8):
     """S-matrix over open channels and the per-channel L->R transmittances."""
     if omega_sq <= (math.pi**2 if cavity.bc == "dirichlet" else 0.0):
         raise ValueError("frequency below the first cutoff")
-    model = planar_model(cavity, p_max)
-    s, chans = hcore.smatrix(model(omega_sq))
+    s, chans = hcore.smatrix(planar_model(cavity, p_max)(omega_sq))
+    return s, chans, transmittances(s, chans)
+
+
+def transmittances(s: np.ndarray, chans) -> dict:
+    """The L->R transmittances |S_ij|^2 of an S over the channels
+    ``chans``, keyed by (incoming, outgoing) channel index p."""
     trans = {}
     for i, ci in enumerate(chans):
         for j, cj in enumerate(chans):
             if ci.port == "R" and cj.port == "L":
                 trans[(cj.label[1], ci.label[1])] = abs(s[i, j]) ** 2
-    return s, chans, trans
+    return trans
 
 
 def degeneracy_width(lx: float, pair=((4, 3), (2, 5))) -> float:

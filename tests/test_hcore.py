@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from openres import hcore, toymodels
+from openres import cli, cyl3d, hcore, planar2d, sph3d, sweep, toymodels
 from openres.toymodels import TwoLevelParams, twolevel_matrix, twolevel_model
 
 RNG = np.random.default_rng(42)
@@ -187,6 +187,141 @@ def test_smatrix_singularity_reported_as_candidate_bic():
     h = hcore.AssemblyFrame(basis, channels, w)(1.0)
     with pytest.raises(hcore.SingularScattering):
         hcore.smatrix(h)
+
+
+# -------------------------------------------------------------- smatrix_row --
+
+def _cavity_frame(model):
+    """A planar, cylinder or sphere frame (no static V) and an energy row
+    that crosses a channel cutoff: the planar second channel's 4 pi^2, the
+    (1, 1) duct modes' MU_11^2 on the cylinder and the sphere."""
+    if model == "planar":
+        frame = planar2d.planar_model(planar2d.RectCavity(4.0, 3.9, m_max=8, n_max=8), 3)
+        return frame, np.linspace(12.0, 45.0, 40)
+    if model == "cyl":
+        return cyl3d.cyl_model(cyl3d.CylCavity(3.0, 3.7, 3, 3, 4), 0.7), np.linspace(0.1, 4.0, 40)
+    att = (sph3d.WaveguideAttachment("in"), sph3d.WaveguideAttachment("out", beta=2.2))
+    return sph3d.sphere_model(sph3d.SphereCavity(4.2, 4, 3), att), np.linspace(0.05, 4.0, 40)
+
+
+def _row_agrees_with_points(frame, energies):
+    """Every S that ``smatrix_row`` vouches for, against ``smatrix``: the
+    same channels and max|dS| <= 1e-13; returns the points it vouched for."""
+    trusted = 0
+    for e, got in zip(energies, hcore.smatrix_row(frame, energies)):
+        if got is None:
+            continue
+        s, chans = hcore.smatrix(frame(e))
+        assert got[1] == chans and np.max(np.abs(got[0] - s)) <= 1e-13
+        trusted += 1
+    return trusted
+
+
+@pytest.mark.parametrize("model", ["planar", "cyl", "sphere"])
+def test_smatrix_row_matches_smatrix(model):
+    frame, energies = _cavity_frame(model)
+    opened = {len(frame.channels.open_indices(e)) for e in energies}
+    assert len(opened) > 1
+    assert _row_agrees_with_points(frame, energies) >= 0.8 * energies.size
+
+
+def test_smatrix_row_near_a_coupled_level_vouches_or_hands_back():
+    # E = lam_j + delta at a level that couples strongly to the open
+    # channels: rounding in M grows as eps |y_j|^2 / delta, so the row keeps
+    # the points its bound trusts and hands back the rest, whose map rows are
+    # then the point path's, bit for bit
+    p = dict(cli.MODELS["planar"].defaults)
+    frame = planar2d.planar_model(cli._rect(p, "dirichlet"), p["p_max"])
+    lam = np.concatenate(frame._lam)
+    reach = np.concatenate([np.sum(np.abs(x) ** 2, axis=1) for x in frame._w])
+    level = lam[np.argmax(np.where(np.abs(lam - 15.42) < 0.01, reach, 0.0))]
+    deltas = np.array([s * 10.0 ** -k for s in (1, -1) for k in range(2, 13)])
+    energies = level + deltas
+    rows = hcore.smatrix_row(frame, energies)
+    trusted = _row_agrees_with_points(frame, energies)
+    assert 0 < trusted < energies.size
+    assert rows[0] is not None and all(rows[i] is None for i in (5, 16))
+
+    def evaluate(q, a1, a2):
+        q["ly"], q["energy"] = a1, a2
+        return cli.MODELS["planar"].point(q)
+
+    by_point = sweep.point_row(evaluate, 2)
+    by_row = sweep.batched_row(lambda q, a1, a2: np.column_stack(evaluate(q, a1, a2)), by_point)
+    vals, diags = by_row(p, p["ly"], energies)
+    ref, ref_diags = by_point(p, p["ly"], energies)
+    assert diags == ref_diags
+    handed_back = np.array([got is None for got in rows])
+    assert np.array_equal(vals[handed_back].view(np.int64), ref[handed_back].view(np.int64))
+    assert np.max(np.abs(vals - ref)) <= 1e-13
+
+
+def _row_and_point(frame, energies):
+    """The batched and the per-point row evaluators of ``|S_00|^2`` on a frame."""
+    def evaluate(p, a1, a2):
+        return cli._cavity_point(frame, a2, lambda s, chans: [abs(s[0, 0]) ** 2], 1)
+
+    by_point = sweep.point_row(evaluate, 1)
+    by_row = sweep.batched_row(lambda p, a1, a2: np.column_stack(evaluate(p, a1, a2)), by_point)
+    return by_row, by_point
+
+
+_ONE_CHANNEL = hcore.ChannelSet([hcore.Channel("L", ("p", 1), 0.0, fixed_k=1.0)])
+
+
+@pytest.mark.parametrize("energies,w,at", [
+    # the frame of test_smatrix_singularity_reported_as_candidate_bic: the
+    # antisymmetric mode is dark, E - H_eff singular at E = 1
+    ((1.0, 1.0), (0.5, 0.5), 1.0),
+    # a mode that no channel reaches, one ulp off its energy: the per-point
+    # pivot test calls E - H_eff singular, the row's pole reach is zero
+    ((1.0, 2.0), (0.0, 0.5), float(np.nextafter(1.0, 2.0))),
+])
+def test_smatrix_row_hands_a_singular_point_to_the_point_path(energies, w, at):
+    basis = hcore.ClosedBasis(labels=(0, 1), energies=np.array(energies))
+    frame = hcore.AssemblyFrame(basis, _ONE_CHANNEL, np.array([w], dtype=complex).T)
+    row = np.array([0.5, at, 1.5])
+    assert [got is None for got in hcore.smatrix_row(frame, row)] == [False, True, False]
+    by_row, by_point = _row_and_point(frame, row)
+    vals, diags = by_row({}, 0.0, row)
+    ref, ref_diags = by_point({}, 0.0, row)
+    assert diags == ref_diags and "SingularScattering" in diags[0]
+    assert np.array_equal(np.isnan(vals), np.isnan(ref)) and np.isnan(vals[1, 0])
+    assert np.nanmax(np.abs(vals - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("energies,w", [
+    # a pair of modes of different energy, which the row alone would solve
+    # as the unitary S of its diagonal
+    ((1.0, 1.0 + 1e-6), (0.5, 0.5)),
+    # one channel that reaches both blocks without cancelling
+    ((1.0, 1.0), (0.5, 0.3)),
+])
+def test_smatrix_row_hands_a_wrong_block_declaration_back(energies, w):
+    # (e0 +/- e1) / sqrt(2) declared as blocks: the row vouches for no
+    # point, and the point path raises StructuralError, which the sweep
+    # propagates
+    basis = hcore.ClosedBasis(labels=(0, 1), energies=np.array(energies))
+    blocks = tuple(hcore.SymmetryBlock.of(2, [(0, 1, sign)]) for sign in (1.0, -1.0))
+    frame = hcore.AssemblyFrame(basis, _ONE_CHANNEL, np.array([w], dtype=complex).T,
+                                blocks=blocks)
+    row = np.array([0.5, 1.5])
+    assert hcore.smatrix_row(frame, row) == [None, None]
+    by_row, _ = _row_and_point(frame, row)
+    with pytest.raises(hcore.StructuralError, match="not block-diagonal"):
+        by_row({}, 0.0, row)
+
+
+def test_smatrix_row_vouches_for_no_static_or_lossy_frame():
+    # a static V (the Sinai bump) makes H_B non-diagonal
+    sinai = planar2d.sinai_model(planar2d.RectCavity(4.0, 2.0, "neumann", 6, 6),
+                                 planar2d.SinaiBump(5.0, 1.5), 3)
+    assert hcore.smatrix_row(sinai, np.linspace(12.0, 20.0, 5)) == [None] * 5
+    # a complex channel wavenumber loses flux: S is not unitary
+    basis = hcore.ClosedBasis(labels=(0, 1), energies=np.array([1.0, 2.0]))
+    lossy = hcore.ChannelSet([hcore.Channel("L", ("p", 1), 0.0, fixed_k=1.0 - 0.2j)])
+    frame = hcore.AssemblyFrame(basis, lossy, np.array([[0.5], [0.4]], dtype=complex))
+    assert hcore.smatrix_row(frame, np.array([0.5, 1.5, 2.5])) == [None] * 3
 
 
 # -------------------------------------------------------------- resonances --

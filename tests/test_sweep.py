@@ -49,6 +49,10 @@ def test_map_deterministic_across_thread_counts(tmp_path):
     ("sphere", "dtheta:1.1:2.1:2", "energy:0.3:1.5:3",
      ["--truncation", "3", "--set", "radius=4.3"],
      (sph3d._pole_block, sph3d._port_columns)),
+    # the planar, cyl and sphere rows along the energy are one stacked
+    # hcore.smatrix_row each; this planar row crosses the cutoff 4 pi^2
+    ("planar", "ly:3.85:4.15:2", "energy:12:42:7", ["--truncation", "6", "--pmax", "3"],
+     (planar2d._planar_frame,)),
 ])
 def test_cavity_map_independent_of_threads_and_cache_state(tmp_path, model, axis1,
                                                            axis2, extra, caches):
@@ -402,6 +406,25 @@ def test_cli_bics_that_finds_nothing_exits_3(truncation, tmp_path):
     assert main(["well", "bics", "--out", str(tmp_path)]) == 0
     _, rows = sweep.read_catalog(tmp_path / "well_bics.dat")
     assert rows == []
+
+
+def test_cli_bics_of_quasi_bic_rows_alone_exits_3(tmp_path, monkeypatch):
+    # off centre in x the Sinai search confirms only quasi-BICs (is_bic
+    # False): the catalog is written with its rows, and the verb says that
+    # it found no BIC
+    argv = ["sinai", "bics", "--truncation", "8", "--pmax", "4", "--set", "x0=0.3"]
+    assert main([*argv, "--out", str(tmp_path)]) == 3
+    _, rows = sweep.read_catalog(tmp_path / "sinai_bics.dat")
+    assert len(rows) == 9 and min(r["gamma_res"] for r in rows) > hcore.DEFAULT_WIDTH_TOL
+    # a model whose catalog is empty by construction says so and exits 0
+    # whatever its rows
+    quasi = hcore.BICRecord(param=1.0, omega_sq=2.0, null_vector=np.ones(1), gamma_res=0.1,
+                            residual=0.0, is_bic=False)
+    monkeypatch.setitem(MODELS, "well", cli.Model(**{
+        **MODELS["well"].__dict__, "bics": lambda p, tol_width, tol_null: ([quasi], None)}))
+    assert main(["well", "bics", "--out", str(tmp_path)]) == 0
+    _, rows = sweep.read_catalog(tmp_path / "well_bics.dat")
+    assert len(rows) == 1
 
 
 def test_cli_fpchain_bics_honours_tolerances(tmp_path):

@@ -50,7 +50,10 @@ LIGHT = ("twolevel", "fpchain", "well", "abring", "zeeman")
 MAPS = (
     # the abring and twolevel maps are evaluated one stacked call per row,
     # so each runs with both of its batched axes on axis2; the twolevel
-    # grids pass through the collapse point (0, 0)
+    # grids pass through the collapse point (0, 0).  The planar, cyl and
+    # sphere maps along the energy take their S one stacked low-rank solve
+    # per block and row (hcore.smatrix_row); the Sinai maps, whose bump
+    # makes H_B non-diagonal, stay point by point
     ("twolevel", "eps:-1:1:5", "energy:-1:1:5"),
     ("twolevel", "energy:-1:1:5", "eps:-1:1:5", "--threads", "2"),
     ("fpchain", "eps1:-1:1:4", "energy:-1:1:4"),
@@ -142,6 +145,13 @@ def commands() -> list[list[str]]:
     cmds.append(["sinai", "resonances", "--set", "vg=5"])
     # a bump off centre in x: one x class, searched once
     cmds.append(["sinai", "bics", "--truncation", "8", "--pmax", "4", "--set", "x0=0.3"])
+    # a planar energy row from a coupled basis energy (ly = 4, modes of two
+    # blocks) to the second channel's cutoff 4 pi^2 (open at k = 0): the
+    # row path hands the first point to the per-point S and groups the rest
+    # by their open channels
+    cmds.append(["planar", "map", "--axis1", "ly:4:4.2:2",
+                 "--axis2", "energy:32.6930645786085:39.47841760435743:4",
+                 "--truncation", "8", "--pmax", "3", "--threads", "2"])
     return cmds
 
 
